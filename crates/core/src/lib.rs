@@ -22,7 +22,8 @@
 //! (Table-1 profiling), and the [`bundle`] persistent-index loader.
 //! Introduced in PR 1; batched streaming in PR 2, seeding interleave in
 //! PR 5, bundle v4 zero-copy mmap in PR 6, externally-owned batch entry
-//! points for the daemon in PR 7.
+//! points for the daemon in PR 7, all-workers-per-batch slab scheduling
+//! ([`threads`]) in PR 12.
 
 #![deny(missing_docs)]
 
@@ -58,5 +59,6 @@ pub use robust::{is_broken_pipe, is_no_space, RobustWriter};
 pub use sam::SamRecord;
 pub use threads::{
     align_reads_parallel, align_stream_parallel, align_stream_parallel_flush,
-    stream_batches_parallel, stream_batches_parallel_flush, FlushHook, StreamError, StreamSummary,
+    stream_batches_parallel, stream_batches_parallel_flush, FlushHook, SchedStats, SlabOut,
+    StreamError, StreamSummary, Team,
 };

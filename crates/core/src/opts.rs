@@ -27,7 +27,9 @@ pub struct MemOpts {
     pub mapq_coef_len: f64,
     /// `ln(mapq_coef_len)`.
     pub mapq_coef_fac: f64,
-    /// Reads per processing batch in the batched workflow (default 512).
+    /// Reads per slab (default 512): the unit one worker claims from
+    /// the resident batch, and the batch the stage-batched workflow runs
+    /// each stage over. SAM bytes are invariant to this value.
     pub batch_reads: usize,
     /// Reads whose seeding state machines one worker interleaves
     /// (`--seed-batch`, default 16): each pending occurrence query's
@@ -37,11 +39,10 @@ pub struct MemOpts {
     /// SAM bytes are invariant to this value; only memory-level
     /// parallelism changes.
     pub seed_batch: usize,
-    /// Reads per scheduling chunk handed to a worker (default 4096).
-    pub chunk_reads: usize,
     /// Target bases per streamed ingestion batch (bwa's `-K` chunk size;
-    /// default 10 Mbp). Streaming peak memory is O(batch_bases), not
-    /// O(file).
+    /// default 10 Mbp). Bounds resident memory (at most three batches)
+    /// and sets checkpoint granularity; every batch is spread over all
+    /// threads, so it does not limit parallelism.
     pub batch_bases: usize,
     /// Also emit secondary alignments (bwa's `-a`; default off).
     pub output_all: bool,
@@ -82,7 +83,6 @@ impl Default for MemOpts {
             mapq_coef_fac: (50.0f64).ln(),
             batch_reads: 512,
             seed_batch: mem2_fmindex::DEFAULT_SEED_BATCH,
-            chunk_reads: 4096,
             batch_bases: mem2_seqio::DEFAULT_BATCH_BASES,
             output_all: false,
             pen_unpaired: 17,
@@ -111,8 +111,8 @@ impl MemOpts {
     /// Output-affecting options as `key → value` entries for the
     /// checkpoint fingerprint (`--resume` refuses to continue a run whose
     /// options drifted). Deliberately *excludes* the knobs the pipeline
-    /// is byte-invariant to — `simd`, `seed_batch`, `chunk_reads`,
-    /// `batch_reads`, `batch_bases`, and the thread count — so a resumed
+    /// is byte-invariant to — `simd`, `seed_batch`, `batch_reads`,
+    /// `batch_bases`, and the thread count — so a resumed
     /// run may use different hardware or batching without breaking byte
     /// identity. `batch_pairs` is *included*: it defines the PE pestat
     /// window and therefore the PE byte stream.

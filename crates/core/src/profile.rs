@@ -1,4 +1,6 @@
-//! Per-stage wall-time accounting (Table 1 of the paper).
+//! Per-stage wall-time accounting (Table 1 of the paper). Multithreaded
+//! drivers sum each worker's wall clock per stage, so totals are
+//! worker-seconds, not CPU time and not elapsed time.
 //!
 //! Each accumulator carries both summed totals (Table 1's averages) and
 //! a log-linear latency histogram per stage, so end-of-run reports and
@@ -151,11 +153,12 @@ impl StageTimes {
         s
     }
 
-    /// Render as a JSON object (the `--profile=json` report): per-stage
-    /// totals in ms plus percentile summaries; `null` where a stage has
-    /// no observations.
-    pub fn render_json(&self) -> String {
-        let mut s = String::from("{\"stages\":{");
+    /// Render as JSON object members, without the enclosing braces so a
+    /// report can add members of its own (the `--profile=json` report):
+    /// per-stage totals in ms plus percentile summaries; `null` where a
+    /// stage has no observations.
+    pub fn render_json_fields(&self) -> String {
+        let mut s = String::from("\"stages\":{");
         for i in 0..7 {
             if i > 0 {
                 s.push(',');
@@ -170,7 +173,7 @@ impl StageTimes {
             ));
         }
         s.push_str(&format!(
-            "}},\"total_ms\":{:.3}}}",
+            "}},\"total_ms\":{:.3}",
             self.total().as_secs_f64() * 1e3
         ));
         s
@@ -260,7 +263,8 @@ mod tests {
         let text = t.render_percentiles("profile");
         assert!(text.contains("p99_us"));
         assert!(text.contains("CHAIN"));
-        let json = t.render_json();
+        let json = t.render_json_fields();
+        assert!(json.starts_with("\"stages\":{") && json.contains("},\"total_ms\":0.400"));
         assert!(json.contains("\"CHAIN\":{\"total_ms\":0.400"));
         // untouched stages must render null percentiles, not 0
         assert!(json.contains("\"SMEM\":{\"total_ms\":0.000,\"calls\":0,\"p50_us\":null"));

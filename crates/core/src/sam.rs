@@ -46,23 +46,62 @@ pub struct SamRecord {
 }
 
 impl SamRecord {
+    /// Append the record as one SAM line (without trailing newline) —
+    /// plain byte copies and integer formatting into the caller's
+    /// buffer, no intermediate `String`.
+    pub fn write_line(&self, out: &mut Vec<u8>) {
+        fn field(out: &mut Vec<u8>, text: &str) {
+            out.extend_from_slice(text.as_bytes());
+            out.push(b'\t');
+        }
+        fn number(out: &mut Vec<u8>, magnitude: u64, negative: bool) {
+            let mut buf = [0u8; 21]; // sign + the 20 digits of u64::MAX
+            let mut at = buf.len();
+            let mut n = magnitude;
+            loop {
+                at -= 1;
+                buf[at] = b'0' + (n % 10) as u8;
+                n /= 10;
+                if n == 0 {
+                    break;
+                }
+            }
+            if negative {
+                at -= 1;
+                buf[at] = b'-';
+            }
+            out.extend_from_slice(&buf[at..]);
+            out.push(b'\t');
+        }
+        field(out, &self.qname);
+        number(out, self.flag.into(), false);
+        field(out, &self.rname);
+        number(out, self.pos, false);
+        number(out, self.mapq.into(), false);
+        field(out, &self.cigar);
+        field(out, &self.rnext);
+        number(out, self.pnext, false);
+        number(out, self.tlen.unsigned_abs(), self.tlen < 0);
+        field(out, &self.seq);
+        field(out, &self.qual);
+        out.extend_from_slice(self.tags.as_bytes());
+    }
+
     /// Render the record as one SAM line (without trailing newline).
     pub fn to_line(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            self.qname,
-            self.flag,
-            self.rname,
-            self.pos,
-            self.mapq,
-            self.cigar,
-            self.rnext,
-            self.pnext,
-            self.tlen,
-            self.seq,
-            self.qual,
-            self.tags
-        )
+        let text = [
+            &self.qname,
+            &self.rname,
+            &self.cigar,
+            &self.rnext,
+            &self.seq,
+            &self.qual,
+            &self.tags,
+        ];
+        // the text fields, 11 tabs, and at most 68 digits and a sign
+        let mut line = Vec::with_capacity(text.iter().map(|f| f.len()).sum::<usize>() + 80);
+        self.write_line(&mut line);
+        String::from_utf8(line).expect("SAM fields are strings, so the line is UTF-8")
     }
 
     /// Reference bases consumed by the CIGAR (M and D runs); 0 for `*`.
@@ -96,39 +135,28 @@ pub struct ReadInfo<'a> {
     pub qual: &'a [u8],
 }
 
-/// Generate the CIGAR of a region (bwa's `bwa_gen_cigar2`): fetch the
-/// reference window, reverse both sequences on the minus strand (keeps
-/// indels left-aligned in genome orientation), run banded global
-/// alignment, and compute NM.
+/// Generate the CIGAR of a region (bwa's `bwa_gen_cigar2`) at band `w`:
+/// banded global alignment of the region's query and reference segments
+/// (already in alignment orientation, see [`region_to_sam`]), plus NM.
 fn gen_cigar(
     score_params: &ScoreParams,
-    l_pac: i64,
-    pac: &PackedSeq,
-    query_codes: &[u8],
-    rb: i64,
-    re: i64,
+    qseg: &[u8],
+    rseg: &[u8],
     w: i32,
 ) -> (i32, Vec<CigarOp>, i32) {
-    let mut qseg = query_codes.to_vec();
-    let mut rseg = pac.fetch2(rb as usize, re as usize);
-    let is_rev = rb >= l_pac;
-    if is_rev {
-        qseg.reverse();
-        rseg.reverse();
-    }
     if qseg.len() == rseg.len() && w == 0 {
         // no-gap shortcut
         let score: i32 = qseg
             .iter()
-            .zip(&rseg)
+            .zip(rseg)
             .map(|(&q, &t)| score_params.score(t, q))
             .sum();
         let cigar = vec![CigarOp::Match(qseg.len() as u32)];
-        let nm = count_nm(&cigar, &qseg, &rseg);
+        let nm = count_nm(&cigar, qseg, rseg);
         return (score, cigar, nm);
     }
-    let (score, cigar) = global_align(score_params, &qseg, &rseg, w);
-    let nm = count_nm(&cigar, &qseg, &rseg);
+    let (score, cigar) = global_align(score_params, qseg, rseg, w);
+    let nm = count_nm(&cigar, qseg, rseg);
     (score, cigar, nm)
 }
 
@@ -199,21 +227,23 @@ pub fn region_to_sam(
     if w2 > opts.chain.w {
         w2 = w2.min(reg.w);
     }
+    // the segments to align, fetched once for every band retry below;
+    // both are reversed on the minus strand, which keeps indels
+    // left-aligned in genome orientation
+    let is_rev = rb >= l_pac;
+    let mut qseg = read.codes[qb as usize..qe as usize].to_vec();
+    let mut rseg = pac.fetch2(rb as usize, re as usize);
+    if is_rev {
+        qseg.reverse();
+        rseg.reverse();
+    }
     // regenerate with a wider band while global alignment underperforms
     let mut last_sc = i32::MIN;
     let mut i = 0;
     let (mut gscore, mut cigar, mut nm);
     loop {
         w2 = w2.min(opts.chain.w << 2);
-        let out = gen_cigar(
-            &opts.score,
-            l_pac,
-            pac,
-            &read.codes[qb as usize..qe as usize],
-            rb,
-            re,
-            w2,
-        );
+        let out = gen_cigar(&opts.score, &qseg, &rseg, w2);
         gscore = out.0;
         cigar = out.1;
         nm = out.2;
@@ -230,7 +260,6 @@ pub fn region_to_sam(
     let _ = gscore;
 
     // position in forward coordinates
-    let is_rev = rb >= l_pac;
     let mut pos_f = if is_rev { 2 * l_pac - re } else { rb } as u64;
 
     // squeeze out a leading or trailing deletion
@@ -591,6 +620,46 @@ mod tests {
         assert_eq!(recs[0].flag & 0x800, 0);
         assert_eq!(recs[1].flag & 0x800, 0x800);
         assert!(recs[1].mapq <= recs[0].mapq);
+    }
+
+    #[test]
+    fn write_line_matches_the_formatted_fields() {
+        let mut r = unmapped_record(&read_info(&[], b"ACGT", b"IIII"));
+        r.flag = 0x93;
+        r.rname = "chr_t".to_string();
+        r.cigar = "4M".to_string();
+        r.rnext = "=".to_string();
+        for (pos, mapq, pnext, tlen) in [
+            (0u64, 0u8, 0u64, 0i64),
+            (41, 60, 1_000_000_007, -312),
+            (u64::MAX, 255, 9, i64::MIN),
+            (10, 7, u64::MAX, i64::MAX),
+        ] {
+            (r.pos, r.mapq, r.pnext, r.tlen) = (pos, mapq, pnext, tlen);
+            let want = format!(
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                r.qname,
+                r.flag,
+                r.rname,
+                r.pos,
+                r.mapq,
+                r.cigar,
+                r.rnext,
+                r.pnext,
+                r.tlen,
+                r.seq,
+                r.qual,
+                r.tags
+            );
+            assert_eq!(r.to_line(), want);
+            let mut buf = b"x\n".to_vec();
+            r.write_line(&mut buf);
+            assert_eq!(
+                buf,
+                [b"x\n", want.as_bytes()].concat(),
+                "appends, no newline"
+            );
+        }
     }
 
     #[test]

@@ -1,128 +1,294 @@
-//! Multithreaded drivers.
+//! Multithreaded drivers: bwa's `kt_pipeline` × `kt_for` shape.
 //!
-//! [`align_reads_parallel`] — in-memory: crossbeam scoped workers pulling
-//! read chunks from an atomic cursor — the same dynamic scheduling the
-//! paper gets from OpenMP `schedule(dynamic)`, with one reusable
-//! [`Worker`] arena per thread. Output order is deterministic
-//! (chunk-indexed slots), so thread count never changes the SAM byte
-//! stream.
+//! Every batch is aligned by **all** workers. A [`Team`] is the `kt_for`
+//! half: its `n_threads` workers claim `opts.batch_reads`-sized slabs of
+//! the resident batch off an atomic cursor and deposit each result in the
+//! slot indexed by its slab number, so the assembled output is a pure
+//! function of the input — thread count and scheduling order never reach
+//! the SAM byte stream. [`Team::par_map`] returns once every slab of the
+//! batch is done (a plain per-batch barrier).
 //!
-//! [`align_stream_parallel`] — streaming: a producer thread decodes and
-//! parses ingestion batches (so gzip inflate of batch N+1 overlaps
-//! alignment of batch N — double buffering via a bounded channel), worker
-//! threads align them, and the caller's thread writes SAM in input order.
-//! Peak resident read memory is O(queue_depth + n_threads) batches, never
-//! O(file).
+//! [`stream_batches_parallel_flush`] is the `kt_pipeline` half, three
+//! steps joined by rendezvous channels: the producer decodes batch N+1
+//! (gzip inflate + FASTQ parse) ‖ the team aligns batch N ‖ the calling
+//! thread writes batch N−1. At most three batches are resident whatever
+//! the thread count. The ingestion batch stays the unit of output order
+//! and of the [`FlushHook`] (checkpoint commit); batch size bounds memory
+//! and checkpoint granularity, not parallelism.
+//!
+//! [`align_reads_parallel`] runs the same slab loop over one in-memory
+//! batch, so there is a single scheduling implementation.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
+use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
 use mem2_seqio::{FastqRecord, SeqIoError};
 
 use crate::aligner::Aligner;
-use crate::pipeline::{align_prepared, read_to_sam, PreparedRead, Worker};
-use crate::profile::StageTimes;
+use crate::opts::MemOpts;
+use crate::pipeline::{align_to_records, PreparedRead, Worker};
+use crate::profile::{Stage, StageTimes};
 use crate::sam::SamRecord;
 
+/// One finished slab: its SAM text (newline-terminated lines, in read
+/// order) and how many records that is. Workers render text so the
+/// writer thread only copies bytes, and a slab's [`SamRecord`]s are
+/// freed as soon as they are rendered.
+#[derive(Debug, Default)]
+pub struct SlabOut {
+    /// SAM lines, each ending in `\n`.
+    pub bytes: Vec<u8>,
+    /// Number of lines in `bytes`.
+    pub records: usize,
+}
+
+impl SlabOut {
+    /// An empty slab sized for one primary line per read of `reads`, so
+    /// rendering rarely regrows the buffer.
+    pub fn for_reads(reads: &[PreparedRead]) -> Self {
+        let text_len = reads
+            .iter()
+            .map(|r| r.name.len() + 2 * r.seq.len() + 96)
+            .sum();
+        SlabOut {
+            bytes: Vec::with_capacity(text_len),
+            records: 0,
+        }
+    }
+
+    /// Append one record as a SAM line.
+    pub fn push(&mut self, rec: &SamRecord) {
+        rec.write_line(&mut self.bytes);
+        self.bytes.push(b'\n');
+        self.records += 1;
+    }
+}
+
+/// What the scheduler did during a run — the numbers that make driver
+/// imbalance visible (`mem2 mem --profile`).
+#[derive(Debug, Default, Clone)]
+pub struct SchedStats {
+    /// Time each worker spent inside slab bodies.
+    pub worker_busy: Vec<Duration>,
+    /// Slabs each worker claimed (a paired-end slab counts once per
+    /// phase).
+    pub slabs_per_worker: Vec<usize>,
+    /// Wall time the team spent on batches (Σ per-batch align step,
+    /// serial sections such as insert-size estimation included; waiting
+    /// for input or for the writer excluded).
+    pub align_wall: Duration,
+    /// Most batches ever resident at once: decoded by the producer and
+    /// not yet written out.
+    pub batches_resident_max: usize,
+}
+
+impl SchedStats {
+    /// Σ worker busy ÷ (workers × align wall): 1.0 means no worker ever
+    /// waited for another inside a batch. 0 when nothing was aligned.
+    pub fn worker_busy_share(&self) -> f64 {
+        let denom = self.worker_busy.len() as f64 * self.align_wall.as_secs_f64();
+        if denom > 0.0 {
+            self.worker_busy.iter().sum::<Duration>().as_secs_f64() / denom
+        } else {
+            0.0
+        }
+    }
+
+    /// One-line text form for the `--profile` report and the run log.
+    pub fn render(&self) -> String {
+        format!(
+            "threads {}  worker_busy_share {:.3} (busy {:.3}s / align wall {:.3}s)  \
+             slabs_per_worker {:?}  batches_resident_max {}",
+            self.worker_busy.len(),
+            self.worker_busy_share(),
+            self.worker_busy.iter().sum::<Duration>().as_secs_f64(),
+            self.align_wall.as_secs_f64(),
+            self.slabs_per_worker,
+            self.batches_resident_max,
+        )
+    }
+
+    /// JSON object form for `--profile=json`; the ratio comes with its
+    /// numerator and denominator.
+    pub fn render_json(&self) -> String {
+        let slabs: Vec<String> = self
+            .slabs_per_worker
+            .iter()
+            .map(|n| n.to_string())
+            .collect();
+        format!(
+            "{{\"threads\":{},\"worker_busy_share\":{:.4},\"worker_busy_ms\":{:.3},\
+             \"align_wall_ms\":{:.3},\"slabs_per_worker\":[{}],\"batches_resident_max\":{}}}",
+            self.worker_busy.len(),
+            self.worker_busy_share(),
+            self.worker_busy.iter().sum::<Duration>().as_secs_f64() * 1e3,
+            self.align_wall.as_secs_f64() * 1e3,
+            slabs.join(","),
+            self.batches_resident_max,
+        )
+    }
+}
+
+/// One team member: a reusable [`Worker`] arena plus its scheduling
+/// counters.
+struct Member {
+    worker: Worker,
+    busy: Duration,
+    slabs: usize,
+}
+
+/// The `kt_for` worker team: `n_threads` [`Worker`] arenas that live for
+/// the whole run and are all put on every batch.
+pub struct Team {
+    members: Vec<Member>,
+    align_wall: Duration,
+}
+
+impl Team {
+    /// A team of `n_threads` workers (at least one).
+    pub fn new(opts: &MemOpts, n_threads: usize) -> Self {
+        Team {
+            members: (0..n_threads.max(1))
+                .map(|_| Member {
+                    worker: Worker::new(opts),
+                    busy: Duration::ZERO,
+                    slabs: 0,
+                })
+                .collect(),
+            align_wall: Duration::ZERO,
+        }
+    }
+
+    /// Run `body(worker, k)` for every slab `k` in `0..n_slabs` on all
+    /// workers and return the results in slab order.
+    ///
+    /// Workers claim slab indices off a shared cursor (dynamic
+    /// scheduling, like OpenMP `schedule(dynamic)`); each result lands in
+    /// the slot of its slab index, so the returned order — and anything
+    /// built from it — does not depend on which worker ran which slab.
+    /// The calling thread is worker 0; helper threads are spawned for the
+    /// call, as `kt_for` does, and only as many as there are slabs to
+    /// share. Returns when every slab is done.
+    pub fn par_map<R, F>(&mut self, n_slabs: usize, body: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(&mut Worker, usize) -> R + Sync,
+    {
+        // Relaxed: the cursor only hands out indices; results are
+        // published through the slot mutexes and the scope's join.
+        let cursor = AtomicUsize::new(0);
+        let slots: Vec<Mutex<Option<R>>> = (0..n_slabs).map(|_| Mutex::new(None)).collect();
+        let run = |m: &mut Member| loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            if k >= n_slabs {
+                break;
+            }
+            let t = Instant::now();
+            let r = body(&mut m.worker, k);
+            *slots[k].lock() = Some(r);
+            m.busy += t.elapsed();
+            m.slabs += 1;
+        };
+        let (lead, helpers) = self
+            .members
+            .split_first_mut()
+            .expect("a team has at least one worker");
+        let n_helpers = helpers.len().min(n_slabs.saturating_sub(1));
+        std::thread::scope(|scope| {
+            for m in &mut helpers[..n_helpers] {
+                scope.spawn(|| run(m));
+            }
+            run(lead);
+        });
+        slots
+            .into_iter()
+            .map(|s| s.into_inner().expect("every slab index is claimed once"))
+            .collect()
+    }
+
+    /// Worker 0's arena, for the serial sections between two
+    /// [`Team::par_map`] phases (their time belongs in its stage times).
+    pub fn lead(&mut self) -> &mut Worker {
+        &mut self.members[0].worker
+    }
+
+    /// Disband: stage times summed over workers, plus the scheduling
+    /// counters (`batches_resident_max` is the pipeline's to fill in).
+    fn finish(self) -> (StageTimes, SchedStats) {
+        let mut times = StageTimes::default();
+        let mut sched = SchedStats {
+            align_wall: self.align_wall,
+            ..SchedStats::default()
+        };
+        for m in &self.members {
+            times.merge(&m.worker.times);
+            sched.worker_busy.push(m.busy);
+            sched.slabs_per_worker.push(m.slabs);
+        }
+        (times, sched)
+    }
+}
+
+/// Cut a batch into owned slabs of `slab_len` items, each claimable once
+/// with [`take_slab`] — workers consume their slab's input, so a batch's
+/// reads are freed slab by slab as its SAM text accumulates.
+pub fn split_slabs<T>(batch: Vec<T>, slab_len: usize) -> Vec<Mutex<Option<Vec<T>>>> {
+    let slab_len = slab_len.max(1);
+    let mut slabs = Vec::with_capacity(batch.len().div_ceil(slab_len));
+    let mut items = batch.into_iter();
+    loop {
+        let slab: Vec<T> = items.by_ref().take(slab_len).collect();
+        if slab.is_empty() {
+            return slabs;
+        }
+        slabs.push(Mutex::new(Some(slab)));
+    }
+}
+
+/// Claim slab `k` of a [`split_slabs`] batch.
+pub fn take_slab<T>(slabs: &[Mutex<Option<Vec<T>>>], k: usize) -> Vec<T> {
+    slabs[k].lock().take().expect("a slab is claimed once")
+}
+
+/// Align one slab of reads and render its SAM text.
+fn align_slab_to_text(aligner: &Aligner, worker: &mut Worker, reads: Vec<FastqRecord>) -> SlabOut {
+    let prepared: Vec<PreparedRead> = reads
+        .into_iter()
+        .map(PreparedRead::from_fastq_owned)
+        .collect();
+    let records = align_to_records(&aligner.context(), worker, aligner.workflow, &prepared);
+    let t = Instant::now();
+    let mut out = SlabOut::for_reads(&prepared);
+    for rec in records.iter().flatten() {
+        out.push(rec);
+    }
+    // text rendering is SAM formatting too; added to the total only, so
+    // the stage histogram stays one observation per read
+    worker.times.totals[Stage::SamForm as usize] += t.elapsed();
+    out
+}
+
 /// Align `reads` with `n_threads` workers; returns SAM records in input
-/// order plus the summed per-stage times across workers.
+/// order plus the summed per-stage times across workers. One in-memory
+/// batch through the same slab loop as the streaming driver.
 pub fn align_reads_parallel(
     aligner: &Aligner,
     reads: &[FastqRecord],
     n_threads: usize,
 ) -> (Vec<SamRecord>, StageTimes) {
-    let n_threads = n_threads.max(1);
-    let chunk = aligner.opts.chunk_reads.max(1);
-    let n_chunks = reads.len().div_ceil(chunk).max(1);
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Vec<SamRecord>>> = (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect();
-    let total_times = Mutex::new(StageTimes::default());
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..n_threads {
-            scope.spawn(|_| {
-                let ctx = aligner.context();
-                let mut worker = Worker::new(&aligner.opts);
-                loop {
-                    let c = cursor.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    let beg = c * chunk;
-                    let end = (beg + chunk).min(reads.len());
-                    let prepared: Vec<PreparedRead> = reads[beg..end]
-                        .iter()
-                        .map(PreparedRead::from_fastq)
-                        .collect();
-                    let regs = align_prepared(&ctx, &mut worker, aligner.workflow, &prepared);
-                    let mut out = Vec::new();
-                    for (read, r) in prepared.iter().zip(&regs) {
-                        out.extend(read_to_sam(&ctx, read, r, &mut worker.times));
-                    }
-                    *slots[c].lock() = out;
-                }
-                total_times.lock().merge(&worker.times);
-            });
-        }
-    })
-    .expect("worker thread panicked");
-
-    let mut all = Vec::new();
-    for slot in slots {
-        all.append(&mut slot.into_inner());
-    }
-    (all, total_times.into_inner())
-}
-
-/// How many decoded batches the producer may queue ahead of the workers:
-/// the classic double buffer (decode N+1 while N aligns), bounding
-/// resident read memory at `STREAM_QUEUE_DEPTH + n_threads` batches.
-const STREAM_QUEUE_DEPTH: usize = 2;
-
-/// Reorder gate: workers holding results for batch `idx` wait until
-/// `idx` falls within a fixed window of the writer's cursor before
-/// shipping them. Without it, one slow batch would let the writer's
-/// reorder buffer absorb every later batch — O(file) memory under
-/// worker skew. The worker holding the writer's next batch always
-/// passes (its index equals the cursor), so progress is guaranteed.
-struct OrderGate {
-    /// Next batch index the writer will emit; `usize::MAX` = released
-    /// (shutdown), every waiter passes.
-    cursor: std::sync::Mutex<usize>,
-    cv: std::sync::Condvar,
-}
-
-impl OrderGate {
-    fn new() -> Self {
-        OrderGate {
-            cursor: std::sync::Mutex::new(0),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Block until `idx < cursor + window` (or the gate is released).
-    fn wait_within(&self, idx: usize, window: usize) {
-        let mut cur = self.cursor.lock().expect("gate poisoned");
-        while *cur != usize::MAX && idx >= *cur + window {
-            cur = self.cv.wait(cur).expect("gate poisoned");
-        }
-    }
-
-    /// Publish a new writer cursor, waking blocked workers.
-    fn advance(&self, next: usize) {
-        *self.cursor.lock().expect("gate poisoned") = next;
-        self.cv.notify_all();
-    }
-
-    /// Let every waiter through (shutdown path).
-    fn release(&self) {
-        self.advance(usize::MAX);
-    }
+    let slabs: Vec<&[FastqRecord]> = reads.chunks(aligner.opts.batch_reads.max(1)).collect();
+    let mut team = Team::new(&aligner.opts, n_threads);
+    let per_slab = team.par_map(slabs.len(), |worker, k| {
+        let prepared: Vec<PreparedRead> = slabs[k].iter().map(PreparedRead::from_fastq).collect();
+        align_to_records(&aligner.context(), worker, aligner.workflow, &prepared)
+    });
+    let records = per_slab.into_iter().flatten().flatten().collect();
+    (records, team.finish().0)
 }
 
 /// Error from the streaming driver: either the input stream failed
@@ -153,7 +319,7 @@ impl From<SeqIoError> for StreamError {
 }
 
 /// Counters returned by a completed streaming run.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone)]
 pub struct StreamSummary {
     /// Reads consumed from the input stream.
     pub reads: usize,
@@ -161,30 +327,33 @@ pub struct StreamSummary {
     pub records: usize,
     /// Ingestion batches processed.
     pub batches: usize,
+    /// Scheduler counters (filled in when the run completes; empty while
+    /// a [`FlushHook`] sees the summary mid-run).
+    pub sched: SchedStats,
 }
 
-/// Post-flush callback run on the *writer* thread each time the in-order
-/// cursor advances (i.e. after one or more whole batches hit `out`).
-/// The checkpoint journal hooks in here: flush/fsync the sink, then
-/// persist the batch sequence number from the [`StreamSummary`]. An
-/// `Err` aborts the run as a [`StreamError::Output`]. Workers are
-/// already unblocked (the reorder gate advances first), so a slow fsync
-/// costs pipeline depth, not worker stalls.
+/// Post-flush callback run on the *writer* thread after each whole batch
+/// hit `out`. The checkpoint journal hooks in here: flush/fsync the sink,
+/// then persist the batch sequence number from the [`StreamSummary`]. An
+/// `Err` aborts the run as a [`StreamError::Output`]. The team is already
+/// aligning the next batch meanwhile, so a slow fsync costs pipeline
+/// depth, not worker stalls.
 pub type FlushHook<'a, W> = &'a mut dyn FnMut(&mut W, &StreamSummary) -> std::io::Result<()>;
 
 /// Align a stream of read batches with `n_threads` workers, writing SAM
 /// records to `out` in input order.
 ///
 /// `batches` is typically a [`mem2_seqio::BatchReader`]; any iterator of
-/// batch results works (each batch becomes one scheduling unit, so batch
-/// size trades load-balance granularity against channel overhead). The
-/// producer runs on its own thread: with gzipped input, inflate+parse of
-/// the next batch overlaps alignment of the current one.
+/// batch results works. Every batch is split into `opts.batch_reads`
+/// slabs shared by all workers, so batch size sets resident memory and
+/// checkpoint granularity while slabs set load balance. The producer runs
+/// on its own thread: with gzipped input, inflate+parse of the next batch
+/// overlaps alignment of the current one.
 ///
 /// Output is byte-identical to [`align_reads_parallel`] on the
 /// concatenated batches, for any thread count and any batch partition —
-/// per-read results don't depend on batch boundaries (the invariant the
-/// golden and cli_smoke tests pin).
+/// per-read results don't depend on batch or slab boundaries (the
+/// invariant the golden and cli_smoke tests pin).
 pub fn align_stream_parallel<I, W>(
     aligner: &Aligner,
     batches: I,
@@ -220,34 +389,26 @@ where
         out,
         on_flush,
         |batch: &Vec<FastqRecord>| batch.len(),
-        |worker, records| {
-            let ctx = aligner.context();
-            let prepared: Vec<PreparedRead> = records
-                .into_iter()
-                .map(PreparedRead::from_fastq_owned)
-                .collect();
-            let regs = align_prepared(&ctx, worker, aligner.workflow, &prepared);
-            let mut recs = Vec::new();
-            for (read, r) in prepared.iter().zip(&regs) {
-                recs.extend(read_to_sam(&ctx, read, r, &mut worker.times));
-            }
-            recs
+        |team, batch| {
+            let slabs = split_slabs(batch, aligner.opts.batch_reads);
+            team.par_map(slabs.len(), |worker, k| {
+                align_slab_to_text(aligner, worker, take_slab(&slabs, k))
+            })
         },
     )
 }
 
-/// The generic double-buffered batch-stream driver behind
-/// [`align_stream_parallel`] (and the paired-end driver in
-/// `mem2-pairing`): a producer thread pulls batches of any type `T` off
-/// the input iterator, worker threads turn each batch into SAM records
-/// with `process`, and the calling thread writes batches in input order.
+/// The generic three-step batch pipeline behind [`align_stream_parallel`]
+/// (and the paired-end driver in `mem2-pairing`): a producer thread pulls
+/// batches of any type `T` off the input iterator, the align step turns
+/// each batch into slab-ordered SAM text with `process`, and the calling
+/// thread writes batches in input order.
 ///
 /// `count_reads` reports how many reads a batch holds (for the summary);
-/// `process` runs on worker threads against a per-thread [`Worker`]
-/// arena. Output order is the input batch order regardless of thread
-/// count, and the reorder buffer is bounded even under worker skew.
+/// `process` runs on the align thread with the run's [`Team`] and spreads
+/// the batch over all workers with [`Team::par_map`].
 pub fn stream_batches_parallel<T, I, W, C, P>(
-    opts: &crate::opts::MemOpts,
+    opts: &MemOpts,
     batches: I,
     n_threads: usize,
     out: &mut W,
@@ -260,17 +421,22 @@ where
     I::IntoIter: Send,
     W: Write,
     C: Fn(&T) -> usize + Sync,
-    P: Fn(&mut Worker, T) -> Vec<SamRecord> + Sync,
+    P: Fn(&mut Team, T) -> Vec<SlabOut> + Sync,
 {
     stream_batches_parallel_flush(opts, batches, n_threads, out, None, count_reads, process)
 }
 
 /// [`stream_batches_parallel`] with an optional [`FlushHook`] invoked on
-/// the writer thread after each in-order flush — the checkpoint journal's
-/// attachment point. The hook runs on the calling thread (the crossbeam
-/// scope's closure executes there), so it may borrow non-`Send` state.
+/// the writer thread after each batch is written — the checkpoint
+/// journal's attachment point. The writer is the calling thread, so the
+/// sink and the hook may hold non-`Send` state (a locked stdout).
+///
+/// The steps hand batches over rendezvous channels: the producer may
+/// finish decoding batch N+1 but not start N+2 until the align step has
+/// taken N+1, and the align step may finish N but not start N+1 until
+/// the writer has taken N. At most three batches are resident.
 pub fn stream_batches_parallel_flush<T, I, W, C, P>(
-    opts: &crate::opts::MemOpts,
+    opts: &MemOpts,
     batches: I,
     n_threads: usize,
     out: &mut W,
@@ -284,44 +450,32 @@ where
     I::IntoIter: Send,
     W: Write,
     C: Fn(&T) -> usize + Sync,
-    P: Fn(&mut Worker, T) -> Vec<SamRecord> + Sync,
+    P: Fn(&mut Team, T) -> Vec<SlabOut> + Sync,
 {
-    let n_threads = n_threads.max(1);
     let batches = batches.into_iter();
-    let (batch_tx, batch_rx) = sync_channel::<(usize, T)>(STREAM_QUEUE_DEPTH);
-    let batch_rx = Mutex::new(batch_rx);
-    let (res_tx, res_rx) = sync_channel::<(usize, Vec<SamRecord>)>(n_threads + STREAM_QUEUE_DEPTH);
+    let (batch_tx, batch_rx) = sync_channel::<T>(0);
+    let (text_tx, text_rx) = sync_channel::<Vec<SlabOut>>(0);
     let input_err: Mutex<Option<SeqIoError>> = Mutex::new(None);
     let reads_in = AtomicUsize::new(0);
-    let total_times = Mutex::new(StageTimes::default());
-    let cancelled = AtomicBool::new(false);
-    let gate = OrderGate::new();
-    // completed batches a worker may run ahead of the writer: enough to
-    // keep every worker busy, small enough to cap the reorder buffer
-    let reorder_window = n_threads + STREAM_QUEUE_DEPTH;
+    let resident = Resident::default();
     let mut summary = StreamSummary::default();
-    let mut result: Result<(), StreamError> = Ok(());
 
-    crossbeam::thread::scope(|scope| {
-        // -- producer: decode/parse batches, keep the queue fed --
-        scope.spawn(|_| {
-            let mut idx = 0usize;
+    let (result, (times, sched)) = std::thread::scope(|scope| {
+        // -- producer: decode/parse the next batch --
+        scope.spawn(|| {
+            let batch_tx = batch_tx; // dropped on exit: the align step drains and ends
             for item in batches {
-                // stop decoding promptly once the writer has failed —
-                // without this, `mem2 ... | head` would inflate and
-                // parse the whole remaining file into a dead pipe
-                if cancelled.load(Ordering::Relaxed) {
-                    break;
-                }
                 match item {
                     Ok(batch) => {
+                        resident.enter();
                         reads_in.fetch_add(count_reads(&batch), Ordering::Relaxed);
-                        // send fails only when the consumer side tore down
-                        // early (write error); just stop producing
-                        if batch_tx.send((idx, batch)).is_err() {
+                        // send fails only when the align step tore down
+                        // early (write error): stop decoding, so that
+                        // `mem2 ... | head` does not inflate and parse
+                        // the rest of the file for a dead pipe
+                        if batch_tx.send(batch).is_err() {
                             break;
                         }
-                        idx += 1;
                     }
                     Err(e) => {
                         *input_err.lock() = Some(e);
@@ -329,45 +483,29 @@ where
                     }
                 }
             }
-            drop(batch_tx); // closes the queue → workers drain and exit
         });
 
-        // -- workers: pull a batch, align it, ship indexed results --
-        for _ in 0..n_threads {
-            let res_tx = res_tx.clone();
-            scope.spawn(|_| {
-                let res_tx = res_tx; // move the clone, borrow the rest
-                let mut worker = Worker::new(opts);
-                loop {
-                    // hold the lock across recv: exactly one worker waits
-                    // on the channel, the rest queue on the mutex
-                    let msg = batch_rx.lock().recv();
-                    let Ok((idx, batch)) = msg else { break };
-                    let recs = process(&mut worker, batch);
-                    // stay within the reorder window so the writer's
-                    // pending map is bounded even under batch skew
-                    gate.wait_within(idx, reorder_window);
-                    if res_tx.send((idx, recs)).is_err() {
-                        break; // writer tore down early
-                    }
+        // -- align step: the whole team on one batch at a time --
+        let align = scope.spawn(|| {
+            let (batch_rx, text_tx) = (batch_rx, text_tx); // dropped on exit
+            let mut team = Team::new(opts, n_threads);
+            for batch in batch_rx {
+                let t = Instant::now();
+                let slabs = process(&mut team, batch);
+                team.align_wall += t.elapsed();
+                if text_tx.send(slabs).is_err() {
+                    break; // writer tore down early
                 }
-                total_times.lock().merge(&worker.times);
-            });
-        }
-        drop(res_tx); // writer's recv ends once all workers finish
+            }
+            team.finish()
+        });
 
-        // -- writer (this thread): reorder by batch index, emit in order --
-        result = write_in_order(res_rx, out, &gate, &mut summary, on_flush);
-        if result.is_err() {
-            // tear down: stop the producer, let gated workers through
-            // (their sends fail, ending them), and drain the batch queue
-            // so the producer's bounded sends complete
-            cancelled.store(true, Ordering::Relaxed);
-            gate.release();
-            while batch_rx.lock().recv().is_ok() {}
-        }
-    })
-    .expect("stream worker panicked");
+        // -- writer (this thread): batches arrive in input order --
+        // on a write error the receiver is gone, so the align step ends
+        // after its current batch and the producer's next send fails
+        let result = write_batches(text_rx, out, &resident, &mut summary, on_flush);
+        (result, align.join().expect("align thread panicked"))
+    });
 
     if let Some(e) = input_err.into_inner() {
         // input failure wins over a secondary write error: it's the root
@@ -376,41 +514,152 @@ where
     }
     result?;
     summary.reads = reads_in.into_inner();
-    Ok((summary, total_times.into_inner()))
+    summary.sched = SchedStats {
+        batches_resident_max: resident.max.into_inner(),
+        ..sched
+    };
+    Ok((summary, times))
 }
 
-/// Drain worker results, writing batches in input order and publishing
-/// the cursor through the gate. The gate caps `pending` at the reorder
-/// window. On a write error the receiver is dropped, which unblocks
-/// workers/producer via their failed sends (the caller releases the
-/// gate).
-fn write_in_order<W: Write>(
-    res_rx: Receiver<(usize, Vec<SamRecord>)>,
+/// Count of batches decoded and not yet written, with its high-water
+/// mark. Relaxed: a statistic, it orders nothing.
+#[derive(Default)]
+struct Resident {
+    now: AtomicUsize,
+    max: AtomicUsize,
+}
+
+impl Resident {
+    fn enter(&self) {
+        let now = self.now.fetch_add(1, Ordering::Relaxed) + 1;
+        self.max.fetch_max(now, Ordering::Relaxed);
+    }
+
+    fn leave(&self) {
+        self.now.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Write each batch's slabs in order, then run the flush hook. Consumes
+/// the receiver: on a write error it is dropped on return, which ends
+/// the align step and the producer through their failed sends.
+fn write_batches<W: Write>(
+    text_rx: Receiver<Vec<SlabOut>>,
     out: &mut W,
-    gate: &OrderGate,
+    resident: &Resident,
     summary: &mut StreamSummary,
     mut on_flush: Option<FlushHook<'_, W>>,
 ) -> Result<(), StreamError> {
-    let mut pending: BTreeMap<usize, Vec<SamRecord>> = BTreeMap::new();
-    let mut next = 0usize;
-    while let Ok((idx, recs)) = res_rx.recv() {
-        pending.insert(idx, recs);
-        let before = next;
-        while let Some(recs) = pending.remove(&next) {
-            next += 1;
-            for rec in &recs {
-                writeln!(out, "{}", rec.to_line()).map_err(StreamError::Output)?;
-            }
-            summary.records += recs.len();
-            summary.batches += 1;
+    for slabs in text_rx {
+        for slab in slabs {
+            out.write_all(&slab.bytes).map_err(StreamError::Output)?;
+            summary.records += slab.records;
         }
-        // unblock gated workers before any checkpoint fsync below
-        gate.advance(next);
-        if next > before {
-            if let Some(hook) = on_flush.as_mut() {
-                hook(out, summary).map_err(StreamError::Output)?;
-            }
+        resident.leave();
+        summary.batches += 1;
+        if let Some(hook) = on_flush.as_mut() {
+            hook(out, summary).map_err(StreamError::Output)?;
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::channel;
+
+    fn slab(text: &str) -> SlabOut {
+        SlabOut {
+            bytes: text.as_bytes().to_vec(),
+            records: 1,
+        }
+    }
+
+    /// Intra-batch concurrency without timing assertions: slab 0 of a
+    /// single batch cannot finish until another worker has claimed a
+    /// different slab of the same batch.
+    #[test]
+    fn one_batch_is_shared_by_two_workers() {
+        let (claimed_tx, claimed_rx) = channel::<usize>();
+        let (claimed_tx, claimed_rx) = (Mutex::new(claimed_tx), Mutex::new(claimed_rx));
+        let mut out = Vec::new();
+        let (summary, _) = stream_batches_parallel(
+            &MemOpts::default(),
+            vec![Ok(4usize)],
+            2,
+            &mut out,
+            |n: &usize| *n,
+            |team, n_slabs| {
+                team.par_map(n_slabs, |_, k| {
+                    if k == 0 {
+                        // this worker is parked here, so whoever reports
+                        // a claim is a second worker
+                        claimed_rx
+                            .lock()
+                            .recv_timeout(Duration::from_secs(60))
+                            .expect("no second worker joined the batch");
+                    } else {
+                        claimed_tx.lock().send(k).expect("receiver lives");
+                    }
+                    slab(&format!("slab{k}\n"))
+                })
+            },
+        )
+        .expect("stream");
+        assert_eq!(
+            out, b"slab0\nslab1\nslab2\nslab3\n",
+            "slab order is index order"
+        );
+        assert_eq!((summary.batches, summary.records, summary.reads), (1, 4, 4));
+        assert_eq!(summary.sched.slabs_per_worker.iter().sum::<usize>(), 4);
+        assert!(
+            summary.sched.slabs_per_worker.iter().all(|&n| n >= 1),
+            "both workers ran slabs: {:?}",
+            summary.sched.slabs_per_worker
+        );
+    }
+
+    #[test]
+    fn par_map_orders_results_by_slab_for_any_team_size() {
+        for threads in [1, 2, 3, 8] {
+            let mut team = Team::new(&MemOpts::default(), threads);
+            for n in [0usize, 1, 2, 7, 33] {
+                let got = team.par_map(n, |_, k| k * k);
+                let want: Vec<usize> = (0..n).map(|k| k * k).collect();
+                assert_eq!(got, want, "threads={threads} n={n}");
+            }
+            let (_, sched) = team.finish();
+            assert_eq!(sched.slabs_per_worker.len(), threads);
+            assert_eq!(sched.slabs_per_worker.iter().sum::<usize>(), 1 + 2 + 7 + 33);
+        }
+    }
+
+    #[test]
+    fn split_slabs_keeps_order_and_odd_tail() {
+        let slabs = split_slabs((0..10).collect(), 4);
+        assert_eq!(slabs.len(), 3);
+        assert_eq!(take_slab(&slabs, 2), vec![8, 9]);
+        assert_eq!(take_slab(&slabs, 0), vec![0, 1, 2, 3]);
+        assert!(split_slabs(Vec::<u8>::new(), 4).is_empty());
+        // a zero slab length is treated as one item per slab
+        assert_eq!(split_slabs(vec![1, 2], 0).len(), 2);
+    }
+
+    #[test]
+    fn sched_stats_report_share_with_its_base() {
+        let s = SchedStats {
+            worker_busy: vec![Duration::from_millis(900), Duration::from_millis(600)],
+            slabs_per_worker: vec![3, 2],
+            align_wall: Duration::from_millis(1000),
+            batches_resident_max: 2,
+        };
+        assert!((s.worker_busy_share() - 0.75).abs() < 1e-9);
+        let json = s.render_json();
+        assert!(json.contains("\"worker_busy_share\":0.7500"), "{json}");
+        assert!(json.contains("\"slabs_per_worker\":[3,2]"), "{json}");
+        assert!(json.contains("\"batches_resident_max\":2"), "{json}");
+        assert!(s.render().contains("worker_busy_share 0.750"));
+        assert_eq!(SchedStats::default().worker_busy_share(), 0.0);
+    }
 }

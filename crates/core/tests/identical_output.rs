@@ -89,8 +89,9 @@ fn short_reads_are_also_identical() {
 fn thread_count_does_not_change_output() {
     let reference = test_reference();
     let reads = test_reads(&reference, 500, 101, 0xCAFE);
+    // 64-read slabs: eight slabs for four workers to share
     let opts = mem2_core::MemOpts {
-        chunk_reads: 64,
+        batch_reads: 64,
         ..Default::default()
     };
     let index = FmIndex::build(&reference, &BuildOpts::optimized_only());

@@ -8,13 +8,21 @@
 //! stream is a pure function of the pair sequence and `batch_pairs` —
 //! invariant to thread count, `--batch-bases`, and the two-file vs
 //! interleaved input layout.
+//!
+//! The streaming driver has the shape of bwa's `mem_process_seqs`: all
+//! workers single-end align the window's pair-aligned slabs (phase 1),
+//! one thread estimates the insert distribution over the whole window,
+//! then all workers rescue, pair and render per slab (phase 2).
 
 use std::io::Write;
 use std::time::Instant;
 
 use mem2_core::pipeline::{align_prepared, PipelineContext, PreparedRead, Worker};
 use mem2_core::sam::{ReadInfo, SamRecord};
-use mem2_core::threads::{stream_batches_parallel_flush, FlushHook, StreamError, StreamSummary};
+use mem2_core::threads::{
+    split_slabs, stream_batches_parallel_flush, take_slab, FlushHook, SlabOut, StreamError,
+    StreamSummary, Team,
+};
 use mem2_core::{profile::Stage, region::mark_primary};
 use mem2_core::{Aligner, AlnReg, StageTimes, Workflow};
 use mem2_seqio::{FastqRecord, ReadPair, SeqIoError};
@@ -56,21 +64,41 @@ pub fn align_pairs_ctx(
     pairs: Vec<ReadPair>,
     pes_override: Option<PeStats>,
 ) -> Vec<SamRecord> {
-    let opts = ctx.opts;
-    let l_pac = ctx.index.l_pac;
-
-    let prepared: Vec<PreparedRead> = pairs
-        .into_iter()
-        .flat_map(|p| [p.r1, p.r2])
-        .map(PreparedRead::from_fastq_owned)
-        .collect();
+    let prepared = prepare_pairs(pairs);
     let mut regs = align_prepared(ctx, worker, workflow, &prepared);
 
     let t = Instant::now();
-    let pes = pes_override.unwrap_or_else(|| estimate_pe_stats(opts, l_pac, &regs));
-
+    let pes = pes_override.unwrap_or_else(|| estimate_pe_stats(ctx.opts, ctx.index.l_pac, &regs));
     let mut out: Vec<SamRecord> = Vec::with_capacity(prepared.len());
-    for (pair_reads, pair_regs) in prepared.chunks_exact(2).zip(regs.chunks_exact_mut(2)) {
+    finish_pairs(ctx, &pes, &prepared, &mut regs, &mut out);
+    worker.times.add(Stage::Misc, t.elapsed());
+    out
+}
+
+/// Mate-interleaved prepared reads (`[2i]` = pair `i` read 1, `[2i+1]` =
+/// read 2), taking the records' buffers.
+fn prepare_pairs(pairs: Vec<ReadPair>) -> Vec<PreparedRead> {
+    pairs
+        .into_iter()
+        .flat_map(|p| [p.r1, p.r2])
+        .map(PreparedRead::from_fastq_owned)
+        .collect()
+}
+
+/// The per-pair back half, given the window's insert distribution: mate
+/// rescue, pair selection and SAM records for mate-interleaved `reads`,
+/// consuming their single-end `regs`. Each pair's records depend on that
+/// pair and `pes` only, so any slab partition gives the same records.
+fn finish_pairs(
+    ctx: &PipelineContext<'_>,
+    pes: &PeStats,
+    reads: &[PreparedRead],
+    regs: &mut [Vec<AlnReg>],
+    out: &mut Vec<SamRecord>,
+) {
+    let opts = ctx.opts;
+    let l_pac = ctx.index.l_pac;
+    for (pair_reads, pair_regs) in reads.chunks_exact(2).zip(regs.chunks_exact_mut(2)) {
         let (left, right) = pair_regs.split_at_mut(1);
         let mut ends = [std::mem::take(&mut left[0]), std::mem::take(&mut right[0])];
 
@@ -100,7 +128,7 @@ pub fn align_pairs_ctx(
                         l_pac,
                         &ctx.reference.pac,
                         &ctx.reference.contigs,
-                        &pes,
+                        pes,
                         anchor,
                         &pair_reads[mate].codes,
                         &mut ends[mate],
@@ -116,7 +144,7 @@ pub fn align_pairs_ctx(
         }
 
         // -- pair selection and emission --
-        let dec = select_pair(opts, l_pac, &pes, &mut ends);
+        let dec = select_pair(opts, l_pac, pes, &mut ends);
         let infos: Vec<ReadInfo<'_>> = pair_reads
             .iter()
             .map(|r| ReadInfo {
@@ -134,11 +162,63 @@ pub fn align_pairs_ctx(
             [&infos[0], &infos[1]],
             &ends,
             &dec,
-            &mut out,
+            out,
         );
     }
-    worker.times.add(Stage::Misc, t.elapsed());
-    out
+}
+
+/// One `batch_pairs` window on all of the team's workers: phase 1
+/// single-end aligns pair-aligned slabs, a single estimate over the
+/// whole window follows (so the window, and with it the PE byte stream,
+/// is what it was when one worker did it all), and phase 2 runs
+/// [`finish_pairs`] and renders SAM text per slab. `on_estimate` sees
+/// each estimated distribution (never a `pes_override`).
+fn align_pairs_team(
+    aligner: &Aligner,
+    team: &mut Team,
+    pairs: Vec<ReadPair>,
+    pes_override: Option<PeStats>,
+    on_estimate: &(dyn Fn(&PeStats) + Sync),
+) -> Vec<SlabOut> {
+    let slab_pairs = (aligner.opts.batch_reads / 2).max(1);
+    let pair_slabs = split_slabs(pairs, slab_pairs);
+    let aligned = team.par_map(pair_slabs.len(), |worker, k| {
+        let prepared = prepare_pairs(take_slab(&pair_slabs, k));
+        let regs = align_prepared(&aligner.context(), worker, aligner.workflow, &prepared);
+        (prepared, regs)
+    });
+    let (prepared, regs): (Vec<_>, Vec<_>) = aligned.into_iter().unzip();
+    // `estimate_pe_stats` reads the window's region lists as one slice
+    let regs: Vec<Vec<AlnReg>> = regs.into_iter().flatten().collect();
+
+    let t = Instant::now();
+    let pes = pes_override.unwrap_or_else(|| {
+        let pes = estimate_pe_stats(&aligner.opts, aligner.index.l_pac, &regs);
+        on_estimate(&pes);
+        pes
+    });
+    team.lead().times.add(Stage::Misc, t.elapsed());
+
+    // the same partition as phase 1: slab k's regions go with prepared[k]
+    let reg_slabs = split_slabs(regs, 2 * slab_pairs);
+    team.par_map(prepared.len(), |worker, k| {
+        let t = Instant::now();
+        let reads = &prepared[k];
+        let mut records = Vec::with_capacity(reads.len());
+        finish_pairs(
+            &aligner.context(),
+            &pes,
+            reads,
+            &mut take_slab(&reg_slabs, k),
+            &mut records,
+        );
+        let mut out = SlabOut::for_reads(reads);
+        for rec in &records {
+            out.push(rec);
+        }
+        worker.times.add(Stage::Misc, t.elapsed());
+        out
+    })
 }
 
 /// Align pairs in memory on the current thread, windowed into
@@ -164,9 +244,9 @@ pub fn align_pairs(
 
 /// Align a stream of pair batches with `n_threads` workers, writing SAM
 /// in input order — the PE counterpart of
-/// [`mem2_core::align_stream_parallel`], built on the same
-/// double-buffered driver. `batches` is typically a
-/// [`mem2_seqio::PairedBatchReader`] or
+/// [`mem2_core::align_stream_parallel`], built on the same three-step
+/// pipeline with every window spread over all workers. `batches` is
+/// typically a [`mem2_seqio::PairedBatchReader`] or
 /// [`mem2_seqio::InterleavedBatchReader`] configured with
 /// `opts.batch_pairs`.
 pub fn align_pairs_stream<I, W>(
@@ -201,6 +281,31 @@ where
     I::IntoIter: Send,
     W: Write,
 {
+    stream_pairs(
+        aligner,
+        pes_override,
+        batches,
+        n_threads,
+        out,
+        on_flush,
+        &|_| {},
+    )
+}
+
+fn stream_pairs<I, W>(
+    aligner: &Aligner,
+    pes_override: Option<PeStats>,
+    batches: I,
+    n_threads: usize,
+    out: &mut W,
+    on_flush: Option<FlushHook<'_, W>>,
+    on_estimate: &(dyn Fn(&PeStats) + Sync),
+) -> Result<(StreamSummary, StageTimes), StreamError>
+where
+    I: IntoIterator<Item = Result<Vec<ReadPair>, SeqIoError>>,
+    I::IntoIter: Send,
+    W: Write,
+{
     stream_batches_parallel_flush(
         &aligner.opts,
         batches,
@@ -208,7 +313,7 @@ where
         out,
         on_flush,
         |batch: &Vec<ReadPair>| 2 * batch.len(),
-        |worker, batch| align_pairs_batch(aligner, worker, batch, pes_override),
+        |team, batch| align_pairs_team(aligner, team, batch, pes_override, on_estimate),
     )
 }
 
@@ -227,4 +332,79 @@ pub fn pairs_from_interleaved(records: Vec<FastqRecord>) -> Vec<ReadPair> {
         out.push(ReadPair { r1, r2 });
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Mutex;
+
+    use mem2_core::MemOpts;
+    use mem2_seqio::{GenomeSpec, PairSim, PairSimSpec};
+
+    use super::*;
+
+    /// One insert-size estimate per `batch_pairs` window — not per slab,
+    /// not per worker — and the same estimates whatever the team size.
+    #[test]
+    fn pestat_runs_once_per_window_with_identical_stats_for_every_thread_count() {
+        let reference = GenomeSpec {
+            len: 200_000,
+            seed: 0xD00D,
+            ..GenomeSpec::default()
+        }
+        .generate_reference("chrPE");
+        let spec = PairSimSpec {
+            n_pairs: 90,
+            read_len: 101,
+            insert_mean: 400.0,
+            insert_std: 50.0,
+            sub_rate: 0.01,
+            r2_sub_rate: None,
+            seed: 0xBEEF,
+        };
+        let pairs: Vec<ReadPair> = PairSim::new(&reference, spec)
+            .generate()
+            .into_iter()
+            .map(|p| ReadPair { r1: p.r1, r2: p.r2 })
+            .collect();
+        let opts = MemOpts {
+            batch_reads: 16, // 8-pair slabs: 5 slabs per 40-pair window
+            ..MemOpts::default()
+        };
+        let aligner = Aligner::build(reference, opts, Workflow::Batched);
+        let window = 40;
+
+        let estimates = |threads: usize| {
+            let seen = Mutex::new(Vec::new());
+            let batches = pairs.chunks(window).map(|c| Ok(c.to_vec()));
+            let mut out = Vec::new();
+            let (summary, _) =
+                stream_pairs(&aligner, None, batches, threads, &mut out, None, &|p| {
+                    seen.lock().expect("observer lock").push(*p)
+                })
+                .expect("stream");
+            assert_eq!(summary.batches, 3);
+            seen.into_inner().expect("observer lock")
+        };
+
+        let one = estimates(1);
+        assert_eq!(one.len(), 3, "one estimate per window");
+        assert!(
+            !one[0].all_failed(),
+            "40 clean pairs give a usable estimate"
+        );
+        for threads in [2, 3, 8] {
+            assert_eq!(estimates(threads), one, "threads={threads}");
+        }
+
+        // a pinned distribution means nothing is estimated
+        let seen = Mutex::new(0usize);
+        let batches = pairs.chunks(window).map(|c| Ok(c.to_vec()));
+        let pinned = Some(PeStats::from_override(400.0, 50.0));
+        stream_pairs(&aligner, pinned, batches, 2, &mut Vec::new(), None, &|_| {
+            *seen.lock().expect("observer lock") += 1
+        })
+        .expect("stream");
+        assert_eq!(seen.into_inner().expect("observer lock"), 0);
+    }
 }

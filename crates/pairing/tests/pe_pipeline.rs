@@ -6,7 +6,10 @@
 
 use mem2_core::{Aligner, MemOpts, SamRecord, Workflow};
 use mem2_pairing::{align_pairs, align_pairs_stream, PeStats};
-use mem2_seqio::{GenomeSpec, PairSim, PairSimSpec, ReadPair, Reference};
+use mem2_seqio::{
+    gzip_compress_stored, write_fastq, AutoReader, FastqRecord, GenomeSpec, InterleavedBatchReader,
+    PairSim, PairSimSpec, PairedBatchReader, ReadPair, Reference, SeqIoError,
+};
 
 fn fixture(n_pairs: usize, r2_sub: Option<f64>) -> (Reference, Vec<ReadPair>) {
     let reference = GenomeSpec {
@@ -208,4 +211,115 @@ fn output_is_invariant_to_threads_streaming_and_workflow() {
 
 fn copt(aligner: &Aligner) -> usize {
     aligner.opts.batch_pairs
+}
+
+/// The four on-disk shapes of one paired input, as FASTQ bytes.
+struct PeFiles {
+    r1: Vec<u8>,
+    r2: Vec<u8>,
+    interleaved: Vec<u8>,
+}
+
+impl PeFiles {
+    fn new(pairs: &[ReadPair]) -> (PeFiles, PeFiles) {
+        let r1: Vec<FastqRecord> = pairs.iter().map(|p| p.r1.clone()).collect();
+        let r2: Vec<FastqRecord> = pairs.iter().map(|p| p.r2.clone()).collect();
+        let il: Vec<FastqRecord> = pairs
+            .iter()
+            .flat_map(|p| [p.r1.clone(), p.r2.clone()])
+            .collect();
+        let plain = PeFiles {
+            r1: write_fastq(&r1).into_bytes(),
+            r2: write_fastq(&r2).into_bytes(),
+            interleaved: write_fastq(&il).into_bytes(),
+        };
+        let gz = PeFiles {
+            r1: gzip_compress_stored(&plain.r1),
+            r2: gzip_compress_stored(&plain.r2),
+            interleaved: gzip_compress_stored(&plain.interleaved),
+        };
+        (plain, gz)
+    }
+
+    /// Pair batches read back through the real readers (gzip sniffed by
+    /// magic bytes, as the CLI does).
+    fn batches(
+        &self,
+        interleaved: bool,
+        batch_pairs: usize,
+    ) -> Box<dyn Iterator<Item = Result<Vec<ReadPair>, SeqIoError>> + Send + '_> {
+        let open = |bytes| AutoReader::new(bytes).expect("sniff");
+        if interleaved {
+            Box::new(InterleavedBatchReader::new(
+                open(&self.interleaved[..]),
+                "il",
+                batch_pairs,
+            ))
+        } else {
+            Box::new(PairedBatchReader::new(
+                open(&self.r1[..]),
+                open(&self.r2[..]),
+                "r1",
+                "r2",
+                batch_pairs,
+            ))
+        }
+    }
+}
+
+/// Byte identity vs `-t 1` over input layout (two-file, interleaved) ×
+/// compression × the shapes a `batch_pairs` window can take relative to
+/// the slab (8 pairs here): one window, many tiny windows, a window that
+/// is not a multiple of the slab, an odd final slab — for fewer workers
+/// than, as many as, and more workers than slabs, in both workflows. The
+/// window is the insert-size estimation unit, so each shape has its own
+/// expected bytes; the one-window shape must also equal the in-memory
+/// driver.
+#[test]
+fn slab_scheduling_matrix_is_byte_identical_to_one_thread() {
+    let (reference, pairs) = fixture(50, None);
+    let opts = MemOpts {
+        batch_reads: 16,
+        ..MemOpts::default()
+    };
+    let batched = Aligner::build(reference.clone(), opts, Workflow::Batched);
+    let classic = Aligner::build(reference, opts, Workflow::Classic);
+    let (plain, gz) = PeFiles::new(&pairs);
+    let in_memory = render(&align_pairs(&batched, &pairs, None));
+
+    let stream = |aligner: &Aligner, files: &PeFiles, il: bool, window: usize, threads: usize| {
+        let mut out = Vec::new();
+        let (summary, _) =
+            align_pairs_stream(aligner, None, files.batches(il, window), threads, &mut out)
+                .expect("stream");
+        assert_eq!(summary.reads, 2 * pairs.len());
+        assert_eq!(summary.batches, pairs.len().div_ceil(window));
+        String::from_utf8(out).expect("utf8")
+    };
+
+    let shapes = [
+        ("one window, 6 slabs + 2 pairs", 32_768),
+        ("three pairs per window", 3),
+        ("2.5 slabs per window", 20),
+        ("27 pairs per window, odd final slabs", 27),
+    ];
+    for (shape, window) in shapes {
+        let expected = stream(&batched, &plain, false, window, 1);
+        if window >= pairs.len() {
+            assert_eq!(expected, in_memory, "{shape}: streamed == in-memory");
+        }
+        for (workflow, aligner) in [("batched", &batched), ("classic", &classic)] {
+            for (layout, il) in [("two-file", false), ("interleaved", true)] {
+                for (compression, files) in [("plain", &plain), ("gz", &gz)] {
+                    for threads in [2, 3, 8] {
+                        assert_eq!(
+                            stream(aligner, files, il, window, threads),
+                            expected,
+                            "{shape}, {workflow}, {layout}, {compression}, threads={threads}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

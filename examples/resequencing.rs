@@ -89,6 +89,6 @@ fn main() {
         100.0 * correct as f64 / mapped.max(1) as f64
     );
     println!("mapq>=30 wrong:     {q30_wrong}");
-    println!("\nper-stage CPU time (summed over workers):");
+    println!("\nper-stage wall clock (summed over workers):");
     print!("{}", times.render("stage breakdown"));
 }

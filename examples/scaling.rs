@@ -34,10 +34,7 @@ fn main() {
     .collect();
 
     let index = FmIndex::build(&reference, &BuildOpts::default());
-    let opts = MemOpts {
-        chunk_reads: 256,
-        ..Default::default()
-    };
+    let opts = MemOpts::default();
     let classic = Aligner::with_index(index.clone(), reference.clone(), opts, Workflow::Classic);
     let batched = Aligner::with_index(index, reference, opts, Workflow::Batched);
 

@@ -33,7 +33,10 @@
 //!     --seed-batch N    reads interleaved per seeding slab (default 16,
 //!                       'auto' = default; SAM bytes are identical for
 //!                       every value — only prefetch cover differs)
-//!     --batch-bases N   bases per streamed single-end batch (default 10M)
+//!     --batch-bases N   bases per streamed single-end batch (default 10M):
+//!                       bounds resident memory (at most three batches)
+//!                       and checkpoint granularity; every batch is
+//!                       spread over all threads
 //!     --batch-pairs N   pairs per paired-end batch / pestat window
 //!                       (default 32768)
 //!     --load MODE       index file loading: auto|mmap|read (default
@@ -44,7 +47,9 @@
 //!                       eagerly; first-touch skips sections the
 //!                       profile never reads)
 //!     --profile[=json]  end-of-run per-stage latency report on stderr:
-//!                       totals plus p50/p90/p99/max (json: one machine-
+//!                       totals plus p50/p90/p99/max, and the scheduler's
+//!                       worker_busy_share, slabs_per_worker and
+//!                       batches_resident_max (json: one machine-
 //!                       readable object)
 //! mem2 simulate <genome_mb> <n_reads> <read_len> <out_prefix>
 //!                       [--gz] [--pairs] [--insert MEAN,STD]
@@ -76,8 +81,9 @@
 //! ```
 //!
 //! Reads are **streamed** in bounded batches (decode of the next batch
-//! overlaps alignment of the current one), so multi-GB and gzipped
-//! inputs work with O(batch) memory. Gzip is detected by magic bytes,
+//! overlaps alignment of the current one on all threads and writing of
+//! the previous one), so multi-GB and gzipped inputs work with O(batch)
+//! memory. Gzip is detected by magic bytes,
 //! not extension. With two read files (or `-p`) the paired-end stack
 //! runs: per-batch insert-size estimation, mate rescue, pair selection,
 //! and full pairing FLAG/RNEXT/PNEXT/TLEN output.
@@ -701,15 +707,39 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
         ),
         &[],
     );
-    eprint!("{}", times.render("[mem] stage CPU time"));
+    let sched = &summary.sched;
+    olog::info(
+        "mem",
+        "scheduler",
+        &[
+            (
+                "worker_busy_share",
+                &format_args!("{:.3}", sched.worker_busy_share()),
+            ),
+            (
+                "slabs_per_worker",
+                &format_args!("{:?}", sched.slabs_per_worker),
+            ),
+            ("batches_resident_max", &sched.batches_resident_max),
+        ],
+    );
+    eprint!(
+        "{}",
+        times.render("[mem] stage time (wall clock, summed over workers)")
+    );
     match profile {
         Some(ProfileFormat::Text) => {
             eprint!(
                 "{}",
                 times.render_percentiles("[mem] stage latency profile")
             );
+            eprintln!("[mem] scheduler: {}", sched.render());
         }
-        Some(ProfileFormat::Json) => eprintln!("{}", times.render_json()),
+        Some(ProfileFormat::Json) => eprintln!(
+            "{{{},\"scheduler\":{}}}",
+            times.render_json_fields(),
+            sched.render_json()
+        ),
         None => {}
     }
     Ok(())

@@ -146,6 +146,66 @@ fn simulate_index_mem_roundtrip_is_deterministic() {
     assert_eq!(t2.stdout, kib.stdout, "1 KiB batches change the SAM");
 }
 
+/// Pull `"key":[a,b,...]` out of the one-line `--profile=json` report.
+fn json_usize_array(report: &str, key: &str) -> Vec<usize> {
+    let tail = report
+        .split_once(&format!("\"{key}\":["))
+        .unwrap_or_else(|| panic!("{key} in {report}"))
+        .1;
+    tail.split_once(']')
+        .expect("closed array")
+        .0
+        .split(',')
+        .map(|n| n.parse().expect("integer"))
+        .collect()
+}
+
+#[test]
+fn one_batch_is_shared_by_all_threads_and_reported() {
+    let dir = TempDir::new("oneslab");
+    let prefix = dir.path("synth");
+    let fastq = format!("{prefix}.fastq");
+    let idx = dir.path("synth.idx");
+    // 1300 reads, far below --batch-bases: one batch of three slabs
+    mem2_ok(&["simulate", "0.05", "1300", "60", &prefix]);
+    mem2_ok(&["index", &format!("{prefix}.fasta"), &idx]);
+
+    let t1 = mem2_ok(&["mem", "-t", "1", &idx, &fastq]);
+    let t2 = mem2_ok(&["mem", "-t", "2", "--profile=json", &idx, &fastq]);
+    assert_eq!(t1.stdout, t2.stdout, "-t 1 vs -t 2 on a one-batch input");
+
+    let stderr = String::from_utf8_lossy(&t2.stderr);
+    assert!(
+        stderr.contains("1300 reads -> ") && stderr.contains(" in 1 batch(es)"),
+        "one ingestion batch: {stderr}"
+    );
+    let report = stderr
+        .lines()
+        .find(|l| l.starts_with("{\"stages\""))
+        .unwrap_or_else(|| panic!("--profile=json report in {stderr}"));
+    let slabs = json_usize_array(report, "slabs_per_worker");
+    assert_eq!(slabs.len(), 2, "{report}");
+    assert_eq!(slabs.iter().sum::<usize>(), 3, "{report}");
+    assert!(
+        slabs.iter().all(|&n| n >= 1),
+        "every worker ran a slab: {report}"
+    );
+    assert!(report.contains("\"worker_busy_share\":"), "{report}");
+    assert!(report.contains("\"batches_resident_max\":1"), "{report}");
+    // the header no longer calls summed per-worker wall clock CPU time
+    assert!(
+        stderr.contains("stage time (wall clock, summed over workers)"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("stage CPU time"), "{stderr}");
+
+    // the text report carries the same scheduler line
+    let text = mem2_ok(&["mem", "-t", "2", "--profile", &idx, &fastq]);
+    let stderr = String::from_utf8_lossy(&text.stderr);
+    assert!(stderr.contains("[mem] scheduler: threads 2"), "{stderr}");
+    assert!(stderr.contains("slabs_per_worker ["), "{stderr}");
+}
+
 #[test]
 fn gzipped_fastq_streams_to_identical_sam() {
     let dir = TempDir::new("gz");
