@@ -18,7 +18,9 @@
 //! * [`engine`] dispatches jobs to precision classes and engines and
 //!   restores original order, with optional per-phase timing for Table 8.
 //! * [`global`] is the banded global aligner with traceback used to
-//!   produce CIGARs in the SAM-formatting stage (bwa's `ksw_global2`).
+//!   produce CIGARs in the SAM-formatting stage (bwa's `ksw_global2`):
+//!   one problem at a time, vectorized along anti-diagonals over the
+//!   same lane traits, with output identical to the row-major oracle.
 //!
 //! The crate-level invariant, enforced by property tests: **every engine
 //! returns bit-identical [`ExtendResult`]s to the scalar kernel.**

@@ -573,7 +573,6 @@ pub fn read_to_sam(
     let info = ReadInfo {
         name: &read.name,
         codes: &read.codes,
-        seq: &read.seq,
         qual: &read.qual,
     };
     let recs = regions_to_sam(
@@ -583,6 +582,7 @@ pub fn read_to_sam(
         &ctx.reference.contigs,
         &info,
         regs,
+        &mut times.cigar,
     );
     times.add(Stage::SamForm, t.elapsed());
     recs

@@ -53,6 +53,9 @@ pub struct StageTimes {
     pub totals: [Duration; 7],
     /// Per-observation latency histogram per stage (values in us).
     pub hists: [Hist; 7],
+    /// The SAM-FORM stage's CIGAR work, counted where it runs (every
+    /// SAM formatter is handed its worker's `StageTimes`).
+    pub cigar: CigarStats,
 }
 
 impl StageTimes {
@@ -73,6 +76,7 @@ impl StageTimes {
         for (a, b) in self.hists.iter().zip(&other.hists) {
             a.merge_from(b);
         }
+        self.cigar.merge(&other.cigar);
     }
 
     /// Total across stages.
@@ -270,6 +274,57 @@ impl ExtendStats {
     }
 }
 
+/// CIGAR-generation work counters (the SAM-FORM stage's banded global
+/// DP, bwa's `bwa_gen_cigar2`), carried in [`StageTimes::cigar`]:
+/// SAM-FORM seconds over `cells` is the DP's time per cell.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CigarStats {
+    /// Global-DP alignments run, band re-runs included.
+    pub calls: u64,
+    /// CIGARs taken by the no-gap shortcut instead (no DP).
+    pub nogap: u64,
+    /// CIGARs generated again at a doubled band (either kind).
+    pub reruns: u64,
+    /// DP cells the `calls` filled.
+    pub cells: u64,
+}
+
+impl CigarStats {
+    /// Add another worker's counters.
+    pub fn merge(&mut self, other: &CigarStats) {
+        self.calls += other.calls;
+        self.nogap += other.nogap;
+        self.reruns += other.reruns;
+        self.cells += other.cells;
+    }
+
+    /// Mean DP cells per global-DP call (0 without calls).
+    pub fn cells_per_call(&self) -> f64 {
+        self.cells as f64 / self.calls.max(1) as f64
+    }
+
+    /// One-line text form for the `--profile` report.
+    pub fn render(&self) -> String {
+        format!(
+            "global DP calls {} (band re-runs {}), no-gap shortcuts {}, \
+             cells {} = {:.0} cells/call",
+            self.calls,
+            self.reruns,
+            self.nogap,
+            self.cells,
+            self.cells_per_call(),
+        )
+    }
+
+    /// JSON object form for `--profile=json`.
+    pub fn render_json(&self) -> String {
+        format!(
+            "{{\"calls\":{},\"reruns\":{},\"nogap\":{},\"cells\":{}}}",
+            self.calls, self.reruns, self.nogap, self.cells,
+        )
+    }
+}
+
 /// Render the shared percentile summary fields from a histogram of
 /// microsecond observations: `"p50_us":N,...` with `null` when empty.
 /// Used by both the `--profile=json` report and the daemon's STATS so
@@ -373,6 +428,39 @@ mod tests {
         assert!(classic
             .render_json()
             .contains("\"rounds_per_slab_mean\":null"));
+    }
+
+    #[test]
+    fn cigar_stats_merge_with_stage_times_and_render() {
+        let mut a = StageTimes {
+            cigar: CigarStats {
+                calls: 3,
+                nogap: 1,
+                reruns: 1,
+                cells: 300,
+            },
+            ..StageTimes::default()
+        };
+        let mut b = StageTimes::default();
+        b.cigar.calls = 1;
+        b.cigar.cells = 100;
+        a.merge(&b);
+        assert_eq!(
+            a.cigar,
+            CigarStats {
+                calls: 4,
+                nogap: 1,
+                reruns: 1,
+                cells: 400
+            }
+        );
+        assert_eq!(a.cigar.cells_per_call(), 100.0);
+        assert!(a.cigar.render().contains("band re-runs 1"));
+        assert_eq!(
+            a.cigar.render_json(),
+            "{\"calls\":4,\"reruns\":1,\"nogap\":1,\"cells\":400}"
+        );
+        assert_eq!(CigarStats::default().cells_per_call(), 0.0);
     }
 
     #[test]

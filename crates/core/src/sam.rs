@@ -8,12 +8,13 @@
 //! whichever suffix-array width (u32/u64) the index was built with —
 //! only CIGAR op lengths use `u32`, bounded by the read length.
 
-use mem2_bsw::global::{cigar_string, global_align, CigarOp};
+use mem2_bsw::global::{cigar_string, global_align, global_cells, CigarOp};
 use mem2_bsw::ScoreParams;
-use mem2_seqio::{ContigSet, PackedSeq};
+use mem2_seqio::{decode_base, ContigSet, PackedSeq};
 
 use crate::mapq::approx_mapq_se;
 use crate::opts::MemOpts;
+use crate::profile::CigarStats;
 use crate::region::AlnReg;
 
 /// One SAM alignment line.
@@ -127,10 +128,8 @@ impl SamRecord {
 pub struct ReadInfo<'a> {
     /// Read name.
     pub name: &'a str,
-    /// Base codes (0..4).
+    /// Base codes (0..4); SEQ is rendered from these.
     pub codes: &'a [u8],
-    /// ASCII bases as read from FASTQ.
-    pub seq: &'a [u8],
     /// ASCII qualities.
     pub qual: &'a [u8],
 }
@@ -143,9 +142,10 @@ fn gen_cigar(
     qseg: &[u8],
     rseg: &[u8],
     w: i32,
+    stats: &mut CigarStats,
 ) -> (i32, Vec<CigarOp>, i32) {
     if qseg.len() == rseg.len() && w == 0 {
-        // no-gap shortcut
+        stats.nogap += 1;
         let score: i32 = qseg
             .iter()
             .zip(rseg)
@@ -155,6 +155,8 @@ fn gen_cigar(
         let nm = count_nm(&cigar, qseg, rseg);
         return (score, cigar, nm);
     }
+    stats.calls += 1;
+    stats.cells += global_cells(qseg.len(), rseg.len(), w);
     let (score, cigar) = global_align(score_params, qseg, rseg, w);
     let nm = count_nm(&cigar, qseg, rseg);
     (score, cigar, nm)
@@ -191,6 +193,7 @@ fn count_nm(cigar: &[CigarOp], q: &[u8], t: &[u8]) -> i32 {
 /// Convert one region to a SAM record (bwa's `mem_reg2aln` + `mem_aln2sam`).
 /// `mapq_override` replaces the single-end MAPQ estimate — the paired-end
 /// path passes the pair-aware quality computed in `mem_sam_pe` style.
+/// The CIGAR work is counted into `cigar_stats`.
 #[allow(clippy::too_many_arguments)]
 pub fn region_to_sam(
     opts: &MemOpts,
@@ -202,6 +205,7 @@ pub fn region_to_sam(
     supplementary: bool,
     mapq_cap: Option<u8>,
     mapq_override: Option<u8>,
+    cigar_stats: &mut CigarStats,
 ) -> SamRecord {
     let l_query = read.codes.len() as i32;
     let (qb, qe) = (reg.qb, reg.qe);
@@ -243,7 +247,10 @@ pub fn region_to_sam(
     let (mut gscore, mut cigar, mut nm);
     loop {
         w2 = w2.min(opts.chain.w << 2);
-        let out = gen_cigar(&opts.score, &qseg, &rseg, w2);
+        if i > 0 {
+            cigar_stats.reruns += 1;
+        }
+        let out = gen_cigar(&opts.score, &qseg, &rseg, w2, cigar_stats);
         gscore = out.0;
         cigar = out.1;
         nm = out.2;
@@ -313,6 +320,7 @@ pub fn region_to_sam(
 
 /// The unmapped record for a read with no acceptable region.
 pub fn unmapped_record(read: &ReadInfo<'_>) -> SamRecord {
+    let (seq, qual) = orient_read(read, false);
     SamRecord {
         qname: read.name.to_string(),
         flag: 0x4,
@@ -323,30 +331,27 @@ pub fn unmapped_record(read: &ReadInfo<'_>) -> SamRecord {
         rnext: "*".to_string(),
         pnext: 0,
         tlen: 0,
-        seq: String::from_utf8_lossy(read.seq).into_owned(),
-        qual: String::from_utf8_lossy(read.qual).into_owned(),
+        seq,
+        qual,
         tags: "AS:i:0".to_string(),
     }
 }
 
+/// SEQ and QUAL in output orientation. SEQ comes from the base codes,
+/// `ACGTN` on both strands (bwa's `mem_aln2sam`): lowercase and IUPAC
+/// input never leaks through on one strand only.
 fn orient_read(read: &ReadInfo<'_>, is_rev: bool) -> (String, String) {
     if !is_rev {
         (
-            String::from_utf8_lossy(read.seq).into_owned(),
+            read.codes.iter().map(|&c| decode_base(c) as char).collect(),
             String::from_utf8_lossy(read.qual).into_owned(),
         )
     } else {
         let seq: String = read
-            .seq
+            .codes
             .iter()
             .rev()
-            .map(|&b| match b {
-                b'A' | b'a' => 'T',
-                b'C' | b'c' => 'G',
-                b'G' | b'g' => 'C',
-                b'T' | b't' => 'A',
-                _ => 'N',
-            })
+            .map(|&c| decode_base(if c < 4 { 3 - c } else { c }) as char)
             .collect();
         let qual: String = read.qual.iter().rev().map(|&b| b as char).collect();
         (seq, qual)
@@ -364,6 +369,7 @@ pub fn regions_to_sam(
     contigs: &ContigSet,
     read: &ReadInfo<'_>,
     regs: &[AlnReg],
+    cigar_stats: &mut CigarStats,
 ) -> Vec<SamRecord> {
     let mut out: Vec<SamRecord> = Vec::new();
     let mut n_primary = 0usize;
@@ -387,16 +393,10 @@ pub fn regions_to_sam(
             supplementary,
             cap,
             None,
+            cigar_stats,
         ));
         if !is_secondary {
             n_primary += 1;
-        }
-    }
-    if out.iter().all(|r| r.flag & 0x100 != 0) {
-        // no primary line survived (all secondary or nothing at all):
-        // emit the unmapped record bwa would print
-        if out.is_empty() {
-            out.push(unmapped_record(read));
         }
     }
     if out.is_empty() {
@@ -408,20 +408,38 @@ pub fn regions_to_sam(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mem2_seqio::Reference;
+    use mem2_seqio::{encode_base, Reference};
 
     fn setup() -> (MemOpts, Reference) {
         let codes: Vec<u8> = (0..240).map(|i| ((i * 5 + 1) % 4) as u8).collect();
         (MemOpts::default(), Reference::from_codes("chr_t", &codes))
     }
 
-    fn read_info<'a>(codes: &'a [u8], seq: &'a [u8], qual: &'a [u8]) -> ReadInfo<'a> {
+    fn read_info<'a>(codes: &'a [u8], qual: &'a [u8]) -> ReadInfo<'a> {
         ReadInfo {
             name: "r1",
             codes,
-            seq,
             qual,
         }
+    }
+
+    fn format(
+        opts: &MemOpts,
+        reference: &Reference,
+        read: &ReadInfo<'_>,
+        regs: &[AlnReg],
+    ) -> Vec<SamRecord> {
+        let l_pac = reference.len() as i64;
+        let (pac, contigs) = (&reference.pac, &reference.contigs);
+        regions_to_sam(
+            opts,
+            l_pac,
+            pac,
+            contigs,
+            read,
+            regs,
+            &mut CigarStats::default(),
+        )
     }
 
     fn decode(codes: &[u8]) -> Vec<u8> {
@@ -432,9 +450,8 @@ mod tests {
     fn forward_perfect_region_formats_cleanly() {
         let (opts, reference) = setup();
         let codes = reference.pac.fetch(40, 140);
-        let seq = decode(&codes);
         let qual = vec![b'I'; 100];
-        let read = read_info(&codes, &seq, &qual);
+        let read = read_info(&codes, &qual);
         let reg = AlnReg {
             rb: 40,
             re: 140,
@@ -448,14 +465,7 @@ mod tests {
             secondary: -1,
             ..Default::default()
         };
-        let recs = regions_to_sam(
-            &opts,
-            reference.len() as i64,
-            &reference.pac,
-            &reference.contigs,
-            &read,
-            &[reg],
-        );
+        let recs = format(&opts, &reference, &read, &[reg]);
         assert_eq!(recs.len(), 1);
         let r = &recs[0];
         assert_eq!(r.flag, 0);
@@ -476,9 +486,8 @@ mod tests {
         // a read equal to revcomp(ref[40..140)): region in doubled space
         let fw = reference.pac.fetch(40, 140);
         let codes: Vec<u8> = fw.iter().rev().map(|&c| 3 - c).collect();
-        let seq = decode(&codes);
         let qual: Vec<u8> = (0..100u8).map(|i| b'#' + (i % 40)).collect();
-        let read = read_info(&codes, &seq, &qual);
+        let read = read_info(&codes, &qual);
         let reg = AlnReg {
             rb: 2 * l - 140,
             re: 2 * l - 40,
@@ -491,7 +500,7 @@ mod tests {
             secondary: -1,
             ..Default::default()
         };
-        let recs = regions_to_sam(&opts, l, &reference.pac, &reference.contigs, &read, &[reg]);
+        let recs = format(&opts, &reference, &read, &[reg]);
         let r = &recs[0];
         assert_eq!(r.flag, 0x10);
         assert_eq!(r.pos, 41);
@@ -504,14 +513,114 @@ mod tests {
     }
 
     #[test]
+    fn seq_is_rendered_from_codes_on_both_strands() {
+        let (opts, reference) = setup();
+        let l = reference.len() as i64;
+        let fw = reference.pac.fetch(40, 140);
+        let qual = vec![b'I'; 100];
+        // FASTQ text with lowercase, IUPAC and N bases
+        let with_odd_bases = |mut text: Vec<u8>| {
+            text[..4].make_ascii_lowercase();
+            text[4..7].copy_from_slice(b"RYN");
+            text.iter().map(|&b| encode_base(b)).collect::<Vec<u8>>()
+        };
+        let reg = AlnReg {
+            rb: 40,
+            re: 140,
+            qb: 0,
+            qe: 100,
+            score: 80,
+            truesc: 80,
+            w: 100,
+            secondary: -1,
+            ..Default::default()
+        };
+
+        let codes = with_odd_bases(decode(&fw));
+        let rec = format(&opts, &reference, &read_info(&codes, &qual), &[reg]).remove(0);
+        assert_eq!(rec.flag, 0);
+        let mut want = decode(&fw);
+        want[4..7].copy_from_slice(b"NNN");
+        assert_eq!(rec.seq.as_bytes(), want.as_slice());
+
+        let rc: Vec<u8> = fw.iter().rev().map(|&c| 3 - c).collect();
+        let codes = with_odd_bases(decode(&rc));
+        let reverse = AlnReg {
+            rb: 2 * l - 140,
+            re: 2 * l - 40,
+            ..reg
+        };
+        let rec = format(&opts, &reference, &read_info(&codes, &qual), &[reverse]).remove(0);
+        assert_eq!(rec.flag, 0x10);
+        let mut want = decode(&fw);
+        want[93..96].copy_from_slice(b"NNN");
+        assert_eq!(rec.seq.as_bytes(), want.as_slice());
+
+        let unmapped = unmapped_record(&read_info(&codes, &qual));
+        assert_eq!(unmapped.seq.as_bytes(), decode(&codes).as_slice());
+    }
+
+    #[test]
+    fn cigar_work_is_counted() {
+        let (opts, reference) = setup();
+        let l_pac = reference.len() as i64;
+        let (pac, contigs) = (&reference.pac, &reference.contigs);
+        let qual = vec![b'I'; 100];
+        let mut stats = CigarStats::default();
+        // a perfect read takes the no-gap shortcut
+        let codes = reference.pac.fetch(40, 140);
+        let reg = AlnReg {
+            rb: 40,
+            re: 140,
+            qb: 0,
+            qe: 100,
+            score: 100,
+            truesc: 100,
+            w: 100,
+            secondary: -1,
+            ..Default::default()
+        };
+        regions_to_sam(
+            &opts,
+            l_pac,
+            pac,
+            contigs,
+            &read_info(&codes, &qual),
+            &[reg],
+            &mut stats,
+        );
+        assert_eq!((stats.calls, stats.nogap, stats.cells), (0, 1, 0));
+        // a 2-base deletion needs the banded DP
+        let mut codes = reference.pac.fetch(40, 140);
+        codes.drain(50..52);
+        let reg = AlnReg {
+            qe: 98,
+            score: 90,
+            truesc: 90,
+            ..reg
+        };
+        regions_to_sam(
+            &opts,
+            l_pac,
+            pac,
+            contigs,
+            &read_info(&codes, &qual),
+            &[reg],
+            &mut stats,
+        );
+        assert!(stats.calls >= 1, "{stats:?}");
+        assert_eq!(stats.reruns, stats.calls - 1, "{stats:?}");
+        assert!(stats.cells >= stats.calls * 98, "{stats:?}");
+    }
+
+    #[test]
     fn soft_clips_appear_for_partial_alignment() {
         let (opts, reference) = setup();
         // read: 10 junk bases + 90 reference bases
         let mut codes = vec![0u8; 10];
         codes.extend(reference.pac.fetch(100, 190));
-        let seq = decode(&codes);
         let qual = vec![b'I'; 100];
-        let read = read_info(&codes, &seq, &qual);
+        let read = read_info(&codes, &qual);
         let reg = AlnReg {
             rb: 100,
             re: 190,
@@ -524,14 +633,7 @@ mod tests {
             secondary: -1,
             ..Default::default()
         };
-        let recs = regions_to_sam(
-            &opts,
-            reference.len() as i64,
-            &reference.pac,
-            &reference.contigs,
-            &read,
-            &[reg],
-        );
+        let recs = format(&opts, &reference, &read, &[reg]);
         assert_eq!(recs[0].cigar, "10S90M");
         assert_eq!(recs[0].pos, 101);
     }
@@ -540,9 +642,8 @@ mod tests {
     fn low_scoring_and_secondary_regions_are_suppressed() {
         let (opts, reference) = setup();
         let codes = reference.pac.fetch(0, 100);
-        let seq = decode(&codes);
         let qual = vec![b'I'; 100];
-        let read = read_info(&codes, &seq, &qual);
+        let read = read_info(&codes, &qual);
         let low = AlnReg {
             rb: 0,
             re: 20,
@@ -565,14 +666,7 @@ mod tests {
             secondary: 0,
             ..Default::default()
         };
-        let recs = regions_to_sam(
-            &opts,
-            reference.len() as i64,
-            &reference.pac,
-            &reference.contigs,
-            &read,
-            &[low, sec],
-        );
+        let recs = format(&opts, &reference, &read, &[low, sec]);
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].flag, 0x4);
         assert_eq!(recs[0].cigar, "*");
@@ -582,9 +676,8 @@ mod tests {
     fn supplementary_lines_get_flag_and_mapq_cap() {
         let (opts, reference) = setup();
         let codes = reference.pac.fetch(0, 120);
-        let seq = decode(&codes);
         let qual = vec![b'I'; 120];
-        let read = read_info(&codes, &seq, &qual);
+        let read = read_info(&codes, &qual);
         let a = AlnReg {
             rb: 0,
             re: 60,
@@ -608,14 +701,7 @@ mod tests {
             secondary: -1,
             ..Default::default()
         };
-        let recs = regions_to_sam(
-            &opts,
-            reference.len() as i64,
-            &reference.pac,
-            &reference.contigs,
-            &read,
-            &[a, b],
-        );
+        let recs = format(&opts, &reference, &read, &[a, b]);
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].flag & 0x800, 0);
         assert_eq!(recs[1].flag & 0x800, 0x800);
@@ -624,7 +710,7 @@ mod tests {
 
     #[test]
     fn write_line_matches_the_formatted_fields() {
-        let mut r = unmapped_record(&read_info(&[], b"ACGT", b"IIII"));
+        let mut r = unmapped_record(&read_info(&[0, 1, 2, 3], b"IIII"));
         r.flag = 0x93;
         r.rname = "chr_t".to_string();
         r.cigar = "4M".to_string();
@@ -664,7 +750,7 @@ mod tests {
 
     #[test]
     fn cigar_ref_len_counts_m_and_d() {
-        let mut r = unmapped_record(&read_info(&[], b"", b""));
+        let mut r = unmapped_record(&read_info(&[], b""));
         r.cigar = "5S90M2I3D6M".to_string();
         assert_eq!(r.cigar_ref_len(), 99); // 90M + 3D + 6M
         r.cigar = "*".to_string();

@@ -5,7 +5,7 @@
 //! 0x40/0x80, RNEXT/PNEXT, and mirrored-sign TLEN.
 
 use mem2_core::sam::{region_to_sam, unmapped_record, ReadInfo, SamRecord};
-use mem2_core::{approx_mapq_se, AlnReg, MemOpts};
+use mem2_core::{approx_mapq_se, AlnReg, CigarStats, MemOpts};
 use mem2_seqio::{ContigSet, PackedSeq};
 
 use crate::pair::{mem_pair, raw_mapq};
@@ -99,7 +99,8 @@ fn tlen(pos: u64, end: u64, mpos: u64, mend: u64, first: bool) -> i64 {
 /// Render one read pair as SAM records: read 1's lines then read 2's,
 /// each end's chosen placement first, then supplementary and (with `-a`)
 /// secondary lines. `regs` must already be rescue-extended and
-/// primary-marked; `dec` comes from [`select_pair`].
+/// primary-marked; `dec` comes from [`select_pair`]. The CIGAR work is
+/// counted into `cigar_stats`.
 #[allow(clippy::too_many_arguments)]
 pub fn pair_to_sam(
     opts: &MemOpts,
@@ -110,6 +111,7 @@ pub fn pair_to_sam(
     regs: &[Vec<AlnReg>; 2],
     dec: &PairDecision,
     out: &mut Vec<SamRecord>,
+    cigar_stats: &mut CigarStats,
 ) {
     // -- primary line per end (None = this end is unmapped) --
     let mut primaries: [Option<SamRecord>; 2] = [None, None];
@@ -127,6 +129,7 @@ pub fn pair_to_sam(
                 false,
                 None,
                 dec.mapq[i],
+                cigar_stats,
             ));
         }
     }
@@ -183,6 +186,7 @@ pub fn pair_to_sam(
                         !is_secondary,
                         Some(cap),
                         None,
+                        cigar_stats,
                     ));
                 }
                 for rec in lines.iter_mut() {
@@ -318,13 +322,11 @@ mod tests {
         let read1 = ReadInfo {
             name: "p",
             codes: &s1.2,
-            seq: &s1.0,
             qual: &s1.1,
         };
         let read2 = ReadInfo {
             name: "p",
             codes: &s2.2,
-            seq: &s2.0,
             qual: &s2.1,
         };
         let mut out = Vec::new();
@@ -337,6 +339,7 @@ mod tests {
             &regs,
             &dec,
             &mut out,
+            &mut CigarStats::default(),
         );
         assert_eq!(out.len(), 2);
         let (a, b) = (&out[0], &out[1]);
@@ -367,13 +370,11 @@ mod tests {
         let read1 = ReadInfo {
             name: "p",
             codes: &s1.2,
-            seq: &s1.0,
             qual: &s1.1,
         };
         let read2 = ReadInfo {
             name: "p",
             codes: &s2.2,
-            seq: &s2.0,
             qual: &s2.1,
         };
         let mut out = Vec::new();
@@ -386,6 +387,7 @@ mod tests {
             &regs,
             &dec,
             &mut out,
+            &mut CigarStats::default(),
         );
         assert_eq!(out.len(), 2);
         let (a, b) = (&out[0], &out[1]);
@@ -410,13 +412,11 @@ mod tests {
         let pes = PeStats::from_override(400.0, 50.0);
         let mut regs = [Vec::new(), Vec::new()];
         let dec = select_pair(&opts, l, &pes, &mut regs);
-        let seq = vec![b'A'; 50];
         let qual = vec![b'I'; 50];
         let codes = vec![0u8; 50];
         let read = ReadInfo {
             name: "j",
             codes: &codes,
-            seq: &seq,
             qual: &qual,
         };
         let mut out = Vec::new();
@@ -429,6 +429,7 @@ mod tests {
             &regs,
             &dec,
             &mut out,
+            &mut CigarStats::default(),
         );
         assert_eq!(out.len(), 2);
         for (i, rec) in out.iter().enumerate() {

@@ -104,6 +104,11 @@ pub trait SimdI16: Copy {
     /// Store all lanes into `dst` (must have at least `LANES` elements).
     fn store(self, dst: &mut [i16]);
 
+    /// Store each lane narrowed to one byte into `dst` (must have at
+    /// least `LANES` elements) — `packuswb`-style, for lanes already in
+    /// `0..=255`, like the CIGAR kernel's direction bits.
+    fn store_u8(self, dst: &mut [u8]);
+
     /// Lanewise wrapping add.
     fn add(self, rhs: Self) -> Self;
 
@@ -221,6 +226,12 @@ impl<const W: usize> SimdI16 for VecI16<W> {
     #[inline(always)]
     fn store(self, dst: &mut [i16]) {
         VecI16::store(self, dst)
+    }
+    #[inline(always)]
+    fn store_u8(self, dst: &mut [u8]) {
+        for (d, &v) in dst[..W].iter_mut().zip(&self.0) {
+            *d = v as u8;
+        }
     }
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {

@@ -138,6 +138,14 @@ impl SimdI16 for I16x8Neon {
         }
     }
     #[inline(always)]
+    fn store_u8(self, dst: &mut [u8]) {
+        // SAFETY: see the backend safety contract in the module docs.
+        unsafe {
+            let dst = &mut dst[..8];
+            vst1_u8(dst.as_mut_ptr(), vmovn_u16(vreinterpretq_u16_s16(self.0)))
+        }
+    }
+    #[inline(always)]
     fn add(self, rhs: Self) -> Self {
         // SAFETY: see the backend safety contract in the module docs.
         unsafe { I16x8Neon(vaddq_s16(self.0, rhs.0)) }
@@ -244,5 +252,9 @@ mod tests {
         for i in 0..8 {
             assert_eq!(got[i], bytes[i] as i16);
         }
+        let mut narrowed = vec![0u8; 9];
+        I16x8Neon::load_from_u8(&bytes).store_u8(&mut narrowed);
+        assert_eq!(&narrowed[..8], &bytes[..]);
+        assert_eq!(narrowed[8], 0);
     }
 }

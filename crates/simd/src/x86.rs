@@ -170,6 +170,15 @@ impl SimdI16 for I16x8Sse2 {
         }
     }
     #[inline(always)]
+    fn store_u8(self, dst: &mut [u8]) {
+        // SAFETY: see the backend safety contract in the module docs.
+        unsafe {
+            let dst = &mut dst[..8];
+            let packed = _mm_packus_epi16(self.0, self.0);
+            _mm_storel_epi64(dst.as_mut_ptr() as *mut __m128i, packed)
+        }
+    }
+    #[inline(always)]
     fn add(self, rhs: Self) -> Self {
         // SAFETY: see the backend safety contract in the module docs.
         unsafe { I16x8Sse2(_mm_add_epi16(self.0, rhs.0)) }
@@ -323,6 +332,10 @@ impl SimdI16 for I16x8Sse41 {
     #[inline(always)]
     fn store(self, dst: &mut [i16]) {
         self.0.store(dst)
+    }
+    #[inline(always)]
+    fn store_u8(self, dst: &mut [u8]) {
+        self.0.store_u8(dst)
     }
     #[inline(always)]
     fn add(self, rhs: Self) -> Self {
@@ -502,6 +515,21 @@ impl SimdI16 for I16x16Avx {
         }
     }
     #[inline(always)]
+    fn store_u8(self, dst: &mut [u8]) {
+        // SAFETY: see the backend safety contract in the module docs.
+        unsafe {
+            let dst = &mut dst[..16];
+            // packus works per 128-bit half: bytes 0-7 land in qword 0,
+            // bytes 8-15 in qword 2; gather them into the low half
+            let packed = _mm256_packus_epi16(self.0, self.0);
+            let ordered = _mm256_permute4x64_epi64::<0b11_01_10_00>(packed);
+            _mm_storeu_si128(
+                dst.as_mut_ptr() as *mut __m128i,
+                _mm256_castsi256_si128(ordered),
+            )
+        }
+    }
+    #[inline(always)]
     fn add(self, rhs: Self) -> Self {
         // SAFETY: see the backend safety contract in the module docs.
         unsafe { I16x16Avx(_mm256_add_epi16(self.0, rhs.0)) }
@@ -643,6 +671,14 @@ mod tests {
         for i in 0..w {
             assert_eq!(got[i], bytes[i] as i16, "load_from_u8 lane {i}");
         }
+        let mut narrowed = vec![0u8; w + 1];
+        V::load_from_u8(&bytes).store_u8(&mut narrowed);
+        assert_eq!(
+            &narrowed[..w],
+            &bytes[..],
+            "store_u8 round-trips load_from_u8"
+        );
+        assert_eq!(narrowed[w], 0, "store_u8 writes LANES bytes only");
 
         assert!(V::zero().all_zero());
         assert!(!V::splat(-1).all_zero());

@@ -51,7 +51,9 @@
 //!                       worker_busy_share, slabs_per_worker and
 //!                       batches_resident_max, and the extension work
 //!                       (jobs incl. band retries, jobs per read,
-//!                       dependency rounds per slab) (json: one
+//!                       dependency rounds per slab), and the CIGAR
+//!                       work (global-DP calls, band re-runs, no-gap
+//!                       shortcuts, DP cells) (json: one
 //!                       machine-readable object)
 //! mem2 simulate <genome_mb> <n_reads> <read_len> <out_prefix>
 //!                       [--gz] [--pairs] [--insert MEAN,STD]
@@ -424,11 +426,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
     // paths; auto/native use the widest compiled+detected backend
     olog::info(
         "mem",
-        &format!(
-            "SIMD: --simd {} -> BSW {}",
-            opts.simd,
-            resolve_simd(opts.simd)
-        ),
+        &format!("SIMD: --simd {} -> {}", opts.simd, resolve_simd(opts.simd)),
         &[],
     );
 
@@ -726,6 +724,17 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
         ],
     );
     let ext = &summary.extension;
+    let cigar = &times.cigar;
+    olog::info(
+        "mem",
+        "cigar",
+        &[
+            ("calls", &cigar.calls),
+            ("reruns", &cigar.reruns),
+            ("nogap", &cigar.nogap),
+            ("cells", &cigar.cells),
+        ],
+    );
     olog::info(
         "mem",
         "extension",
@@ -752,12 +761,14 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
             );
             eprintln!("[mem] scheduler: {}", sched.render());
             eprintln!("[mem] extension: {}", ext.render());
+            eprintln!("[mem] cigar: {}", cigar.render());
         }
         Some(ProfileFormat::Json) => eprintln!(
-            "{{{},\"scheduler\":{},\"extension\":{}}}",
+            "{{{},\"scheduler\":{},\"extension\":{},\"cigar\":{}}}",
             times.render_json_fields(),
             sched.render_json(),
-            ext.render_json()
+            ext.render_json(),
+            cigar.render_json()
         ),
         None => {}
     }
@@ -940,13 +951,14 @@ fn parse_verify_mode(s: &str) -> Result<VerifyMode, AnyError> {
 }
 
 /// Resolve the process-wide SIMD backend from `--simd` (shared by `mem`
-/// and `serve`); returns a human-readable BSW backend description.
+/// and `serve`); returns a human-readable description of the BSW and
+/// CIGAR kernels' backends.
 fn resolve_simd(choice: SimdChoice) -> String {
     match choice {
         SimdChoice::Scalar | SimdChoice::Portable => dispatch::force(Some(Backend::Portable)),
         SimdChoice::Auto | SimdChoice::Native => dispatch::force(None),
     }
-    match choice {
+    let bsw = match choice {
         SimdChoice::Scalar => "scalar kernel".to_string(),
         SimdChoice::Portable => format!(
             "portable emulation ({} u8 lanes)",
@@ -956,7 +968,13 @@ fn resolve_simd(choice: SimdChoice) -> String {
             let b = Backend::native();
             format!("{} ({} u8 lanes)", b.name(), b.u8_lanes())
         }
-    }
+    };
+    let cigar = dispatch::selected();
+    format!(
+        "BSW {bsw}; CIGAR {} ({} i16 lanes)",
+        cigar.name(),
+        mem2::bsw::global::cigar_lanes(cigar)
+    )
 }
 
 /// Parse `--socket PATH` / `--tcp ADDR` into an [`Endpoint`].
@@ -1095,11 +1113,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
 
     olog::info(
         "serve",
-        &format!(
-            "SIMD: --simd {} -> BSW {}",
-            opts.simd,
-            resolve_simd(opts.simd)
-        ),
+        &format!("SIMD: --simd {} -> {}", opts.simd, resolve_simd(opts.simd)),
         &[],
     );
     let (reference, index) = load_ref_index(ref_path, workflow, load_mode, verify, "serve")?;

@@ -347,18 +347,49 @@ fn simd_backend_matrix_is_byte_identical() {
     mem2_ok(&["simulate", "0.1", "120", "101", &prefix]);
     mem2_ok(&["index", &fasta, &idx]);
 
-    // single-end: scalar / portable / native / auto must emit the same bytes
-    let base = mem2_ok(&["mem", "-t", "2", "--simd", "scalar", &idx, &fastq]);
+    // single-end: scalar / portable / native / auto must emit the same
+    // bytes, and the CIGAR kernel does the same work whichever backend
+    // runs it
+    let cigar_report = |out: &std::process::Output| {
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        let tail = stderr
+            .split_once("\"cigar\":{")
+            .unwrap_or_else(|| panic!("cigar counters in {stderr}"))
+            .1;
+        tail.split_once('}').expect("closed object").0.to_string()
+    };
+    let base = mem2_ok(&[
+        "mem",
+        "-t",
+        "2",
+        "--simd",
+        "scalar",
+        "--profile=json",
+        &idx,
+        &fastq,
+    ]);
+    let base_cigar = cigar_report(&base);
+    assert!(!base_cigar.contains("\"calls\":0,"), "{base_cigar}");
     for mode in ["portable", "native", "auto"] {
-        let got = mem2_ok(&["mem", "-t", "2", "--simd", mode, &idx, &fastq]);
+        let got = mem2_ok(&[
+            "mem",
+            "-t",
+            "2",
+            "--simd",
+            mode,
+            "--profile=json",
+            &idx,
+            &fastq,
+        ]);
         assert_eq!(
             base.stdout, got.stdout,
             "--simd {mode} changed the SE SAM bytes"
         );
+        assert_eq!(base_cigar, cigar_report(&got), "--simd {mode}");
         let stderr = String::from_utf8_lossy(&got.stderr);
         assert!(
-            stderr.contains("SIMD") && stderr.contains(mode),
-            "stderr reports the requested mode: {stderr}"
+            stderr.contains("SIMD") && stderr.contains(mode) && stderr.contains("; CIGAR "),
+            "stderr reports the requested mode and the CIGAR backend: {stderr}"
         );
     }
 
