@@ -19,14 +19,16 @@
 //! **Precision tiers.** A problem runs at 16 bits, on the backend
 //! [`dispatch::selected`] picks, when every finite H/E/F and every
 //! sentinel-derived value fits without wrapping (`i16_sentinel`);
-//! otherwise the same recurrence runs on one `i32` lane. Finite values
+//! otherwise the same recurrence runs on one `i32` lane (the lane layer
+//! [`crate::lanes`], shared with the mate-rescue kernel). Finite values
 //! are exact in both tiers and sentinel-derived ones stay below every
 //! finite value, so every comparison — hence every direction byte the
 //! traceback reads — comes out the same, and `(score, cigar)` does not
 //! depend on the tier or the backend.
 
-use mem2_simd::{dispatch, Backend, SimdI16, VecI16, MAX_LANES};
+use mem2_simd::{dispatch, Backend, MAX_LANES};
 
+use crate::lanes::{bwa_shape, run_on, Consts, DpBufs, DpElem, Fill, Lanes};
 use crate::types::ScoreParams;
 
 /// One CIGAR operation.
@@ -86,8 +88,7 @@ const F_EXT: i16 = 8;
 #[derive(Default)]
 struct Scratch {
     bases: Vec<u8>,
-    dp16: Vec<i16>,
-    dp32: Vec<i32>,
+    dp: DpBufs,
     trace: Trace,
 }
 
@@ -162,193 +163,6 @@ struct Problem<'a> {
     query: &'a [u8],
 }
 
-/// The lane operations the fill needs, at one precision: every
-/// [`SimdI16`] backend (the 16-bit tier) and [`Wide`], a single `i32`
-/// lane (the 32-bit tier). Masks are all-ones / all-zeros per lane.
-trait Lanes: Copy {
-    /// Stored DP value.
-    type Elem: Copy + Into<i32>;
-    /// Cells per vector.
-    const LANES: usize;
-    fn elem(v: i32) -> Self::Elem;
-    fn splat(v: i32) -> Self;
-    fn load(src: &[Self::Elem]) -> Self;
-    fn store(self, dst: &mut [Self::Elem]);
-    /// Store each lane's low byte (direction bits).
-    fn store_dir(self, dst: &mut [u8]);
-    fn add(self, rhs: Self) -> Self;
-    fn sub(self, rhs: Self) -> Self;
-    fn max(self, rhs: Self) -> Self;
-    fn cmpgt(self, rhs: Self) -> Self;
-    fn and(self, rhs: Self) -> Self;
-    fn or(self, rhs: Self) -> Self;
-    /// Where `mask` is set take `self`, else `rhs`.
-    fn blend(self, rhs: Self, mask: Self) -> Self;
-    /// Substitution scores of target bases `t[..LANES]` against query
-    /// bases `q[..LANES]`.
-    fn score(k: &Consts<Self>, t: &[u8], q: &[u8]) -> Self;
-}
-
-impl<V: SimdI16> Lanes for V {
-    type Elem = i16;
-    const LANES: usize = <V as SimdI16>::LANES;
-    #[inline(always)]
-    fn elem(v: i32) -> i16 {
-        v as i16
-    }
-    #[inline(always)]
-    fn splat(v: i32) -> Self {
-        <V as SimdI16>::splat(v as i16)
-    }
-    #[inline(always)]
-    fn load(src: &[i16]) -> Self {
-        <V as SimdI16>::load(src)
-    }
-    #[inline(always)]
-    fn store(self, dst: &mut [i16]) {
-        SimdI16::store(self, dst)
-    }
-    #[inline(always)]
-    fn store_dir(self, dst: &mut [u8]) {
-        SimdI16::store_u8(self, dst)
-    }
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        SimdI16::add(self, rhs)
-    }
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        SimdI16::sub(self, rhs)
-    }
-    #[inline(always)]
-    fn max(self, rhs: Self) -> Self {
-        SimdI16::max(self, rhs)
-    }
-    #[inline(always)]
-    fn cmpgt(self, rhs: Self) -> Self {
-        SimdI16::cmpgt(self, rhs)
-    }
-    #[inline(always)]
-    fn and(self, rhs: Self) -> Self {
-        SimdI16::and(self, rhs)
-    }
-    #[inline(always)]
-    fn or(self, rhs: Self) -> Self {
-        SimdI16::or(self, rhs)
-    }
-    #[inline(always)]
-    fn blend(self, rhs: Self, mask: Self) -> Self {
-        SimdI16::blend(self, rhs, mask)
-    }
-    /// Match, mismatch or N (either code above 3), from a matrix
-    /// `i16_sentinel` checked has that shape.
-    #[inline(always)]
-    fn score(k: &Consts<Self>, t: &[u8], q: &[u8]) -> Self {
-        let (t, q) = (V::load_from_u8(t), V::load_from_u8(q));
-        let ambiguous = SimdI16::or(SimdI16::cmpgt(t, k.three), SimdI16::cmpgt(q, k.three));
-        let same = SimdI16::blend(k.match_, k.mismatch, t.cmpeq(q));
-        SimdI16::blend(k.n_score, same, ambiguous)
-    }
-}
-
-/// One `i32` lane: the 32-bit tier, with the scoring matrix looked up.
-#[derive(Clone, Copy)]
-struct Wide(i32);
-
-impl Lanes for Wide {
-    type Elem = i32;
-    const LANES: usize = 1;
-    #[inline(always)]
-    fn elem(v: i32) -> i32 {
-        v
-    }
-    #[inline(always)]
-    fn splat(v: i32) -> Self {
-        Wide(v)
-    }
-    #[inline(always)]
-    fn load(src: &[i32]) -> Self {
-        Wide(src[0])
-    }
-    #[inline(always)]
-    fn store(self, dst: &mut [i32]) {
-        dst[0] = self.0;
-    }
-    #[inline(always)]
-    fn store_dir(self, dst: &mut [u8]) {
-        dst[0] = self.0 as u8;
-    }
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        Wide(self.0.wrapping_add(rhs.0))
-    }
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        Wide(self.0.wrapping_sub(rhs.0))
-    }
-    #[inline(always)]
-    fn max(self, rhs: Self) -> Self {
-        Wide(self.0.max(rhs.0))
-    }
-    #[inline(always)]
-    fn cmpgt(self, rhs: Self) -> Self {
-        Wide(-((self.0 > rhs.0) as i32))
-    }
-    #[inline(always)]
-    fn and(self, rhs: Self) -> Self {
-        Wide(self.0 & rhs.0)
-    }
-    #[inline(always)]
-    fn or(self, rhs: Self) -> Self {
-        Wide(self.0 | rhs.0)
-    }
-    #[inline(always)]
-    fn blend(self, rhs: Self, mask: Self) -> Self {
-        Wide((self.0 & mask.0) | (rhs.0 & !mask.0))
-    }
-    #[inline(always)]
-    fn score(k: &Consts<Self>, t: &[u8], q: &[u8]) -> Self {
-        Wide(k.mat[t[0].min(4) as usize * 5 + q[0].min(4) as usize] as i32)
-    }
-}
-
-/// The fill's constants, splatted once per problem.
-struct Consts<L> {
-    oe_del: L,
-    e_del: L,
-    oe_ins: L,
-    e_ins: L,
-    from_e: L,
-    from_f: L,
-    e_ext: L,
-    f_ext: L,
-    three: L,
-    match_: L,
-    mismatch: L,
-    n_score: L,
-    mat: [i8; 25],
-}
-
-impl<L: Lanes> Consts<L> {
-    fn new(p: &ScoreParams) -> Self {
-        Consts {
-            oe_del: L::splat(p.o_del + p.e_del),
-            e_del: L::splat(p.e_del),
-            oe_ins: L::splat(p.o_ins + p.e_ins),
-            e_ins: L::splat(p.e_ins),
-            from_e: L::splat(FROM_E.into()),
-            from_f: L::splat(FROM_F.into()),
-            e_ext: L::splat(E_EXT.into()),
-            f_ext: L::splat(F_EXT.into()),
-            three: L::splat(3),
-            match_: L::splat(p.mat[0].into()),
-            mismatch: L::splat(p.mat[1].into()),
-            n_score: L::splat(p.mat[4].into()),
-            mat: p.mat,
-        }
-    }
-}
-
 /// Fill the band diagonal by diagonal, recording every cell's direction
 /// byte in `trace`, and return `H(m, n)`. `neg` is the out-of-band
 /// sentinel.
@@ -360,6 +174,8 @@ fn fill<L: Lanes>(p: &Problem<'_>, neg: i32, dp: &mut Vec<L::Elem>, trace: &mut 
         query,
     } = p;
     let k = Consts::<L>::new(params);
+    let [from_e_bit, from_f_bit, e_ext_bit, f_ext_bit] =
+        [FROM_E, FROM_F, E_EXT, F_EXT].map(|bit| L::splat(bit.into()));
     // a diagonal is read at rows lo−1 ..= hi+1 and written by whole
     // vectors from lo; indexing by row keeps all three in step
     let len = band.m as usize + 2 + L::LANES;
@@ -397,11 +213,10 @@ fn fill<L: Lanes>(p: &Problem<'_>, neg: i32, dp: &mut Vec<L::Elem>, trace: &mut 
             let h = diag.max(e);
             let from_f = f.cmpgt(h);
             let h = h.max(f);
-            let bits = k
-                .from_f
-                .blend(from_e.and(k.from_e), from_f)
-                .or(e_ext.cmpgt(e_open).and(k.e_ext))
-                .or(f_ext.cmpgt(f_open).and(k.f_ext));
+            let bits = from_f_bit
+                .blend(from_e.and(from_e_bit), from_f)
+                .or(e_ext.cmpgt(e_open).and(e_ext_bit))
+                .or(f_ext.cmpgt(f_open).and(f_ext_bit));
             h.store(&mut h0[at..]);
             e.store(&mut e0[at..]);
             f.store(&mut f0[at..]);
@@ -449,23 +264,10 @@ fn fill<L: Lanes>(p: &Problem<'_>, neg: i32, dp: &mut Vec<L::Elem>, trace: &mut 
 /// Sentinel-derived values reach `2·(open + ext)` below the sentinel
 /// and must stay below every finite value.
 fn i16_sentinel(params: &ScoreParams, band: &Band) -> Option<i32> {
-    let mat = &params.mat;
-    let (hit, miss, amb) = (mat[0], mat[1], mat[4]);
-    let bwa_shape = (0..25).all(|k| {
-        let (x, y) = (k / 5, k % 5);
-        mat[k]
-            == if x == 4 || y == 4 {
-                amb
-            } else if x == y {
-                hit
-            } else {
-                miss
-            }
-    });
-    let penalties = [params.o_del, params.e_del, params.o_ins, params.e_ins];
-    if !bwa_shape || penalties.iter().any(|&p| p < 0) {
+    if !bwa_shape(params) {
         return None;
     }
+    let (hit, miss, amb) = (params.mat[0], params.mat[1], params.mat[4]);
     let open = params.o_del.max(params.o_ins) as i64;
     let ext = params.e_del.max(params.e_ins) as i64;
     let best = hit.max(miss).max(amb).max(0) as i64;
@@ -523,58 +325,49 @@ fn align_on(
     }
     let band = Band::new(n, m, widen(n, m, w));
     SCRATCH.with(|scratch| {
-        let Scratch {
-            bases,
-            dp16,
-            dp32,
-            trace,
-        } = &mut *scratch.borrow_mut();
+        let Scratch { bases, dp, trace } = &mut *scratch.borrow_mut();
         bases.clear();
         bases.extend_from_slice(target);
         bases.resize(m + MAX_LANES, 4);
         bases.extend(query.iter().rev());
         bases.resize(m + n + 2 * MAX_LANES, 4);
         let (target, query) = bases.split_at(m + MAX_LANES);
-        let sentinel = backend.and_then(|b| Some((b, i16_sentinel(params, &band)?)));
+        let (tier, neg) = match backend.zip(i16_sentinel(params, &band)) {
+            Some((backend, neg)) => (Some(backend), neg),
+            None => (None, NEG_INF),
+        };
         let p = Problem {
             band,
             params,
             target,
             query,
         };
-        let score = match sentinel {
-            Some((backend, neg)) => fill_i16(backend, &p, neg, dp16, trace),
-            None => fill::<Wide>(&p, NEG_INF, dp32, trace),
-        };
+        let score = run_on(
+            tier,
+            BandFill {
+                p: &p,
+                neg,
+                dp,
+                trace,
+            },
+        );
         (score, traceback(&p.band, trace))
     })
 }
 
-/// The 16-bit fill on `backend`'s registers: native where compiled in,
-/// the portable emulation at `Backend::Portable`'s width otherwise.
-fn fill_i16(
-    backend: Backend,
-    p: &Problem<'_>,
+/// [`fill`] at the precision [`run_on`] picks.
+struct BandFill<'a> {
+    p: &'a Problem<'a>,
     neg: i32,
-    dp: &mut Vec<i16>,
-    trace: &mut Trace,
-) -> i32 {
-    match backend {
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-        Backend::Avx2 => fill::<mem2_simd::x86::I16x16Avx>(p, neg, dp, trace),
-        #[cfg(all(target_arch = "x86_64", target_feature = "sse4.1"))]
-        Backend::Sse41 => fill::<mem2_simd::x86::I16x8Sse41>(p, neg, dp, trace),
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => fill::<mem2_simd::x86::I16x8Sse2>(p, neg, dp, trace),
-        #[cfg(target_arch = "aarch64")]
-        Backend::Neon => fill::<mem2_simd::neon::I16x8Neon>(p, neg, dp, trace),
-        _ => fill::<VecI16<32>>(p, neg, dp, trace),
-    }
+    dp: &'a mut DpBufs,
+    trace: &'a mut Trace,
 }
 
-/// i16 lanes the CIGAR kernel uses on `backend` (for the `--simd` log).
-pub fn cigar_lanes(backend: Backend) -> usize {
-    backend.u8_lanes() / 2
+impl Fill for BandFill<'_> {
+    type Out = i32;
+    fn run<L: Lanes>(self) -> i32 {
+        fill::<L>(self.p, self.neg, L::Elem::buf(self.dp), self.trace)
+    }
 }
 
 /// Walk the direction bytes back from `(m, n)`. The optimal path's

@@ -21,6 +21,10 @@
 //!   produce CIGARs in the SAM-formatting stage (bwa's `ksw_global2`):
 //!   one problem at a time, vectorized along anti-diagonals over the
 //!   same lane traits, with output identical to the row-major oracle.
+//! * [`local`] is the full local Smith-Waterman behind mate rescue (bwa's
+//!   `ksw_align`): the same anti-diagonal fill, unbanded, with row maxima
+//!   tracked lanewise and an early-stopping start pass, identical to the
+//!   row-major scan it replaced. Both kernels share one lane layer.
 //!
 //! The crate-level invariant, enforced by property tests: **every engine
 //! returns bit-identical [`ExtendResult`]s to the scalar kernel.**
@@ -33,6 +37,7 @@
 
 pub mod engine;
 pub mod global;
+mod lanes;
 pub mod local;
 pub mod scalar;
 pub mod simd16;
@@ -45,7 +50,8 @@ pub use engine::{
     BswEngine, CellStats, EngineKind, NoPhase, Phase, PhaseBreakdown, PhaseSink, SimdChoice,
 };
 pub use global::{cigar_string, global_align, CigarOp};
-pub use local::{local_align, LocalHit};
+pub use lanes::dp_lanes;
+pub use local::{local_align, local_align_counted, LocalCells, LocalHit};
 pub use scalar::{extend_scalar, extend_scalar_job, extend_scalar_profiled};
 pub use sort::sort_jobs_by_length;
 pub use types::{ExtendJob, ExtendResult, JobRef, ScoreParams};

@@ -53,7 +53,7 @@ pub use checkpoint::{
 };
 pub use mapq::approx_mapq_se;
 pub use opts::MemOpts;
-pub use profile::{CigarStats, ExtendStats, Stage, StageTimes};
+pub use profile::{CigarStats, ExtendStats, RescueStats, Stage, StageTimes};
 pub use region::AlnReg;
 pub use robust::{is_broken_pipe, is_no_space, RobustWriter};
 pub use sam::SamRecord;

@@ -33,7 +33,8 @@ pub enum Stage {
     SamForm,
     /// Everything else (region dedup, primary marking, bookkeeping). On
     /// paired-end input this is where insert-size estimation, mate rescue
-    /// and `select_pair` are counted.
+    /// and `select_pair` are counted; the rescue's local-DP work is in
+    /// [`StageTimes::rescue`] (calls, hits, forward and reverse cells).
     Misc,
 }
 
@@ -56,6 +57,8 @@ pub struct StageTimes {
     /// The SAM-FORM stage's CIGAR work, counted where it runs (every
     /// SAM formatter is handed its worker's `StageTimes`).
     pub cigar: CigarStats,
+    /// The `Misc` stage's mate-rescue work, counted where it runs.
+    pub rescue: RescueStats,
 }
 
 impl StageTimes {
@@ -77,6 +80,7 @@ impl StageTimes {
             a.merge_from(b);
         }
         self.cigar.merge(&other.cigar);
+        self.rescue.merge(&other.rescue);
     }
 
     /// Total across stages.
@@ -325,6 +329,54 @@ impl CigarStats {
     }
 }
 
+/// Mate-rescue work counters (bwa's `mem_matesw`: one local
+/// Smith-Waterman per rescue window, counted in `Misc`), carried in
+/// [`StageTimes::rescue`]: `Misc` seconds over the cells is the local
+/// DP's time per cell, and `calls − hits` the windows whose DP found
+/// nothing worth keeping.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RescueStats {
+    /// Local alignments run, one per rescue window.
+    pub calls: u64,
+    /// Of `calls`, those that added a region to the mate.
+    pub hits: u64,
+    /// DP cells of the forward passes (the whole window × mate matrix).
+    pub cells_fwd: u64,
+    /// DP cells of the start-finding reverse passes, up to their early
+    /// stop.
+    pub cells_rev: u64,
+}
+
+impl RescueStats {
+    /// Add another worker's counters.
+    pub fn merge(&mut self, other: &RescueStats) {
+        self.calls += other.calls;
+        self.hits += other.hits;
+        self.cells_fwd += other.cells_fwd;
+        self.cells_rev += other.cells_rev;
+    }
+
+    /// One-line text form for the `--profile` report.
+    pub fn render(&self) -> String {
+        format!(
+            "local SW calls {} (hits {}), cells {} forward + {} reverse = {:.0} cells/call",
+            self.calls,
+            self.hits,
+            self.cells_fwd,
+            self.cells_rev,
+            (self.cells_fwd + self.cells_rev) as f64 / self.calls.max(1) as f64,
+        )
+    }
+
+    /// JSON object form for `--profile=json`.
+    pub fn render_json(&self) -> String {
+        format!(
+            "{{\"calls\":{},\"hits\":{},\"cells_fwd\":{},\"cells_rev\":{}}}",
+            self.calls, self.hits, self.cells_fwd, self.cells_rev,
+        )
+    }
+}
+
 /// Render the shared percentile summary fields from a histogram of
 /// microsecond observations: `"p50_us":N,...` with `null` when empty.
 /// Used by both the `--profile=json` report and the daemon's STATS so
@@ -461,6 +513,39 @@ mod tests {
             "{\"calls\":4,\"reruns\":1,\"nogap\":1,\"cells\":400}"
         );
         assert_eq!(CigarStats::default().cells_per_call(), 0.0);
+    }
+
+    #[test]
+    fn rescue_stats_merge_with_stage_times_and_render() {
+        let mut a = StageTimes {
+            rescue: RescueStats {
+                calls: 3,
+                hits: 2,
+                cells_fwd: 900,
+                cells_rev: 150,
+            },
+            ..StageTimes::default()
+        };
+        let mut b = StageTimes::default();
+        b.rescue.calls = 1;
+        b.rescue.cells_fwd = 300;
+        a.merge(&b);
+        assert_eq!(
+            a.rescue,
+            RescueStats {
+                calls: 4,
+                hits: 2,
+                cells_fwd: 1200,
+                cells_rev: 150
+            }
+        );
+        assert!(a.rescue.render().contains("(hits 2)"));
+        assert!(a.rescue.render().ends_with("= 338 cells/call"));
+        assert_eq!(
+            a.rescue.render_json(),
+            "{\"calls\":4,\"hits\":2,\"cells_fwd\":1200,\"cells_rev\":150}"
+        );
+        assert!(RescueStats::default().render().ends_with("= 0 cells/call"));
     }
 
     #[test]

@@ -5,7 +5,14 @@
 /// * `l` — first row of the SA interval of `revcomp(X)`;
 /// * `s` — interval size (number of occurrences of `X` in ref+revcomp);
 /// * `info` — bwa's packed query span: `start << 32 | end` (`[start, end)`).
+///
+/// Aligned to its 32-byte size: the seeding loop copies intervals with
+/// whole-vector loads and stores through stack slots, and at the default
+/// 8-byte alignment whether those split a cache line depended on the
+/// depth of the frames above it — an unrelated struct growing there cost
+/// seeding ~30 % (measured on Sapphire Rapids).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+#[repr(align(32))]
 pub struct BiInterval {
     /// First row of the SA interval of the matched string.
     pub k: i64,
@@ -88,5 +95,11 @@ mod tests {
         };
         assert_eq!(iv.swapped().swapped(), iv);
         assert_eq!(iv.swapped().k, 9);
+    }
+
+    #[test]
+    fn an_interval_never_straddles_a_cache_line() {
+        assert_eq!(std::mem::size_of::<BiInterval>(), 32);
+        assert_eq!(std::mem::align_of::<BiInterval>(), 32);
     }
 }

@@ -24,7 +24,7 @@ use mem2_core::threads::{
     StreamSummary, Team,
 };
 use mem2_core::{profile::Stage, region::mark_primary};
-use mem2_core::{Aligner, AlnReg, CigarStats, StageTimes, Workflow};
+use mem2_core::{Aligner, AlnReg, StageTimes, Workflow};
 use mem2_seqio::{FastqRecord, ReadPair, SeqIoError};
 
 use crate::pestat::{estimate_pe_stats, PeStats};
@@ -70,14 +70,7 @@ pub fn align_pairs_ctx(
     let t = Instant::now();
     let pes = pes_override.unwrap_or_else(|| estimate_pe_stats(ctx.opts, ctx.index.l_pac, &regs));
     let mut out: Vec<SamRecord> = Vec::with_capacity(prepared.len());
-    let sam = finish_pairs(
-        ctx,
-        &pes,
-        &prepared,
-        &mut regs,
-        &mut out,
-        &mut worker.times.cigar,
-    );
+    let sam = finish_pairs(ctx, &pes, &prepared, &mut regs, &mut out, &mut worker.times);
     add_rescue_and_sam(&mut worker.times, t.elapsed(), sam);
     out
 }
@@ -104,15 +97,15 @@ fn add_rescue_and_sam(times: &mut StageTimes, total: Duration, sam: Duration) {
 /// rescue, pair selection and SAM records for mate-interleaved `reads`,
 /// consuming their single-end `regs`. Each pair's records depend on that
 /// pair and `pes` only, so any slab partition gives the same records.
-/// Returns the time spent in `pair_to_sam`, whose CIGAR work is
-/// counted into `cigar_stats`.
+/// Returns the time spent in `pair_to_sam`; the rescue and CIGAR work
+/// is counted into `times` (which this does not time).
 fn finish_pairs(
     ctx: &PipelineContext<'_>,
     pes: &PeStats,
     reads: &[PreparedRead],
     regs: &mut [Vec<AlnReg>],
     out: &mut Vec<SamRecord>,
-    cigar_stats: &mut CigarStats,
+    times: &mut StageTimes,
 ) -> Duration {
     let mut sam = Duration::ZERO;
     let opts = ctx.opts;
@@ -151,6 +144,7 @@ fn finish_pairs(
                         anchor,
                         &pair_reads[mate].codes,
                         &mut ends[mate],
+                        &mut times.rescue,
                     );
                     rescued[mate] |= added > 0;
                 }
@@ -182,7 +176,7 @@ fn finish_pairs(
             &ends,
             &dec,
             out,
-            cigar_stats,
+            &mut times.cigar,
         );
         sam += t.elapsed();
     }
@@ -233,7 +227,7 @@ fn align_pairs_team(
             reads,
             &mut take_slab(&reg_slabs, k),
             &mut records,
-            &mut worker.times.cigar,
+            &mut worker.times,
         );
         let t_text = Instant::now();
         let mut out = SlabOut::for_reads(reads);

@@ -9,8 +9,8 @@
 //! recovers placements that seeding missed — no SMEM survives 15%
 //! error, but SW finds the alignment easily.
 
-use mem2_bsw::local_align;
-use mem2_core::{AlnReg, MemOpts};
+use mem2_bsw::local_align_counted;
+use mem2_core::{AlnReg, MemOpts, RescueStats};
 use mem2_seqio::{revcomp_codes, ContigSet, PackedSeq};
 
 use crate::pestat::{infer_dir, PeStats, N_ORIENT};
@@ -18,7 +18,8 @@ use crate::pestat::{infer_dir, PeStats, N_ORIENT};
 /// Try to rescue the mate of `anchor`: run windowed SW for every trusted
 /// orientation that is not already represented in `mate_regs`, appending
 /// any hit scoring at least a minimum seed's worth. `mate_codes` is the
-/// mate read in base codes. Returns the number of regions added.
+/// mate read in base codes. Returns the number of regions added; the
+/// windows aligned, their hits and DP cells are counted into `stats`.
 pub fn mate_rescue(
     opts: &MemOpts,
     l_pac: i64,
@@ -28,6 +29,7 @@ pub fn mate_rescue(
     anchor: &AlnReg,
     mate_codes: &[u8],
     mate_regs: &mut Vec<AlnReg>,
+    stats: &mut RescueStats,
 ) -> usize {
     let l_ms = mate_codes.len() as i64;
     let mut skip = [false; N_ORIENT];
@@ -46,6 +48,7 @@ pub fn mate_rescue(
     }
 
     let mut added = 0usize;
+    let mut revcomp: Option<Vec<u8>> = None;
     for r in 0..N_ORIENT {
         if skip[r] {
             continue;
@@ -104,20 +107,20 @@ pub fn mate_rescue(
         if re - rb < opts.smem.min_seed_len as i64 {
             continue;
         }
-        let rc;
         let seq: &[u8] = if is_rev {
-            rc = revcomp_codes(mate_codes);
-            &rc
+            revcomp.get_or_insert_with(|| revcomp_codes(mate_codes))
         } else {
             mate_codes
         };
         let window = pac.fetch2(rb as usize, re as usize);
-        let Some(hit) = local_align(&opts.score, seq, &window) else {
+        let (hit, cells) = local_align_counted(&opts.score, seq, &window);
+        stats.calls += 1;
+        stats.cells_fwd += cells.fwd;
+        stats.cells_rev += cells.rev;
+        let Some(hit) = hit.filter(|h| h.score >= opts.smem.min_seed_len * opts.score.a) else {
             continue;
         };
-        if hit.score < opts.smem.min_seed_len * opts.score.a {
-            continue;
-        }
+        stats.hits += 1;
         let (qb, qe, hrb, hre) = if is_rev {
             (
                 l_ms - hit.qe as i64,
@@ -206,6 +209,7 @@ mod tests {
             &anchor,
             &mate,
             &mut regs,
+            &mut RescueStats::default(),
         );
         assert_eq!(n, 1, "exactly the FR orientation rescues");
         let b = &regs[0];
@@ -240,6 +244,7 @@ mod tests {
             &anchor,
             &mate,
             &mut regs,
+            &mut RescueStats::default(),
         );
         assert_eq!(n, 1);
         assert!(
@@ -277,6 +282,7 @@ mod tests {
             &anchor,
             &mate,
             &mut regs,
+            &mut RescueStats::default(),
         );
         assert_eq!(n, 0, "consistent orientation must skip SW");
         assert_eq!(regs.len(), 1);
@@ -301,6 +307,7 @@ mod tests {
             &anchor,
             &junk,
             &mut regs,
+            &mut RescueStats::default(),
         );
         assert!(n <= regs.len());
         for b in &regs {
@@ -327,6 +334,7 @@ mod tests {
             &anchor,
             &mate,
             &mut regs,
+            &mut RescueStats::default(),
         );
         for b in &regs {
             assert!(b.rb >= 0 && b.re <= 2 * l);

@@ -51,10 +51,11 @@
 //!                       worker_busy_share, slabs_per_worker and
 //!                       batches_resident_max, and the extension work
 //!                       (jobs incl. band retries, jobs per read,
-//!                       dependency rounds per slab), and the CIGAR
-//!                       work (global-DP calls, band re-runs, no-gap
-//!                       shortcuts, DP cells) (json: one
-//!                       machine-readable object)
+//!                       dependency rounds per slab), the CIGAR work
+//!                       (global-DP calls, band re-runs, no-gap
+//!                       shortcuts, DP cells) and the mate-rescue work
+//!                       (local-SW calls, hits, forward and reverse DP
+//!                       cells) (json: one machine-readable object)
 //! mem2 simulate <genome_mb> <n_reads> <read_len> <out_prefix>
 //!                       [--gz] [--pairs] [--insert MEAN,STD]
 //!     single-end: writes <prefix>.fasta and <prefix>.fastq
@@ -735,6 +736,17 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
             ("cells", &cigar.cells),
         ],
     );
+    let rescue = &times.rescue;
+    olog::info(
+        "mem",
+        "rescue",
+        &[
+            ("calls", &rescue.calls),
+            ("hits", &rescue.hits),
+            ("cells_fwd", &rescue.cells_fwd),
+            ("cells_rev", &rescue.cells_rev),
+        ],
+    );
     olog::info(
         "mem",
         "extension",
@@ -762,13 +774,15 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
             eprintln!("[mem] scheduler: {}", sched.render());
             eprintln!("[mem] extension: {}", ext.render());
             eprintln!("[mem] cigar: {}", cigar.render());
+            eprintln!("[mem] rescue: {}", rescue.render());
         }
         Some(ProfileFormat::Json) => eprintln!(
-            "{{{},\"scheduler\":{},\"extension\":{},\"cigar\":{}}}",
+            "{{{},\"scheduler\":{},\"extension\":{},\"cigar\":{},\"rescue\":{}}}",
             times.render_json_fields(),
             sched.render_json(),
             ext.render_json(),
-            cigar.render_json()
+            cigar.render_json(),
+            rescue.render_json()
         ),
         None => {}
     }
@@ -951,8 +965,8 @@ fn parse_verify_mode(s: &str) -> Result<VerifyMode, AnyError> {
 }
 
 /// Resolve the process-wide SIMD backend from `--simd` (shared by `mem`
-/// and `serve`); returns a human-readable description of the BSW and
-/// CIGAR kernels' backends.
+/// and `serve`); returns a human-readable description of the BSW,
+/// CIGAR and mate-rescue kernels' backends.
 fn resolve_simd(choice: SimdChoice) -> String {
     match choice {
         SimdChoice::Scalar | SimdChoice::Portable => dispatch::force(Some(Backend::Portable)),
@@ -969,12 +983,10 @@ fn resolve_simd(choice: SimdChoice) -> String {
             format!("{} ({} u8 lanes)", b.name(), b.u8_lanes())
         }
     };
-    let cigar = dispatch::selected();
-    format!(
-        "BSW {bsw}; CIGAR {} ({} i16 lanes)",
-        cigar.name(),
-        mem2::bsw::global::cigar_lanes(cigar)
-    )
+    // the anti-diagonal kernels run on the dispatched backend
+    let dp = dispatch::selected();
+    let dp = format!("{} ({} i16 lanes)", dp.name(), mem2::bsw::dp_lanes(dp));
+    format!("BSW {bsw}; CIGAR {dp}; RESCUE {dp}")
 }
 
 /// Parse `--socket PATH` / `--tcp ADDR` into an [`Endpoint`].

@@ -350,14 +350,15 @@ fn simd_backend_matrix_is_byte_identical() {
     // single-end: scalar / portable / native / auto must emit the same
     // bytes, and the CIGAR kernel does the same work whichever backend
     // runs it
-    let cigar_report = |out: &std::process::Output| {
+    let counters = |out: &std::process::Output, member: &str| {
         let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
         let tail = stderr
-            .split_once("\"cigar\":{")
-            .unwrap_or_else(|| panic!("cigar counters in {stderr}"))
+            .split_once(&format!("\"{member}\":{{"))
+            .unwrap_or_else(|| panic!("{member} counters in {stderr}"))
             .1;
         tail.split_once('}').expect("closed object").0.to_string()
     };
+    let cigar_report = |out: &std::process::Output| counters(out, "cigar");
     let base = mem2_ok(&[
         "mem",
         "-t",
@@ -388,25 +389,45 @@ fn simd_backend_matrix_is_byte_identical() {
         assert_eq!(base_cigar, cigar_report(&got), "--simd {mode}");
         let stderr = String::from_utf8_lossy(&got.stderr);
         assert!(
-            stderr.contains("SIMD") && stderr.contains(mode) && stderr.contains("; CIGAR "),
-            "stderr reports the requested mode and the CIGAR backend: {stderr}"
+            stderr.contains("SIMD")
+                && stderr.contains(mode)
+                && stderr.contains("; CIGAR ")
+                && stderr.contains("; RESCUE "),
+            "stderr reports the requested mode and the DP kernels' backend: {stderr}"
         );
     }
 
-    // paired-end through the full PE stack (pestat, rescue, pairing)
+    // paired-end through the full PE stack (pestat, rescue, pairing);
+    // mate rescue does the same work whichever backend runs it
     let pe = dir.path("pe");
     mem2_ok(&["simulate", "0.15", "200", "101", &pe, "--pairs"]);
     let pe_idx = dir.path("pe.idx");
     mem2_ok(&["index", &format!("{pe}.fasta"), &pe_idx]);
     let r1 = format!("{pe}_R1.fastq");
     let r2 = format!("{pe}_R2.fastq");
-    let pe_base = mem2_ok(&["mem", "-t", "2", "--simd", "scalar", &pe_idx, &r1, &r2]);
+    let pe_mem = |mode: &str| {
+        mem2_ok(&[
+            "mem",
+            "-t",
+            "2",
+            "--simd",
+            mode,
+            "--profile=json",
+            &pe_idx,
+            &r1,
+            &r2,
+        ])
+    };
+    let pe_base = pe_mem("scalar");
+    let base_rescue = counters(&pe_base, "rescue");
+    assert!(!base_rescue.contains("\"calls\":0,"), "{base_rescue}");
     for mode in ["portable", "native"] {
-        let got = mem2_ok(&["mem", "-t", "2", "--simd", mode, &pe_idx, &r1, &r2]);
+        let got = pe_mem(mode);
         assert_eq!(
             pe_base.stdout, got.stdout,
             "--simd {mode} changed the PE SAM bytes"
         );
+        assert_eq!(base_rescue, counters(&got, "rescue"), "--simd {mode}");
     }
 
     // a bad mode is rejected with the accepted values
