@@ -2,13 +2,12 @@
 //! application, original vs optimized, on D1 and D5.
 //!
 //! Kernels are benchmarked standalone like the paper: their intercepted
-//! inputs are partitioned across a rayon pool of the requested size and
-//! each task runs the kernel over its chunk (rayon's work stealing plays
-//! the role of OpenMP's dynamic schedule).
+//! inputs are partitioned into chunks, and a scoped pool of the requested
+//! size runs the kernel over one chunk at a time (claiming chunks off a
+//! shared cursor plays the role of OpenMP's dynamic schedule).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
-
-use rayon::prelude::*;
 
 use mem2_bench::{
     intercept_bsw_jobs, intercept_sal_rows, intercept_smem_queries, BenchEnv, EnvConfig, Table,
@@ -18,11 +17,22 @@ use mem2_core::{align_reads_parallel, Aligner, Workflow};
 use mem2_fmindex::{collect_intv, OccTable, SmemAux};
 use mem2_memsim::NoopSink;
 
-fn pool(threads: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool")
+/// Run `f` over `items` in `chunk`-sized pieces on `threads` threads (the
+/// caller included), each claiming the next unclaimed chunk.
+fn par_chunks<T: Sync>(items: &[T], chunk: usize, threads: usize, f: impl Fn(&[T]) + Sync) {
+    let chunks: Vec<&[T]> = items.chunks(chunk).collect();
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        while let Some(c) = chunks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            f(c);
+        }
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads.min(chunks.len()) {
+            scope.spawn(work);
+        }
+        work();
+    });
 }
 
 fn smem_kernel<O: OccTable + Sync>(
@@ -34,23 +44,21 @@ fn smem_kernel<O: OccTable + Sync>(
 ) -> f64 {
     let chunk = 64.max(queries.len() / (threads * 8).max(1));
     let t = Instant::now();
-    pool(threads).install(|| {
-        queries.par_chunks(chunk).for_each(|chunk| {
-            let mut aux = SmemAux::default();
-            let mut out = Vec::new();
-            let mut sink = NoopSink;
-            for q in chunk {
-                collect_intv(
-                    occ,
-                    &env.opts.smem,
-                    q,
-                    &mut out,
-                    &mut aux,
-                    prefetch,
-                    &mut sink,
-                );
-            }
-        });
+    par_chunks(queries, chunk, threads, |chunk| {
+        let mut aux = SmemAux::default();
+        let mut out = Vec::new();
+        let mut sink = NoopSink;
+        for q in chunk {
+            collect_intv(
+                occ,
+                &env.opts.smem,
+                q,
+                &mut out,
+                &mut aux,
+                prefetch,
+                &mut sink,
+            );
+        }
     });
     t.elapsed().as_secs_f64()
 }
@@ -58,24 +66,22 @@ fn smem_kernel<O: OccTable + Sync>(
 fn sal_kernel(env: &BenchEnv, rows: &[i64], flat: bool, threads: usize) -> f64 {
     let chunk = 4096.max(rows.len() / (threads * 8).max(1));
     let t = Instant::now();
-    pool(threads).install(|| {
-        rows.par_chunks(chunk).for_each(|chunk| {
-            let mut sink = NoopSink;
-            let mut acc = 0i64;
-            if flat {
-                let sa = env.index.sa_flat.as_ref().expect("flat SA");
-                for &r in chunk {
-                    acc ^= sa.lookup(r, &mut sink);
-                }
-            } else {
-                let sa = env.index.sa_sampled.as_ref().expect("sampled SA");
-                let occ = env.index.orig();
-                for &r in chunk {
-                    acc ^= sa.lookup(occ, r, &mut sink);
-                }
+    par_chunks(rows, chunk, threads, |chunk| {
+        let mut sink = NoopSink;
+        let mut acc = 0i64;
+        if flat {
+            let sa = env.index.sa_flat.as_ref().expect("flat SA");
+            for &r in chunk {
+                acc ^= sa.lookup(r, &mut sink);
             }
-            std::hint::black_box(acc);
-        });
+        } else {
+            let sa = env.index.sa_sampled.as_ref().expect("sampled SA");
+            let occ = env.index.orig();
+            for &r in chunk {
+                acc ^= sa.lookup(occ, r, &mut sink);
+            }
+        }
+        std::hint::black_box(acc);
     });
     t.elapsed().as_secs_f64()
 }
@@ -83,10 +89,8 @@ fn sal_kernel(env: &BenchEnv, rows: &[i64], flat: bool, threads: usize) -> f64 {
 fn bsw_kernel(engine: &BswEngine, jobs: &[ExtendJob], threads: usize) -> f64 {
     let chunk = 512.max(jobs.len() / (threads * 8).max(1));
     let t = Instant::now();
-    pool(threads).install(|| {
-        jobs.par_chunks(chunk).for_each(|chunk| {
-            std::hint::black_box(engine.extend_all(chunk));
-        });
+    par_chunks(jobs, chunk, threads, |chunk| {
+        std::hint::black_box(engine.extend_all(chunk));
     });
     t.elapsed().as_secs_f64()
 }
@@ -166,4 +170,28 @@ fn main() {
         println!("{}", table.render());
     }
     println!("paper: kernels scale >25x on 28 cores; whole app 22x (D1) / 20x (D5) for opt.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn par_chunks_visits_every_element_once() {
+        let data: Vec<u64> = (0..10_000).collect();
+        let sum = AtomicU64::new(0);
+        par_chunks(&data, 37, 4, |c| {
+            sum.fetch_add(c.iter().sum::<u64>(), Ordering::Relaxed);
+        });
+        assert_eq!(sum.into_inner(), data.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn single_thread_pool_runs_inline() {
+        let caller = std::thread::current().id();
+        par_chunks(&[1u64, 2, 3], 2, 1, |_| {
+            assert_eq!(std::thread::current().id(), caller);
+        });
+    }
 }

@@ -15,10 +15,9 @@
 //! * `MEM2_READ_SCALE` — divisor applied to the paper's read counts
 //!   (default 200; e.g. D1's 500 000 reads become 2 500)
 //!
-//! Binaries: the per-table/figure reproductions, `bench_capture`
-//! (machine-readable `BENCH_<sha>.json` rows for CI trend tracking, serve
-//! throughput included) and `bench_trend` (regression gate). Introduced
-//! in PR 1; capture in PR 2, trend gating in PR 3, serve rows in PR 7.
+//! Binaries: the per-table/figure reproductions. End-to-end and
+//! per-layer measurement lives in the standalone `benchmark/` package,
+//! which pins [`intercept_smem_queries`] and [`sysinfo::SysInfo`].
 
 pub mod env;
 pub mod intercept;

@@ -20,7 +20,7 @@
 //! [`dispatch::selected`] picks, when every finite H/E/F and every
 //! sentinel-derived value fits without wrapping (`i16_sentinel`);
 //! otherwise the same recurrence runs on one `i32` lane (the lane layer
-//! [`crate::lanes`], shared with the mate-rescue kernel). Finite values
+//! in the private `lanes` module, shared with the mate-rescue kernel). Finite values
 //! are exact in both tiers and sentinel-derived ones stay below every
 //! finite value, so every comparison — hence every direction byte the
 //! traceback reads — comes out the same, and `(score, cigar)` does not

@@ -11,7 +11,7 @@
 //!
 //! **Anti-diagonal fill.** Both passes fill the unbanded matrix one
 //! anti-diagonal `d = i + j` at a time, a vector of cells per step,
-//! through the lane layer the CIGAR kernel uses ([`crate::lanes`]): cells
+//! through the lane layer the CIGAR kernel uses (private `lanes`): cells
 //! are indexed by target row `i` and the query is reversed once, as in
 //! [`crate::global`]. Every value is clamped at zero, so the matrix
 //! boundary and the cells beside each diagonal's range simply hold 0 —

@@ -3,31 +3,23 @@
 //! way `bwa-mem2 mem` reads its `.bwt.2bit.64` files rather than
 //! re-indexing.
 //!
-//! Three on-disk layouts exist (all little-endian):
-//!
-//! * **v2** — reference + u32 flat SA, stream-encoded. Loads through
-//!   the rebuild path (BWT + occurrence tables reconstructed).
-//! * **v3** — v2 plus the η=32 CP-OCC blocks as 48-byte (counts+bases)
-//!   records, still stream-encoded. The batched profile adopts the
-//!   blocks without a rebuild.
-//! * **v4** — a table-of-contents format with *page-aligned sections*,
-//!   generalized over the position width.
-//! * **v5** (current) — v4 geometry plus integrity checksums: each TOC
-//!   entry's previously-reserved `u32` now carries the section's CRC32
-//!   (the same IEEE polynomial gzip uses, [`mem2_seqio::gzip::crc32`]),
-//!   and four of the previously-reserved header bytes carry a CRC32 of
-//!   the header+TOC itself (computed with that field zeroed). Padding
-//!   between sections must be zero and the file must end exactly at the
-//!   last section, so a flipped byte *anywhere* in a v5 bundle is
-//!   rejected at load with the failing section named. v2–v4 bundles
-//!   still load, with a "no checksums" warning.
+//! One on-disk layout exists, version 5 (little-endian): a table of
+//! contents followed by *page-aligned sections*, generalized over the
+//! position width, with integrity checksums. Each TOC entry carries its
+//! section's CRC32 (the same IEEE polynomial gzip uses,
+//! [`mem2_seqio::gzip::crc32`]), and four header bytes carry a CRC32 of
+//! the header+TOC itself (computed with that field zeroed). Padding
+//! between sections must be zero and the file must end exactly at the
+//! last section, so a flipped byte *anywhere* in a bundle is rejected at
+//! load with the failing section named. Any other version byte is
+//! rejected with [`BundleError::UnsupportedVersion`]: re-run
+//! `mem2 index`.
 //!
 //! ```text
 //! magic "MEM2IDX" + version byte (5)
 //! u8 sa_width_bytes (4|8) | u8 occ_width_bytes (4|8)
-//! u32 header_crc32 (v5; zero in v4) | 2 reserved bytes
-//! u32 n_sections | per section: u32 id, u32 crc32 (v5; zero in v4),
-//!                                u64 offset, u64 len
+//! u32 header_crc32 | 2 reserved bytes
+//! u32 n_sections | per section: u32 id, u32 crc32, u64 offset, u64 len
 //! META  (id 1, unaligned): u64 l_pac, contigs, holes, BwtMeta,
 //!                          u64 sa_len, u64 n_blocks
 //! PAC   (id 2, 4096-aligned): packed reference bytes
@@ -46,38 +38,33 @@
 //! The suffix-array entry width is chosen at index time: 4-byte entries
 //! while the doubled text fits `u32` (see [`flat_sa_fits`]), 8-byte
 //! entries beyond — so references past ~2 Gbp index and align instead
-//! of being rejected. [`BundleError::TooLarge`] now fires only when a
+//! of being rejected. [`BundleError::TooLarge`] fires only when a
 //! caller *forces* the narrow layout onto an oversized reference.
 //! Alignments are byte-identical across widths.
 
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut};
-
 use mem2_fmindex::{BuildOpts, BwtMeta, CpBlock, CpBlockWide, FlatSa, FmIndex, OccOpt, OccTable};
-use mem2_obs::log as olog;
 use mem2_seqio::gzip::crc32;
 use mem2_seqio::refseq::{AmbHole, ContigAnn, ContigSet};
 use mem2_seqio::{AlignedBytes, ByteRegion, PackedSeq, Reference, RegionOwner, PAGE_ALIGN};
 use mem2_suffix::{IndexWidth, SaVec};
 
 const MAGIC_PREFIX: &[u8; 7] = b"MEM2IDX";
-/// Current format version: v4 TOC geometry + per-section CRC32s.
+/// The format version this build writes and reads.
 pub const BUNDLE_VERSION: u8 = 5;
-/// Oldest version this build still reads (via the rebuild path).
-pub const BUNDLE_VERSION_MIN: u8 = 2;
-/// First version carrying integrity checksums.
-const BUNDLE_VERSION_CRC: u8 = 5;
 /// Byte offset of the header CRC32 field (zeroed while computing it).
 const HEADER_CRC_OFF: usize = 10;
-/// Fixed v4/v5 header length: magic+version, widths+reserved, count, TOC.
+/// Fixed header length: magic+version, widths+reserved, count, TOC.
 const TOC_HEADER_LEN: usize = 8 + 8 + 4 + 4 * 24;
 
-/// v4 section ids.
+/// Section ids, in TOC order.
 const SEC_META: u32 = 1;
 const SEC_PAC: u32 = 2;
 const SEC_SA: u32 = 3;
 const SEC_OCC: u32 = 4;
+/// Section names for checksum errors, indexed by section id − 1.
+const SECTION_NAMES: [&str; 4] = ["META", "PAC", "SA", "OCC"];
 
 /// Errors raised while encoding, decoding or loading a bundle.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +79,7 @@ pub enum BundleError {
     TooLarge(usize),
     /// Input ended early or a length field is inconsistent.
     Truncated(&'static str),
-    /// A v5 section's bytes do not match its stored CRC32 — the file is
+    /// A section's bytes do not match its stored CRC32 — the file is
     /// corrupt (bit flip, torn write, bad medium). Names the section.
     ChecksumMismatch {
         /// Which part failed: `header`, `META`, `PAC`, `SA`, `OCC`, or
@@ -115,8 +102,8 @@ impl std::fmt::Display for BundleError {
             BundleError::BadMagic => write!(f, "not a mem2 index bundle (bad magic)"),
             BundleError::UnsupportedVersion(v) => write!(
                 f,
-                "unsupported bundle version {v} (this build reads versions \
-                 {BUNDLE_VERSION_MIN}-{BUNDLE_VERSION}); re-run `mem2 index`"
+                "unsupported bundle version {v} (this build reads version \
+                 {BUNDLE_VERSION} only); re-run `mem2 index`"
             ),
             BundleError::TooLarge(n) => write!(
                 f,
@@ -162,93 +149,38 @@ pub fn choose_width(l_pac: usize, narrow_limit: Option<usize>) -> IndexWidth {
     }
 }
 
-/// Write the v2 body: reference, contigs, holes, pac, suffix array.
-fn encode_core(reference: &Reference, sa: &[u32], out: &mut Vec<u8>) {
-    out.put_u64_le(reference.len() as u64);
-    encode_contigs(reference, out);
-    out.put_u64_le(reference.pac.raw().len() as u64);
-    out.put_slice(reference.pac.raw());
-    out.put_u64_le(sa.len() as u64);
-    for &v in sa {
-        out.put_u32_le(v);
-    }
+fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
 fn encode_contigs(reference: &Reference, out: &mut Vec<u8>) {
-    out.put_u32_le(reference.contigs.contigs.len() as u32);
+    put_u32(out, reference.contigs.contigs.len() as u32);
     for c in &reference.contigs.contigs {
-        out.put_u32_le(c.name.len() as u32);
-        out.put_slice(c.name.as_bytes());
-        out.put_u64_le(c.offset as u64);
-        out.put_u64_le(c.len as u64);
+        put_u32(out, c.name.len() as u32);
+        out.extend_from_slice(c.name.as_bytes());
+        put_u64(out, c.offset as u64);
+        put_u64(out, c.len as u64);
     }
-    out.put_u32_le(reference.contigs.holes.len() as u32);
+    put_u32(out, reference.contigs.holes.len() as u32);
     for h in &reference.contigs.holes {
-        out.put_u64_le(h.offset as u64);
-        out.put_u64_le(h.len as u64);
+        put_u64(out, h.offset as u64);
+        put_u64(out, h.len as u64);
     }
 }
 
 fn encode_bwt_meta(meta: &BwtMeta, out: &mut Vec<u8>) {
     for &c in &meta.counts {
-        out.put_u64_le(c as u64);
+        put_u64(out, c as u64);
     }
     for &c in &meta.c_before {
-        out.put_u64_le(c as u64);
+        put_u64(out, c as u64);
     }
-    out.put_u64_le(meta.sentinel_row as u64);
-    out.put_u64_le(meta.n_stored as u64);
-}
-
-/// Serialize the retired v3 layout (stream-encoded, u32-only, 48-byte
-/// occ records). Kept so tests can exercise the backward-compatible
-/// load path and the v3 → v4 migration; `mem2 index` always writes the
-/// current version.
-pub fn save_bundle(
-    reference: &Reference,
-    sa: &[u32],
-    occ: &OccOpt,
-) -> Result<Vec<u8>, BundleError> {
-    if !flat_sa_fits(reference.len()) {
-        return Err(BundleError::TooLarge(2 * reference.len() + 1));
-    }
-    let blocks = occ
-        .narrow_blocks()
-        .ok_or(BundleError::TooLarge(occ.meta().n_stored as usize))?;
-    let mut out = Vec::with_capacity(
-        8 + 64 * reference.contigs.contigs.len()
-            + reference.pac.raw().len()
-            + 4 * sa.len()
-            + 96
-            + 48 * blocks.len(),
-    );
-    out.put_slice(MAGIC_PREFIX);
-    out.put_slice(&[3u8]);
-    encode_core(reference, sa, &mut out);
-    encode_bwt_meta(occ.meta(), &mut out);
-    out.put_u64_le(blocks.len() as u64);
-    for b in blocks {
-        for &c in &b.counts {
-            out.put_u32_le(c);
-        }
-        out.put_slice(&b.bases);
-    }
-    Ok(out)
-}
-
-/// Serialize the retired v2 layout (no occurrence section). Kept so
-/// tests can exercise the backward-compatible load path.
-pub fn save_bundle_v2(reference: &Reference, sa: &[u32]) -> Result<Vec<u8>, BundleError> {
-    if !flat_sa_fits(reference.len()) {
-        return Err(BundleError::TooLarge(2 * reference.len() + 1));
-    }
-    let mut out = Vec::with_capacity(
-        8 + 64 * reference.contigs.contigs.len() + reference.pac.raw().len() + 4 * sa.len(),
-    );
-    out.put_slice(MAGIC_PREFIX);
-    out.put_slice(&[2u8]);
-    encode_core(reference, sa, &mut out);
-    Ok(out)
+    put_u64(out, meta.sentinel_row as u64);
+    put_u64(out, meta.n_stored as u64);
 }
 
 fn pad_to_page(out: &mut Vec<u8>) {
@@ -258,44 +190,22 @@ fn pad_to_page(out: &mut Vec<u8>) {
     }
 }
 
-/// Serialize the retired v4 layout: v5 geometry with the checksum
-/// fields left zero. Kept so tests can exercise the backward-compatible
-/// "no checksums" load path and the v4 → v5 migration.
-pub fn save_bundle_v4(
-    reference: &Reference,
-    sa: &SaVec,
-    occ: &OccOpt,
-) -> Result<Vec<u8>, BundleError> {
-    save_bundle_toc(reference, sa, occ, 4)
-}
-
-/// Serialize the current (v5) layout: checksummed TOC header, then
-/// META, then the PAC / SA / OCC sections at page-aligned offsets. The
-/// suffix array and occurrence table keep whatever width they were
-/// built with.
+/// Serialize a bundle: checksummed TOC header, then META, then the
+/// PAC / SA / OCC sections at page-aligned offsets. The suffix array
+/// and occurrence table keep whatever width they were built with.
 pub fn save_bundle_v5(
     reference: &Reference,
     sa: &SaVec,
     occ: &OccOpt,
 ) -> Result<Vec<u8>, BundleError> {
-    save_bundle_toc(reference, sa, occ, BUNDLE_VERSION)
-}
-
-fn save_bundle_toc(
-    reference: &Reference,
-    sa: &SaVec,
-    occ: &OccOpt,
-    version: u8,
-) -> Result<Vec<u8>, BundleError> {
     let mut meta_payload = Vec::new();
-    meta_payload.put_u64_le(reference.len() as u64);
+    put_u64(&mut meta_payload, reference.len() as u64);
     encode_contigs(reference, &mut meta_payload);
     encode_bwt_meta(occ.meta(), &mut meta_payload);
-    meta_payload.put_u64_le(sa.len() as u64);
-    meta_payload.put_u64_le(occ.n_blocks() as u64);
+    put_u64(&mut meta_payload, sa.len() as u64);
+    put_u64(&mut meta_payload, occ.n_blocks() as u64);
 
-    let header_len = TOC_HEADER_LEN;
-    let meta_off = header_len;
+    let meta_off = TOC_HEADER_LEN;
     let occ_bytes = occ.blocks_bytes();
     let pac_off = (meta_off + meta_payload.len()).next_multiple_of(PAGE_ALIGN);
     let pac_len = reference.pac.raw().len();
@@ -310,50 +220,48 @@ fn save_bundle_toc(
         (SEC_OCC, occ_off, occ_bytes.len()),
     ];
     let mut out = Vec::with_capacity(occ_off + occ_bytes.len());
-    out.put_slice(MAGIC_PREFIX);
-    out.put_slice(&[version]);
-    out.put_slice(&[sa.width().bytes() as u8, occ.width().bytes() as u8]);
-    out.put_slice(&[0u8; 6]);
-    out.put_u32_le(4);
+    out.extend_from_slice(MAGIC_PREFIX);
+    out.push(BUNDLE_VERSION);
+    out.extend_from_slice(&[sa.width().bytes() as u8, occ.width().bytes() as u8]);
+    out.extend_from_slice(&[0u8; 6]);
+    put_u32(&mut out, 4);
     for (id, off, len) in sections {
-        out.put_u32_le(id);
-        out.put_u32_le(0);
-        out.put_u64_le(off as u64);
-        out.put_u64_le(len as u64);
+        put_u32(&mut out, id);
+        put_u32(&mut out, 0);
+        put_u64(&mut out, off as u64);
+        put_u64(&mut out, len as u64);
     }
     debug_assert_eq!(out.len(), meta_off);
-    out.put_slice(&meta_payload);
+    out.extend_from_slice(&meta_payload);
     pad_to_page(&mut out);
     debug_assert_eq!(out.len(), pac_off);
-    out.put_slice(reference.pac.raw());
+    out.extend_from_slice(reference.pac.raw());
     pad_to_page(&mut out);
     debug_assert_eq!(out.len(), sa_off);
     match sa {
         SaVec::U32(v) => {
             for &x in v {
-                out.put_u32_le(x);
+                put_u32(&mut out, x);
             }
         }
         SaVec::U64(v) => {
             for &x in v {
-                out.put_u64_le(x);
+                put_u64(&mut out, x);
             }
         }
     }
     pad_to_page(&mut out);
     debug_assert_eq!(out.len(), occ_off);
-    out.put_slice(occ_bytes);
-    if version >= BUNDLE_VERSION_CRC {
-        // patch each section's CRC32 into its TOC entry's reserved
-        // field, then stamp the header CRC (its own field zeroed)
-        for (i, (_, off, len)) in sections.iter().enumerate() {
-            let c = crc32(&out[*off..*off + *len]).to_le_bytes();
-            let field = 20 + 24 * i + 4;
-            out[field..field + 4].copy_from_slice(&c);
-        }
-        let h = crc32(&out[..TOC_HEADER_LEN]).to_le_bytes();
-        out[HEADER_CRC_OFF..HEADER_CRC_OFF + 4].copy_from_slice(&h);
+    out.extend_from_slice(occ_bytes);
+    // patch each section's CRC32 into its TOC entry, then stamp the
+    // header CRC (its own field zeroed)
+    for (i, (_, off, len)) in sections.iter().enumerate() {
+        let c = crc32(&out[*off..*off + *len]).to_le_bytes();
+        let field = 20 + 24 * i + 4;
+        out[field..field + 4].copy_from_slice(&c);
     }
+    let h = crc32(&out[..TOC_HEADER_LEN]).to_le_bytes();
+    out[HEADER_CRC_OFF..HEADER_CRC_OFF + 4].copy_from_slice(&h);
     Ok(out)
 }
 
@@ -391,18 +299,18 @@ pub fn write_bundle_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), B
     result.map_err(io)
 }
 
-/// Build the current-version bundle for a reference, choosing the
-/// position width automatically (never fails on size — oversized
-/// references widen to u64 entries).
+/// Build the bundle for a reference, choosing the position width
+/// automatically (never fails on size — oversized references widen to
+/// u64 entries).
 pub fn build_bundle(reference: &Reference) -> Result<Vec<u8>, BundleError> {
     build_bundle_with_width(reference, None, None)
 }
 
-/// Build the current-version bundle with an explicit width. `None`
-/// chooses automatically (honoring `narrow_limit`, the CLI's
-/// `--width-limit` test override); forcing [`IndexWidth::W32`] onto a
-/// reference past the u32 ceiling fails with [`BundleError::TooLarge`]
-/// — the only remaining way to hit that error.
+/// Build the bundle with an explicit width. `None` chooses
+/// automatically (honoring `narrow_limit`, the CLI's `--width-limit`
+/// test override); forcing [`IndexWidth::W32`] onto a reference past
+/// the u32 ceiling fails with [`BundleError::TooLarge`] — the only way
+/// to hit that error.
 pub fn build_bundle_with_width(
     reference: &Reference,
     width: Option<IndexWidth>,
@@ -422,24 +330,96 @@ pub fn build_bundle_with_width(
     save_bundle_v5(reference, &sa, &occ)
 }
 
-/// A decoded bundle with owned storage: the reference, the doubled
-/// text's suffix array (in whichever width the bundle carries), and —
-/// for v3+ — the persisted optimized occurrence table.
-#[derive(Debug)]
-pub struct LoadedBundle {
-    /// Packed reference plus contig annotations.
-    pub reference: Reference,
-    /// Suffix array of the doubled text.
-    pub sa: SaVec,
-    /// CP-OCC table, absent only for v2 bundles.
-    pub occ: Option<OccOpt>,
+/// Little-endian cursor over a byte window. Every read is bounds-checked
+/// and names what it was reading when the bytes ran out.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], BundleError> {
+        if self.0.len() < n {
+            return Err(BundleError::Truncated(what));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self, what: &'static str) -> Result<u32, BundleError> {
+        Ok(u32::from_le_bytes(le_array(self.take(4, what)?)))
+    }
+
+    fn u64(&mut self, what: &'static str) -> Result<u64, BundleError> {
+        Ok(u64::from_le_bytes(le_array(self.take(8, what)?)))
+    }
 }
 
-/// Parsed v4/v5 geometry: decoded metadata plus the byte extents of the
-/// big sections, shared by the owned and zero-copy loaders. For v5 the
-/// per-section CRC32s ride along so loaders can verify lazily.
-struct V4Layout {
-    version: u8,
+/// The `N` bytes of an exactly-`N`-byte slice (every caller slices or
+/// chunks to that length first).
+fn le_array<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    bytes.try_into().expect("slice length is N")
+}
+
+fn decode_contigs(r: &mut Reader<'_>) -> Result<ContigSet, BundleError> {
+    let n_contigs = r.u32("contig count")? as usize;
+    let mut contigs = Vec::with_capacity(n_contigs.min(1 << 20));
+    for _ in 0..n_contigs {
+        let nl = r.u32("contig name length")? as usize;
+        let name = std::str::from_utf8(r.take(nl, "contig record")?)
+            .map_err(|_| BundleError::BadString)?
+            .to_string();
+        let offset = r.u64("contig record")? as usize;
+        let len = r.u64("contig record")? as usize;
+        contigs.push(ContigAnn { name, offset, len });
+    }
+    let n_holes = r.u32("hole count")? as usize;
+    let mut holes = Vec::with_capacity(n_holes.min(1 << 20));
+    for _ in 0..n_holes {
+        let offset = r.u64("hole record")? as usize;
+        let len = r.u64("hole record")? as usize;
+        holes.push(AmbHole { offset, len });
+    }
+    Ok(ContigSet { contigs, holes })
+}
+
+fn decode_bwt_meta(r: &mut Reader<'_>) -> Result<BwtMeta, BundleError> {
+    let mut counts = [0i64; 4];
+    for c in counts.iter_mut() {
+        *c = r.u64("occ meta")? as i64;
+    }
+    let mut c_before = [0i64; 5];
+    for c in c_before.iter_mut() {
+        *c = r.u64("occ meta")? as i64;
+    }
+    Ok(BwtMeta {
+        counts,
+        c_before,
+        sentinel_row: r.u64("occ meta")? as i64,
+        n_stored: r.u64("occ meta")? as i64,
+    })
+}
+
+/// Check one section's bytes against the CRC32 stored in its TOC entry.
+fn verify_section(
+    full: &[u8],
+    id: u32,
+    (off, len): (usize, usize),
+    stored: u32,
+) -> Result<(), BundleError> {
+    let computed = crc32(&full[off..off + len]);
+    if computed != stored {
+        return Err(BundleError::ChecksumMismatch {
+            section: SECTION_NAMES[(id - 1) as usize],
+            stored,
+            computed,
+        });
+    }
+    Ok(())
+}
+
+/// Parsed bundle geometry: decoded metadata plus the byte extents of
+/// the big sections and their stored CRC32s, verified by
+/// [`TocLayout::verify_sections`] before any of them is served.
+struct TocLayout {
     sa_width: IndexWidth,
     occ_width: IndexWidth,
     l_pac: usize,
@@ -448,157 +428,63 @@ struct V4Layout {
     pac: (usize, usize),
     sa: (usize, usize),
     occ: (usize, usize),
-    /// Stored section CRC32s, indexed by section id − 1 (zeros for v4).
+    /// Stored section CRC32s, indexed by section id − 1.
     crcs: [u32; 4],
 }
 
-impl V4Layout {
-    /// Does this bundle carry checksums at all?
-    fn checksummed(&self) -> bool {
-        self.version >= BUNDLE_VERSION_CRC
-    }
-
-    /// Verify one section's bytes against its stored CRC32 (no-op for
-    /// checksum-less v4 bundles).
-    fn verify_section(
-        &self,
-        full: &[u8],
-        id: u32,
-        extent: (usize, usize),
-    ) -> Result<(), BundleError> {
-        if !self.checksummed() {
-            return Ok(());
-        }
-        let section = match id {
-            SEC_META => "META",
-            SEC_PAC => "PAC",
-            SEC_SA => "SA",
-            _ => "OCC",
-        };
-        let stored = self.crcs[(id - 1) as usize];
-        let computed = crc32(&full[extent.0..extent.0 + extent.1]);
-        if computed != stored {
-            return Err(BundleError::ChecksumMismatch {
-                section,
-                stored,
-                computed,
-            });
-        }
-        Ok(())
-    }
-
-    /// Verify every big section eagerly (v5; no-op for v4). META is
-    /// always verified during parsing, before it is decoded.
-    fn verify_all(&self, full: &[u8]) -> Result<(), BundleError> {
+impl TocLayout {
+    /// Verify every big section. META is verified during parsing,
+    /// before it is decoded.
+    fn verify_sections(&self, full: &[u8]) -> Result<(), BundleError> {
         for (id, extent) in [(SEC_PAC, self.pac), (SEC_SA, self.sa), (SEC_OCC, self.occ)] {
-            self.verify_section(full, id, extent)?;
+            verify_section(full, id, extent, self.crcs[(id - 1) as usize])?;
         }
         Ok(())
     }
 }
 
-fn need(buf: &[u8], n: usize, what: &'static str) -> Result<(), BundleError> {
-    if buf.len() < n {
-        Err(BundleError::Truncated(what))
-    } else {
-        Ok(())
+/// Parse a bundle's header, TOC and META section; validate every
+/// cross-field length before any section is touched. The header CRC is
+/// verified first (so a flipped TOC byte is caught before any offset is
+/// trusted), then that the inter-section padding is zero with nothing
+/// after the last section, then the META CRC (before decoding).
+fn parse_toc(full: &[u8]) -> Result<TocLayout, BundleError> {
+    if full.len() < 8 || &full[..7] != MAGIC_PREFIX {
+        return Err(BundleError::BadMagic);
     }
-}
-
-fn decode_contigs(buf: &mut &[u8]) -> Result<ContigSet, BundleError> {
-    need(buf, 4, "contig count")?;
-    let n_contigs = buf.get_u32_le() as usize;
-    let mut contigs = Vec::with_capacity(n_contigs.min(1 << 20));
-    for _ in 0..n_contigs {
-        need(buf, 4, "contig name length")?;
-        let nl = buf.get_u32_le() as usize;
-        need(buf, nl + 16, "contig record")?;
-        let name = std::str::from_utf8(&buf[..nl])
-            .map_err(|_| BundleError::BadString)?
-            .to_string();
-        buf.advance(nl);
-        let offset = buf.get_u64_le() as usize;
-        let len = buf.get_u64_le() as usize;
-        contigs.push(ContigAnn { name, offset, len });
+    if full[7] != BUNDLE_VERSION {
+        return Err(BundleError::UnsupportedVersion(full[7]));
     }
-    need(buf, 4, "hole count")?;
-    let n_holes = buf.get_u32_le() as usize;
-    let mut holes = Vec::with_capacity(n_holes.min(1 << 20));
-    for _ in 0..n_holes {
-        need(buf, 16, "hole record")?;
-        let offset = buf.get_u64_le() as usize;
-        let len = buf.get_u64_le() as usize;
-        holes.push(AmbHole { offset, len });
+    if full.len() < TOC_HEADER_LEN {
+        return Err(BundleError::Truncated("header"));
     }
-    Ok(ContigSet { contigs, holes })
-}
-
-fn decode_bwt_meta(buf: &mut &[u8]) -> Result<BwtMeta, BundleError> {
-    need(buf, 88, "occ meta")?;
-    let mut counts = [0i64; 4];
-    for c in counts.iter_mut() {
-        *c = buf.get_u64_le() as i64;
+    let stored = u32::from_le_bytes(le_array(&full[HEADER_CRC_OFF..][..4]));
+    let mut head = [0u8; TOC_HEADER_LEN];
+    head.copy_from_slice(&full[..TOC_HEADER_LEN]);
+    head[HEADER_CRC_OFF..HEADER_CRC_OFF + 4].fill(0);
+    let computed = crc32(&head);
+    if computed != stored {
+        return Err(BundleError::ChecksumMismatch {
+            section: "header",
+            stored,
+            computed,
+        });
     }
-    let mut c_before = [0i64; 5];
-    for c in c_before.iter_mut() {
-        *c = buf.get_u64_le() as i64;
-    }
-    let sentinel_row = buf.get_u64_le() as i64;
-    let n_stored = buf.get_u64_le() as i64;
-    Ok(BwtMeta {
-        counts,
-        c_before,
-        sentinel_row,
-        n_stored,
-    })
-}
-
-/// Parse a v4/v5 bundle's header, TOC and META section; validate every
-/// cross-field length before any section is touched. For v5 this also
-/// verifies the header CRC (so a flipped TOC byte is caught before any
-/// offset is trusted), the META CRC (before decoding), and that the
-/// inter-section padding is zero with nothing after the last section.
-fn parse_v4(full: &[u8]) -> Result<V4Layout, BundleError> {
-    let version = full[7];
-    let checksummed = version >= BUNDLE_VERSION_CRC;
-    let mut buf = &full[8..];
-    need(buf, 12, "v4 header")?;
-    if checksummed {
-        need(&full[8..], TOC_HEADER_LEN - 8, "v5 header")?;
-        let stored = u32::from_le_bytes([
-            full[HEADER_CRC_OFF],
-            full[HEADER_CRC_OFF + 1],
-            full[HEADER_CRC_OFF + 2],
-            full[HEADER_CRC_OFF + 3],
-        ]);
-        let mut head = [0u8; TOC_HEADER_LEN];
-        head.copy_from_slice(&full[..TOC_HEADER_LEN]);
-        head[HEADER_CRC_OFF..HEADER_CRC_OFF + 4].fill(0);
-        let computed = crc32(&head);
-        if computed != stored {
-            return Err(BundleError::ChecksumMismatch {
-                section: "header",
-                stored,
-                computed,
-            });
-        }
-    }
-    let sa_width = IndexWidth::from_bytes(buf[0]).ok_or(BundleError::Truncated("sa width byte"))?;
+    let sa_width =
+        IndexWidth::from_bytes(full[8]).ok_or(BundleError::Truncated("sa width byte"))?;
     let occ_width =
-        IndexWidth::from_bytes(buf[1]).ok_or(BundleError::Truncated("occ width byte"))?;
-    buf.advance(8);
-    let n_sections = buf.get_u32_le() as usize;
-    if n_sections != 4 {
+        IndexWidth::from_bytes(full[9]).ok_or(BundleError::Truncated("occ width byte"))?;
+    let mut toc = Reader(&full[16..TOC_HEADER_LEN]);
+    if toc.u32("section count")? != 4 {
         return Err(BundleError::Truncated("section count"));
     }
     let mut sections = [(0usize, 0usize); 5];
     let mut crcs = [0u32; 4];
-    for _ in 0..n_sections {
-        need(buf, 24, "toc entry")?;
-        let id = buf.get_u32_le();
-        let crc = buf.get_u32_le();
-        let off = buf.get_u64_le() as usize;
-        let len = buf.get_u64_le() as usize;
+    for _ in 0..4 {
+        let id = toc.u32("toc entry")?;
+        let crc = toc.u32("toc entry")?;
+        let off = toc.u64("toc entry")? as usize;
+        let len = toc.u64("toc entry")? as usize;
         if !(1..=4).contains(&id) {
             return Err(BundleError::Truncated("unknown section id"));
         }
@@ -608,29 +494,15 @@ fn parse_v4(full: &[u8]) -> Result<V4Layout, BundleError> {
         sections[id as usize] = (off, len);
         crcs[(id - 1) as usize] = crc;
     }
-    if checksummed {
-        verify_padding(full, &sections)?;
-    }
-    let (meta_off, meta_len) = sections[SEC_META as usize];
-    if checksummed {
-        let computed = crc32(&full[meta_off..meta_off + meta_len]);
-        let stored = crcs[(SEC_META - 1) as usize];
-        if computed != stored {
-            return Err(BundleError::ChecksumMismatch {
-                section: "META",
-                stored,
-                computed,
-            });
-        }
-    }
-    let mut meta_buf = &full[meta_off..meta_off + meta_len];
-    need(meta_buf, 8, "l_pac")?;
-    let l_pac = meta_buf.get_u64_le() as usize;
-    let contigs = decode_contigs(&mut meta_buf)?;
-    let meta = decode_bwt_meta(&mut meta_buf)?;
-    need(meta_buf, 16, "sa/occ lengths")?;
-    let sa_len = meta_buf.get_u64_le() as usize;
-    let n_blocks = meta_buf.get_u64_le() as usize;
+    verify_padding(full, &sections)?;
+    let meta_extent = sections[SEC_META as usize];
+    verify_section(full, SEC_META, meta_extent, crcs[(SEC_META - 1) as usize])?;
+    let mut r = Reader(&full[meta_extent.0..meta_extent.0 + meta_extent.1]);
+    let l_pac = r.u64("l_pac")? as usize;
+    let contigs = decode_contigs(&mut r)?;
+    let meta = decode_bwt_meta(&mut r)?;
+    let sa_len = r.u64("sa/occ lengths")? as usize;
+    let n_blocks = r.u64("sa/occ lengths")? as usize;
 
     let pac = sections[SEC_PAC as usize];
     let sa = sections[SEC_SA as usize];
@@ -649,8 +521,7 @@ fn parse_v4(full: &[u8]) -> Result<V4Layout, BundleError> {
     {
         return Err(BundleError::Truncated("occ block count inconsistent"));
     }
-    Ok(V4Layout {
-        version,
+    Ok(TocLayout {
         sa_width,
         occ_width,
         l_pac,
@@ -665,7 +536,7 @@ fn parse_v4(full: &[u8]) -> Result<V4Layout, BundleError> {
 
 /// Check that every byte outside the header and the four sections is
 /// zero padding, and that the file ends exactly at the last section —
-/// so no byte of a v5 bundle escapes verification.
+/// so no byte of a bundle escapes verification.
 fn verify_padding(full: &[u8], sections: &[(usize, usize); 5]) -> Result<(), BundleError> {
     let mut extents: Vec<(usize, usize)> = sections[1..]
         .iter()
@@ -694,22 +565,20 @@ fn verify_padding(full: &[u8], sections: &[(usize, usize); 5]) -> Result<(), Bun
 }
 
 /// Decode a SA section's bytes into owned width-dispatched entries.
-fn decode_sa_owned(mut bytes: &[u8], width: IndexWidth) -> SaVec {
+fn decode_sa_owned(bytes: &[u8], width: IndexWidth) -> SaVec {
     match width {
-        IndexWidth::W32 => {
-            let mut v = Vec::with_capacity(bytes.len() / 4);
-            while bytes.remaining() >= 4 {
-                v.push(bytes.get_u32_le());
-            }
-            SaVec::U32(v)
-        }
-        IndexWidth::W64 => {
-            let mut v = Vec::with_capacity(bytes.len() / 8);
-            while bytes.remaining() >= 8 {
-                v.push(bytes.get_u64_le());
-            }
-            SaVec::U64(v)
-        }
+        IndexWidth::W32 => SaVec::U32(
+            bytes
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes(le_array(b)))
+                .collect(),
+        ),
+        IndexWidth::W64 => SaVec::U64(
+            bytes
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(le_array(b)))
+                .collect(),
+        ),
     }
 }
 
@@ -720,14 +589,9 @@ fn decode_occ_owned(bytes: &[u8], width: IndexWidth, meta: BwtMeta) -> OccOpt {
             let blocks = bytes
                 .chunks_exact(64)
                 .map(|rec| {
-                    let mut rec = rec;
-                    let mut counts = [0u32; 4];
-                    for c in counts.iter_mut() {
-                        *c = rec.get_u32_le();
-                    }
-                    let mut bases = [0u8; 32];
-                    bases.copy_from_slice(&rec[..32]);
-                    CpBlock::new(counts, bases)
+                    let counts =
+                        std::array::from_fn(|i| u32::from_le_bytes(le_array(&rec[4 * i..][..4])));
+                    CpBlock::new(counts, le_array(&rec[16..48]))
                 })
                 .collect();
             OccOpt::from_parts(meta, blocks)
@@ -735,15 +599,11 @@ fn decode_occ_owned(bytes: &[u8], width: IndexWidth, meta: BwtMeta) -> OccOpt {
         IndexWidth::W64 => {
             let blocks = bytes
                 .chunks_exact(64)
-                .map(|rec| {
-                    let mut rec = rec;
-                    let mut counts = [0u64; 4];
-                    for c in counts.iter_mut() {
-                        *c = rec.get_u64_le();
-                    }
-                    let mut bases = [0u8; 32];
-                    bases.copy_from_slice(&rec[..32]);
-                    CpBlockWide { counts, bases }
+                .map(|rec| CpBlockWide {
+                    counts: std::array::from_fn(|i| {
+                        u64::from_le_bytes(le_array(&rec[8 * i..][..8]))
+                    }),
+                    bases: le_array(&rec[32..]),
                 })
                 .collect();
             OccOpt::from_wide_parts(meta, blocks)
@@ -751,266 +611,82 @@ fn decode_occ_owned(bytes: &[u8], width: IndexWidth, meta: BwtMeta) -> OccOpt {
     }
 }
 
-/// Decode a bundle of any supported version into owned storage. v5
-/// checksums are verified eagerly.
-pub fn load_bundle(buf: &[u8]) -> Result<LoadedBundle, BundleError> {
-    let version = check_magic(buf)?;
-    if version >= 4 {
-        let layout = parse_v4(buf)?;
-        layout.verify_all(buf)?;
-        let pac = PackedSeq::from_raw(
-            buf[layout.pac.0..layout.pac.0 + layout.pac.1].to_vec(),
-            layout.l_pac,
-        );
-        let sa = decode_sa_owned(
-            &buf[layout.sa.0..layout.sa.0 + layout.sa.1],
-            layout.sa_width,
-        );
-        let occ = decode_occ_owned(
-            &buf[layout.occ.0..layout.occ.0 + layout.occ.1],
-            layout.occ_width,
-            layout.meta,
-        );
-        return Ok(LoadedBundle {
-            reference: Reference {
-                pac,
-                contigs: layout.contigs,
-            },
-            sa,
-            occ: Some(occ),
-        });
-    }
-    load_bundle_legacy(buf, version)
-}
-
-fn check_magic(buf: &[u8]) -> Result<u8, BundleError> {
-    if buf.len() < 8 || &buf[..7] != MAGIC_PREFIX {
-        return Err(BundleError::BadMagic);
-    }
-    let version = buf[7];
-    if !(BUNDLE_VERSION_MIN..=BUNDLE_VERSION).contains(&version) {
-        return Err(BundleError::UnsupportedVersion(version));
-    }
-    Ok(version)
-}
-
-/// Decode a stream-encoded v2/v3 bundle.
-fn load_bundle_legacy(buf: &[u8], version: u8) -> Result<LoadedBundle, BundleError> {
-    let mut buf = &buf[8..];
-    need(buf, 8, "header")?;
-    let l_pac = buf.get_u64_le() as usize;
-    let contigs = decode_contigs(&mut buf)?;
-    need(buf, 8, "pac length")?;
-    let pac_bytes = buf.get_u64_le() as usize;
-    need(buf, pac_bytes, "pac data")?;
-    if pac_bytes != l_pac.div_ceil(4) {
-        return Err(BundleError::Truncated("pac size inconsistent with l_pac"));
-    }
-    let pac = PackedSeq::from_raw(buf[..pac_bytes].to_vec(), l_pac);
-    buf.advance(pac_bytes);
-    need(buf, 8, "sa length")?;
-    let sa_len = buf.get_u64_le() as usize;
-    if sa_len != 2 * l_pac + 1 {
-        return Err(BundleError::Truncated("sa size inconsistent with l_pac"));
-    }
-    need(buf, 4 * sa_len, "sa data")?;
-    let mut sa = Vec::with_capacity(sa_len);
-    for _ in 0..sa_len {
-        sa.push(buf.get_u32_le());
-    }
-    let sa = SaVec::U32(sa);
-    validate_sa_permutation(&sa)?;
-    let occ = if version >= 3 {
-        let meta = decode_bwt_meta(&mut buf)?;
-        if meta.n_stored != 2 * l_pac as i64 || meta.c_before[4] != meta.n_stored + 1 {
-            return Err(BundleError::Truncated("occ meta inconsistent with l_pac"));
-        }
-        need(buf, 8, "occ block count")?;
-        let n_blocks = buf.get_u64_le() as usize;
-        if n_blocks as i64 != meta.n_stored / OccOpt::rows_per_block() as i64 + 1 {
-            return Err(BundleError::Truncated("occ block count inconsistent"));
-        }
-        need(buf, 48 * n_blocks, "occ blocks")?;
-        let mut blocks = Vec::with_capacity(n_blocks);
-        for _ in 0..n_blocks {
-            let mut block_counts = [0u32; 4];
-            for c in block_counts.iter_mut() {
-                *c = buf.get_u32_le();
-            }
-            let mut bases = [0u8; 32];
-            bases.copy_from_slice(&buf[..32]);
-            buf.advance(32);
-            blocks.push(CpBlock::new(block_counts, bases));
-        }
-        Some(OccOpt::from_parts(meta, blocks))
-    } else {
-        None
-    };
-    let reference = Reference { pac, contigs };
-    Ok(LoadedBundle { reference, sa, occ })
-}
-
-/// Defense for checksum-less (pre-v5) bundles: SA entries must form a
-/// permutation of `0..n` or the downstream BWT rebuild indexes out of
-/// bounds. A single damaged entry breaks the range check or the
-/// arithmetic sum; deeper corruption in these legacy formats is a
-/// documented gap (they load with a "predates checksums" warning).
-fn validate_sa_permutation(sa: &SaVec) -> Result<(), BundleError> {
-    let n = sa.len() as u64;
-    let mut sum = 0u64;
-    for i in 0..sa.len() {
-        let x = sa.get(i) as u64;
-        if x >= n {
-            return Err(BundleError::Truncated("sa entry out of range"));
-        }
-        sum += x;
-    }
-    if sum != n * (n - 1) / 2 {
-        return Err(BundleError::Truncated("sa entries are not a permutation"));
-    }
-    Ok(())
-}
-
-/// When to verify a checksummed (v5) bundle's section CRCs.
-///
-/// Legacy v2–v4 bundles carry no checksums, so the mode is moot there —
-/// they load with a warning either way.
+/// The bundle checksum policy. Every section is verified before the
+/// index is assembled, whatever the load mode; `Eager` is the only
+/// policy. The type remains because the benchmark package's pinned call
+/// to [`load_index_file`] passes `VerifyMode::Eager`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum VerifyMode {
     /// Verify every section up front, before the index is assembled.
-    /// Forced for buffered ([`LoadMode::Read`]) loads, which touch
-    /// every byte anyway.
     #[default]
     Eager,
-    /// Verify each section when the loader first consumes it; sections
-    /// the selected profile never reads (the classic profile's OCC) are
-    /// skipped. The header and META are always verified during parsing.
-    FirstTouch,
 }
 
 /// How zero-copy the assembled index ended up, for logging and the
-/// bench harness.
+/// benchmark harness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LoadReport {
-    /// Bundle format version.
-    pub version: u8,
-    /// Suffix-array entry width, once known (v4 header; legacy = u32).
+    /// Suffix-array entry width.
     pub sa_width: IndexWidth,
     /// The file itself was memory-mapped (vs. buffered into the heap).
     pub file_mapped: bool,
     /// The big arrays are served from the loaded region in place (no
-    /// per-component copies) — true only for v4+ and a profile that
-    /// needs no rebuilt components.
+    /// per-component copies) — true only for a profile that needs no
+    /// rebuilt components, on a little-endian host.
     pub zero_copy: bool,
-    /// The bundle carries CRC32 checksums (v5+) and every section this
-    /// load consumed was verified against them.
-    pub checksummed: bool,
     /// Total bundle size in bytes.
     pub bytes: usize,
 }
 
-/// Assemble the index from a loaded bundle region. v4 bundles with a
-/// profile that needs no unpersisted components adopt the region's
-/// arrays *in place*; everything else decodes owned and, where needed,
-/// rebuilds (v2, or the classic profile's η=128 table).
+/// Assemble the index from a loaded bundle region, after verifying
+/// every section's checksum. A profile that needs no unpersisted
+/// components adopts the region's arrays *in place*; the classic
+/// profile decodes the suffix array owned and rebuilds its η=128 table.
 pub fn load_index_region(
     region: ByteRegion,
     opts: &BuildOpts,
     file_mapped: bool,
-    verify: VerifyMode,
 ) -> Result<(Reference, FmIndex, LoadReport), BundleError> {
     let bytes = region.as_slice();
-    let version = check_magic(bytes)?;
+    let layout = parse_toc(bytes)?;
+    layout.verify_sections(bytes)?;
     let mut report = LoadReport {
-        version,
-        sa_width: IndexWidth::W32,
+        sa_width: layout.sa_width,
         file_mapped,
         zero_copy: false,
-        checksummed: version >= BUNDLE_VERSION_CRC,
         bytes: region.len(),
     };
-    if version < BUNDLE_VERSION_CRC {
-        olog::warn(
-            "bundle",
-            "bundle predates checksums; integrity not verified",
-            &[("version", &version)],
-        );
-    }
-    if version >= 4 {
-        let layout = parse_v4(bytes)?;
-        match verify {
-            VerifyMode::Eager => layout.verify_all(bytes)?,
-            VerifyMode::FirstTouch => {
-                // PAC and SA are consumed by every profile; OCC only by
-                // profiles adopting the persisted table — the classic
-                // profile rebuilds its η=128 table and never reads it.
-                layout.verify_section(bytes, SEC_PAC, layout.pac)?;
-                layout.verify_section(bytes, SEC_SA, layout.sa)?;
-                if !opts.orig_occ {
-                    layout.verify_section(bytes, SEC_OCC, layout.occ)?;
-                }
-            }
-        }
-        report.sa_width = layout.sa_width;
-        let pac_region = region.slice(layout.pac.0, layout.pac.1);
-        let reference = Reference {
-            pac: PackedSeq::from_region(pac_region, layout.l_pac),
-            contigs: layout.contigs,
-        };
-        let sa_region = region.slice(layout.sa.0, layout.sa.1);
-        let occ_region = region.slice(layout.occ.0, layout.occ.1);
-        if !opts.orig_occ {
-            // zero-copy path: borrow the mapped arrays in place; fall
-            // back to owned decode per component (big-endian hosts)
-            let flat =
-                FlatSa::from_region(sa_region.clone(), layout.sa_width).unwrap_or_else(|_| {
-                    FlatSa::build(decode_sa_owned(sa_region.as_slice(), layout.sa_width))
-                });
-            let occ = OccOpt::from_region(layout.meta, occ_region.clone(), layout.occ_width)
-                .unwrap_or_else(|_| {
-                    decode_occ_owned(occ_region.as_slice(), layout.occ_width, layout.meta)
-                });
-            report.zero_copy = flat.is_mapped() && occ.is_mapped();
-            let index = FmIndex::from_mapped_parts(&reference, flat, occ, opts);
-            return Ok((reference, index, report));
-        }
+    let pac_region = region.slice(layout.pac.0, layout.pac.1);
+    let reference = Reference {
+        pac: PackedSeq::from_region(pac_region, layout.l_pac),
+        contigs: layout.contigs,
+    };
+    let sa_region = region.slice(layout.sa.0, layout.sa.1);
+    if opts.orig_occ {
         // classic profile: the η=128 table is not persisted — rebuild
         // from an owned copy of the suffix array
         let sa = decode_sa_owned(sa_region.as_slice(), layout.sa_width);
-        if sa.len() != 2 * layout.l_pac + 1 {
-            return Err(BundleError::Truncated("sa size inconsistent with l_pac"));
-        }
-        if layout.version < BUNDLE_VERSION_CRC {
-            validate_sa_permutation(&sa)?;
-        }
         let index = FmIndex::build_from_sa(&reference, sa, opts);
         return Ok((reference, index, report));
     }
-    let LoadedBundle { reference, sa, occ } = load_bundle_legacy(bytes, version)?;
-    let index = match occ {
-        Some(occ) if !opts.orig_occ => FmIndex::from_persisted_occ(&reference, sa, occ, opts),
-        _ => FmIndex::build_from_sa(&reference, sa, opts),
-    };
+    // zero-copy path: borrow the mapped arrays in place; fall back to
+    // owned decode per component (big-endian hosts)
+    let occ_region = region.slice(layout.occ.0, layout.occ.1);
+    let flat = FlatSa::from_region(sa_region.clone(), layout.sa_width)
+        .unwrap_or_else(|_| FlatSa::build(decode_sa_owned(sa_region.as_slice(), layout.sa_width)));
+    let occ = OccOpt::from_region(layout.meta, occ_region.clone(), layout.occ_width)
+        .unwrap_or_else(|_| decode_occ_owned(occ_region.as_slice(), layout.occ_width, layout.meta));
+    report.zero_copy = flat.is_mapped() && occ.is_mapped();
+    let index = FmIndex::from_mapped_parts(&reference, flat, occ, opts);
     Ok((reference, index, report))
 }
 
 /// Load a bundle from a byte buffer and build the index components the
-/// workflow needs. v4+ buffers are staged into page-aligned storage so
+/// workflow needs. The buffer is staged into page-aligned storage so
 /// the in-place views apply; [`load_index_file`] avoids even that copy.
-/// Verification is always eager — the buffer is fully resident.
 pub fn load_index(buf: &[u8], opts: &BuildOpts) -> Result<(Reference, FmIndex), BundleError> {
-    let version = check_magic(buf)?;
-    if version >= 4 {
-        let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(buf));
-        let (reference, index, _) =
-            load_index_region(ByteRegion::whole(owner), opts, false, VerifyMode::Eager)?;
-        return Ok((reference, index));
-    }
-    let LoadedBundle { reference, sa, occ } = load_bundle_legacy(buf, version)?;
-    let index = match occ {
-        Some(occ) if !opts.orig_occ => FmIndex::from_persisted_occ(&reference, sa, occ, opts),
-        _ => FmIndex::build_from_sa(&reference, sa, opts),
-    };
+    let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(buf));
+    let (reference, index, _) = load_index_region(ByteRegion::whole(owner), opts, false)?;
     Ok((reference, index))
 }
 
@@ -1020,9 +696,6 @@ pub enum LoadMode {
     /// `mmap` when the platform supports it, else buffered read.
     #[default]
     Auto,
-    /// Require an attempt to `mmap` (still falls back when the platform
-    /// cannot map at all, with `file_mapped: false` in the report).
-    Mmap,
     /// Always buffered read into page-aligned heap memory.
     Read,
 }
@@ -1030,7 +703,7 @@ pub enum LoadMode {
 fn open_region(path: &std::path::Path, mode: LoadMode) -> Result<(ByteRegion, bool), BundleError> {
     let io = |e: std::io::Error| BundleError::Io(format!("{}: {e}", path.display()));
     #[cfg(all(unix, feature = "mmap"))]
-    if mode != LoadMode::Read {
+    if mode == LoadMode::Auto {
         if let Some(m) = crate::mmap::try_map_file(path).map_err(io)? {
             let owner: RegionOwner = Arc::new(m);
             return Ok((ByteRegion::whole(owner), true));
@@ -1043,30 +716,42 @@ fn open_region(path: &std::path::Path, mode: LoadMode) -> Result<(ByteRegion, bo
 }
 
 /// Open an index bundle file and assemble the index, memory-mapping it
-/// when possible (v4+ bundles then serve their big arrays zero-copy).
-///
-/// `verify` picks the v5 checksum policy for mapped loads; buffered
-/// ([`LoadMode::Read`]) loads always verify eagerly — every byte is
-/// read regardless, so the scan is free.
+/// when `mode` and the platform allow (the big arrays are then served
+/// zero-copy). Every section is checksum-verified before the index is
+/// assembled ([`VerifyMode::Eager`] is the only policy).
 pub fn load_index_file(
     path: &std::path::Path,
     opts: &BuildOpts,
     mode: LoadMode,
-    verify: VerifyMode,
+    _verify: VerifyMode,
 ) -> Result<(Reference, FmIndex, LoadReport), BundleError> {
     let (region, file_mapped) = open_region(path, mode)?;
-    let verify = if file_mapped {
-        verify
-    } else {
-        VerifyMode::Eager
-    };
-    load_index_region(region, opts, file_mapped, verify)
+    load_index_region(region, opts, file_mapped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mem2_seqio::GenomeSpec;
+
+    /// Load through the zero-copy path from a page-aligned copy.
+    fn load_region(bytes: &[u8], opts: &BuildOpts) -> Result<LoadReport, BundleError> {
+        let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(bytes));
+        load_index_region(ByteRegion::whole(owner), opts, false).map(|(_, _, report)| report)
+    }
+
+    #[test]
+    fn reader_roundtrips_and_names_what_ran_out() {
+        let mut out = Vec::new();
+        put_u32(&mut out, 7);
+        put_u64(&mut out, u64::MAX - 1);
+        out.extend_from_slice(b"xy");
+        let mut r = Reader(&out);
+        assert_eq!(r.u32("a"), Ok(7));
+        assert_eq!(r.u64("b"), Ok(u64::MAX - 1));
+        assert_eq!(r.take(2, "c"), Ok(&b"xy"[..]));
+        assert_eq!(r.u32("d"), Err(BundleError::Truncated("d")));
+    }
 
     #[test]
     fn bundle_roundtrips_and_rebuilds_identically() {
@@ -1078,17 +763,20 @@ mod tests {
         let direct = FmIndex::build(&reference, &BuildOpts::default());
 
         let bytes = build_bundle(&reference).expect("encode");
-        let loaded = load_bundle(&bytes).expect("roundtrip");
-        assert_eq!(loaded.reference.pac, reference.pac);
-        assert_eq!(loaded.reference.contigs, reference.contigs);
+        let (loaded_ref, loaded) = load_index(&bytes, &BuildOpts::optimized_only()).expect("load");
+        assert_eq!(loaded_ref.pac, reference.pac);
+        assert_eq!(loaded_ref.contigs, reference.contigs);
         // the persisted CP-OCC table equals a from-scratch build
-        let occ = loaded.occ.as_ref().expect("v4 carries the occ table");
-        assert_eq!(occ.meta(), direct.opt().meta());
+        assert_eq!(loaded.opt().meta(), direct.opt().meta());
         let mut sink = mem2_memsim::NoopSink;
         for r in (-1..=2 * direct.l_pac).step_by(97) {
-            assert_eq!(occ.occ4(r, &mut sink), direct.opt().occ4(r, &mut sink));
+            assert_eq!(
+                loaded.opt().occ4(r, &mut sink),
+                direct.opt().occ4(r, &mut sink)
+            );
         }
-        let rebuilt = FmIndex::build_from_sa(&loaded.reference, loaded.sa, &BuildOpts::default());
+        // the full profile rebuilds from the persisted suffix array
+        let (_, rebuilt) = load_index(&bytes, &BuildOpts::default()).expect("rebuild");
         assert_eq!(rebuilt.meta, direct.meta);
         assert_eq!(rebuilt.l_pac, direct.l_pac);
         // spot-check SA storage equality
@@ -1106,7 +794,7 @@ mod tests {
         let reference = genome.generate_reference("chrA");
         let bytes = build_bundle(&reference).expect("encode");
         assert_eq!(bytes[7], BUNDLE_VERSION);
-        let layout = parse_v4(&bytes).expect("parse");
+        let layout = parse_toc(&bytes).expect("parse");
         for (off, _) in [layout.pac, layout.sa, layout.occ] {
             assert_eq!(off % PAGE_ALIGN, 0, "section offset {off} not page-aligned");
         }
@@ -1123,7 +811,7 @@ mod tests {
         let reference = genome.generate_reference("chrW");
         let narrow = build_bundle_with_width(&reference, Some(IndexWidth::W32), None).unwrap();
         let wide = build_bundle_with_width(&reference, Some(IndexWidth::W64), None).unwrap();
-        assert_eq!(parse_v4(&wide).unwrap().sa_width, IndexWidth::W64);
+        assert_eq!(parse_toc(&wide).unwrap().sa_width, IndexWidth::W64);
         let (_, idx_n) = load_index(&narrow, &BuildOpts::optimized_only()).unwrap();
         let (_, idx_w) = load_index(&wide, &BuildOpts::optimized_only()).unwrap();
         assert_eq!(idx_n.meta, idx_w.meta);
@@ -1152,7 +840,7 @@ mod tests {
         };
         let reference = genome.generate_reference("chrL");
         let bytes = build_bundle_with_width(&reference, None, Some(100)).expect("encode");
-        let layout = parse_v4(&bytes).expect("parse");
+        let layout = parse_toc(&bytes).expect("parse");
         assert_eq!(layout.sa_width, IndexWidth::W64);
         let (_, idx) = load_index(&bytes, &BuildOpts::optimized_only()).expect("load");
         let direct = FmIndex::build(&reference, &BuildOpts::optimized_only());
@@ -1164,7 +852,7 @@ mod tests {
 
     #[test]
     fn auto_width_no_longer_rejects_past_the_narrow_ceiling() {
-        // regression: before v4, build_bundle returned TooLarge for any
+        // regression: build_bundle once returned TooLarge for any
         // reference past the u32 ceiling; now the auto choice widens.
         // (Simulated via the narrow-limit override — a real >2 Gbp
         // fixture is not buildable in CI.)
@@ -1195,26 +883,31 @@ mod tests {
                 ByteRegion::whole(owner),
                 &BuildOpts::optimized_only(),
                 false,
-                VerifyMode::Eager,
             )
             .expect("load");
             assert!(report.zero_copy, "width {width}");
-            assert_eq!(report.version, BUNDLE_VERSION);
-            assert!(report.checksummed, "v5 loads are verified");
             assert_eq!(report.sa_width, width);
             assert_eq!(refer.contigs, reference.contigs);
             assert_eq!(refer.pac, reference.pac);
             assert!(idx.sa_flat.as_ref().unwrap().is_mapped());
             assert!(idx.opt().is_mapped());
+            // the owned decode big-endian hosts fall back to serves the
+            // same occurrence table
+            let layout = parse_toc(&bytes).expect("parse");
+            let owned = decode_occ_owned(
+                &bytes[layout.occ.0..][..layout.occ.1],
+                layout.occ_width,
+                layout.meta,
+            );
+            assert!(!owned.is_mapped());
             let mut sink = mem2_memsim::NoopSink;
             for r in 0..=2 * idx.l_pac {
                 assert_eq!(idx.sa_lookup(r, &mut sink), direct.sa_lookup(r, &mut sink));
             }
             for r in (-1..=2 * idx.l_pac).step_by(53) {
-                assert_eq!(
-                    idx.opt().occ4(r, &mut sink),
-                    direct.opt().occ4(r, &mut sink)
-                );
+                let want = direct.opt().occ4(r, &mut sink);
+                assert_eq!(idx.opt().occ4(r, &mut sink), want);
+                assert_eq!(owned.occ4(r, &mut sink), want);
             }
         }
     }
@@ -1232,7 +925,7 @@ mod tests {
         std::fs::write(&path, &bytes).expect("write");
         let direct = FmIndex::build(&reference, &BuildOpts::optimized_only());
         let mut reports = Vec::new();
-        for mode in [LoadMode::Auto, LoadMode::Mmap, LoadMode::Read] {
+        for mode in [LoadMode::Auto, LoadMode::Read] {
             let (_, idx, report) =
                 load_index_file(&path, &BuildOpts::optimized_only(), mode, VerifyMode::Eager)
                     .expect("load");
@@ -1244,9 +937,9 @@ mod tests {
             }
             reports.push(report);
         }
-        assert!(!reports[2].file_mapped, "Read mode must not map");
+        assert!(!reports[1].file_mapped, "Read mode must not map");
         if crate::mmap::mmap_supported() {
-            assert!(reports[0].file_mapped && reports[1].file_mapped);
+            assert!(reports[0].file_mapped);
         }
         std::fs::remove_file(&path).ok();
         // a missing file is an I/O error, not a panic
@@ -1259,38 +952,6 @@ mod tests {
             ),
             Err(BundleError::Io(_))
         ));
-    }
-
-    #[test]
-    fn v3_bundles_migrate_to_v4_with_identical_payloads() {
-        let genome = GenomeSpec {
-            len: 3_500,
-            ..GenomeSpec::default()
-        };
-        let reference = genome.generate_reference("chrV3");
-        let s = FmIndex::doubled_text(&reference);
-        let sa = mem2_suffix::suffix_array(&s);
-        let bwt = mem2_suffix::bwt_from_savec(&s, &SaVec::U32(sa.clone()));
-        let occ = OccOpt::build(&bwt);
-        let v3 = save_bundle(&reference, &sa, &occ).expect("v3 encode");
-        assert_eq!(v3[7], 3);
-        // migrate: load the v3 bundle, re-save as v4
-        let old = load_bundle(&v3).expect("v3 load");
-        let v4 =
-            save_bundle_v4(&old.reference, &old.sa, old.occ.as_ref().unwrap()).expect("v4 encode");
-        assert_eq!(v4[7], 4);
-        // both serve byte-identical components
-        let (_, idx3) = load_index(&v3, &BuildOpts::optimized_only()).expect("v3 index");
-        let (_, idx4) = load_index(&v4, &BuildOpts::optimized_only()).expect("v4 index");
-        assert_eq!(idx3.meta, idx4.meta);
-        let mut sink = mem2_memsim::NoopSink;
-        for r in 0..=2 * idx3.l_pac {
-            assert_eq!(idx3.sa_lookup(r, &mut sink), idx4.sa_lookup(r, &mut sink));
-        }
-        // and a v4 re-save of the migrated bundle is deterministic
-        let again = load_bundle(&v4).expect("v4 load");
-        let v4b = save_bundle_v4(&again.reference, &again.sa, again.occ.as_ref().unwrap()).unwrap();
-        assert_eq!(v4, v4b);
     }
 
     #[test]
@@ -1325,38 +986,13 @@ mod tests {
     }
 
     #[test]
-    fn v2_bundles_still_load_through_the_rebuild_path() {
-        let genome = GenomeSpec {
-            len: 1_500,
-            ..GenomeSpec::default()
-        };
-        let reference = genome.generate_reference("chrV");
-        let s = FmIndex::doubled_text(&reference);
-        let sa = mem2_suffix::suffix_array(&s);
-        let v2 = save_bundle_v2(&reference, &sa).expect("v2 encode");
-        assert_eq!(v2[7], 2);
-        let loaded = load_bundle(&v2).expect("v2 load");
-        assert!(loaded.occ.is_none(), "v2 has no occ section");
-        let (_, idx) = load_index(&v2, &BuildOpts::optimized_only()).expect("v2 index");
-        let direct = FmIndex::build(&reference, &BuildOpts::optimized_only());
-        assert_eq!(idx.meta, direct.meta);
-        let mut sink = mem2_memsim::NoopSink;
-        for r in (-1..=2 * direct.l_pac).step_by(43) {
-            assert_eq!(
-                idx.opt().occ4(r, &mut sink),
-                direct.opt().occ4(r, &mut sink)
-            );
-        }
-    }
-
-    #[test]
     fn bundle_preserves_holes_and_multiple_contigs() {
         let recs = mem2_seqio::parse_fasta(">a\nACGTNNNNACGT\n>b\nGGGG\n").expect("parse");
         let reference = Reference::from_fasta(&recs, 3);
         let bytes = build_bundle(&reference).expect("encode");
-        let loaded = load_bundle(&bytes).expect("roundtrip");
-        assert_eq!(loaded.reference.contigs, reference.contigs);
-        assert_eq!(loaded.reference.contigs.holes.len(), 1);
+        let (loaded, _) = load_index(&bytes, &BuildOpts::optimized_only()).expect("roundtrip");
+        assert_eq!(loaded.contigs, reference.contigs);
+        assert_eq!(loaded.contigs.holes.len(), 1);
     }
 
     #[test]
@@ -1367,15 +1003,19 @@ mod tests {
         };
         let reference = genome.generate_reference("c");
         let bytes = build_bundle(&reference).expect("encode");
+        let opts = BuildOpts::optimized_only();
         assert!(matches!(
-            load_bundle(&bytes[..4]),
+            load_index(&bytes[..4], &opts),
             Err(BundleError::BadMagic)
         ));
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(matches!(load_bundle(&bad), Err(BundleError::BadMagic)));
         assert!(matches!(
-            load_bundle(&bytes[..bytes.len() / 2]),
+            load_index(&bad, &opts),
+            Err(BundleError::BadMagic)
+        ));
+        assert!(matches!(
+            load_index(&bytes[..bytes.len() / 2], &opts),
             Err(BundleError::Truncated(_))
         ));
         // a TOC entry pointing past the file is caught by the header
@@ -1384,7 +1024,7 @@ mod tests {
         let off_pos = 20 + 8; // first entry's offset field
         toc_bad[off_pos..off_pos + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            load_bundle(&toc_bad),
+            load_index(&toc_bad, &opts),
             Err(BundleError::ChecksumMismatch {
                 section: "header",
                 ..
@@ -1394,7 +1034,7 @@ mod tests {
         let mut width_bad = bytes.clone();
         width_bad[8] = 2;
         assert!(matches!(
-            load_bundle(&width_bad),
+            load_index(&width_bad, &opts),
             Err(BundleError::ChecksumMismatch {
                 section: "header",
                 ..
@@ -1411,7 +1051,7 @@ mod tests {
         let reference = genome.generate_reference("chrC");
         let bytes = build_bundle(&reference).expect("encode");
         assert_eq!(bytes[7], BUNDLE_VERSION);
-        let layout = parse_v4(&bytes).expect("parse");
+        let layout = parse_toc(&bytes).expect("parse");
         let pokes = [
             (TOC_HEADER_LEN + 4, "META"),
             (layout.pac.0 + layout.pac.1 / 2, "PAC"),
@@ -1422,98 +1062,44 @@ mod tests {
         for (pos, want) in pokes {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x40;
-            let err = load_bundle(&bad).expect_err("corruption must be rejected");
-            match err {
-                BundleError::ChecksumMismatch { section, .. } => {
-                    assert_eq!(section, want, "flip at byte {pos}");
+            // both the zero-copy and the rebuilding profile reject it
+            for opts in [BuildOpts::optimized_only(), BuildOpts::default()] {
+                match load_region(&bad, &opts) {
+                    Err(BundleError::ChecksumMismatch { section, .. }) => {
+                        assert_eq!(section, want, "flip at byte {pos}");
+                    }
+                    other => panic!("flip at byte {pos}: expected checksum error, got {other:?}"),
                 }
-                other => panic!("flip at byte {pos}: expected checksum error, got {other:?}"),
             }
-            // the zero-copy file loader rejects it too
-            let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(&bad));
-            assert!(load_index_region(
-                ByteRegion::whole(owner),
-                &BuildOpts::optimized_only(),
-                false,
-                VerifyMode::Eager,
-            )
-            .is_err());
         }
         // appended trailing garbage is rejected as well
         let mut grown = bytes.clone();
         grown.push(0xAB);
         assert!(matches!(
-            load_bundle(&grown),
+            load_index(&grown, &BuildOpts::optimized_only()),
             Err(BundleError::Truncated(_))
         ));
     }
 
     #[test]
-    fn first_touch_skips_sections_the_profile_never_reads() {
+    fn occ_flip_is_rejected_under_every_profile() {
         let genome = GenomeSpec {
             len: 900,
             ..GenomeSpec::default()
         };
         let reference = genome.generate_reference("chrT");
         let bytes = build_bundle(&reference).expect("encode");
-        let layout = parse_v4(&bytes).expect("parse");
+        let layout = parse_toc(&bytes).expect("parse");
         let mut bad = bytes.clone();
         bad[layout.occ.0 + 7] ^= 0x01;
-        // eager: the OCC flip fails any profile
-        let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(&bad));
-        assert!(matches!(
-            load_index_region(
-                ByteRegion::whole(owner),
-                &BuildOpts::original_only(),
-                false,
-                VerifyMode::Eager,
-            ),
-            Err(BundleError::ChecksumMismatch { section: "OCC", .. })
-        ));
-        // first-touch: the classic profile rebuilds its own table and
-        // never consumes OCC, so the flip goes unnoticed…
-        let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(&bad));
-        assert!(load_index_region(
-            ByteRegion::whole(owner),
-            &BuildOpts::original_only(),
-            false,
-            VerifyMode::FirstTouch,
-        )
-        .is_ok());
-        // …while the batched profile, which adopts OCC, still rejects
-        let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(&bad));
-        assert!(matches!(
-            load_index_region(
-                ByteRegion::whole(owner),
-                &BuildOpts::optimized_only(),
-                false,
-                VerifyMode::FirstTouch,
-            ),
-            Err(BundleError::ChecksumMismatch { section: "OCC", .. })
-        ));
-    }
-
-    #[test]
-    fn legacy_bundles_report_unchecksummed() {
-        let genome = GenomeSpec {
-            len: 700,
-            ..GenomeSpec::default()
-        };
-        let reference = genome.generate_reference("chrL4");
-        let loaded = load_bundle(&build_bundle(&reference).unwrap()).unwrap();
-        let v4 = save_bundle_v4(&loaded.reference, &loaded.sa, loaded.occ.as_ref().unwrap())
-            .expect("v4 encode");
-        assert_eq!(v4[7], 4);
-        let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(&v4));
-        let (_, _, report) = load_index_region(
-            ByteRegion::whole(owner),
-            &BuildOpts::optimized_only(),
-            false,
-            VerifyMode::Eager,
-        )
-        .expect("v4 load");
-        assert_eq!(report.version, 4);
-        assert!(!report.checksummed);
+        // the classic profile rebuilds its own table and never reads
+        // OCC, yet verification is eager: the flip still fails the load
+        for opts in [BuildOpts::original_only(), BuildOpts::optimized_only()] {
+            assert!(matches!(
+                load_region(&bad, &opts),
+                Err(BundleError::ChecksumMismatch { section: "OCC", .. })
+            ));
+        }
     }
 
     #[test]
@@ -1554,14 +1140,17 @@ mod tests {
         }
         .generate_reference("c");
         let bytes = build_bundle(&reference).expect("encode");
-        // the retired v1 layout and a hypothetical future v6 both refuse
-        // to parse, with an error naming the version
-        for v in [1u8, 6] {
+        // every retired layout (v1–v4) and a hypothetical future v6
+        // refuse to parse, with an error naming the version and the fix
+        for v in [1u8, 2, 3, 4, 6] {
             let mut other = bytes.clone();
             other[7] = v;
-            let err = load_bundle(&other).expect_err("version must be rejected");
+            let err = load_index(&other, &BuildOpts::optimized_only())
+                .expect_err("version must be rejected");
             assert_eq!(err, BundleError::UnsupportedVersion(v));
-            assert!(err.to_string().contains(&format!("version {v}")));
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("version {v}")), "{msg}");
+            assert!(msg.contains("re-run `mem2 index`"), "{msg}");
         }
     }
 

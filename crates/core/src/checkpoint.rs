@@ -33,9 +33,7 @@
 use std::io::{self, Read};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use mem2_seqio::gzip::crc32;
 use mem2_seqio::{SeqIoError, StreamOffsets, StreamPos};
@@ -373,12 +371,19 @@ impl MarkLog {
 
     /// Append the next batch's mark (producer side).
     pub fn push(&self, mark: CkptMark) {
-        self.marks.lock().push(mark);
+        self.marks
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(mark);
     }
 
     /// Mark of batch `i` of this run, if already produced.
     pub fn get(&self, i: usize) -> Option<CkptMark> {
-        self.marks.lock().get(i).copied()
+        self.marks
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(i)
+            .copied()
     }
 }
 

@@ -43,10 +43,9 @@ pub mod threads;
 
 pub use aligner::{Aligner, Workflow};
 pub use bundle::{
-    build_bundle, build_bundle_with_width, choose_width, flat_sa_fits, load_bundle, load_index,
-    load_index_file, load_index_region, save_bundle, save_bundle_v2, save_bundle_v4,
-    save_bundle_v5, write_bundle_atomic, BundleError, LoadMode, LoadReport, LoadedBundle,
-    VerifyMode, BUNDLE_VERSION, BUNDLE_VERSION_MIN,
+    build_bundle, build_bundle_with_width, choose_width, flat_sa_fits, load_index, load_index_file,
+    load_index_region, save_bundle_v5, write_bundle_atomic, BundleError, LoadMode, LoadReport,
+    VerifyMode, BUNDLE_VERSION,
 };
 pub use checkpoint::{
     kill_point, CkptMark, Fingerprint, Journal, MarkLog, MarkedBatches, ResumeError,

@@ -23,9 +23,8 @@ use std::fmt;
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use mem2_seqio::{FastqRecord, SeqIoError};
 
@@ -190,7 +189,7 @@ impl Team {
             }
             let t = Instant::now();
             let r = body(&mut m.worker, k);
-            *slots[k].lock() = Some(r);
+            *slots[k].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
             m.busy += t.elapsed();
             m.slabs += 1;
         };
@@ -207,7 +206,11 @@ impl Team {
         });
         slots
             .into_iter()
-            .map(|s| s.into_inner().expect("every slab index is claimed once"))
+            .map(|s| {
+                s.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("every slab index is claimed once")
+            })
             .collect()
     }
 
@@ -255,7 +258,11 @@ pub fn split_slabs<T>(batch: Vec<T>, slab_len: usize) -> Vec<Mutex<Option<Vec<T>
 
 /// Claim slab `k` of a [`split_slabs`] batch.
 pub fn take_slab<T>(slabs: &[Mutex<Option<Vec<T>>>], k: usize) -> Vec<T> {
-    slabs[k].lock().take().expect("a slab is claimed once")
+    slabs[k]
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .take()
+        .expect("a slab is claimed once")
 }
 
 /// Align one slab of reads and render its SAM text.
@@ -483,7 +490,7 @@ where
                         }
                     }
                     Err(e) => {
-                        *input_err.lock() = Some(e);
+                        *input_err.lock().unwrap_or_else(PoisonError::into_inner) = Some(e);
                         break;
                     }
                 }
@@ -512,7 +519,10 @@ where
         (result, align.join().expect("align thread panicked"))
     });
 
-    if let Some(e) = input_err.into_inner() {
+    if let Some(e) = input_err
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+    {
         // input failure wins over a secondary write error: it's the root
         // cause (partial SAM may already be on the output)
         return Err(StreamError::Input(e));
@@ -603,10 +613,11 @@ mod tests {
                         // a claim is a second worker
                         claimed_rx
                             .lock()
+                            .unwrap()
                             .recv_timeout(Duration::from_secs(60))
                             .expect("no second worker joined the batch");
                     } else {
-                        claimed_tx.lock().send(k).expect("receiver lives");
+                        claimed_tx.lock().unwrap().send(k).expect("receiver lives");
                     }
                     slab(&format!("slab{k}\n"))
                 })
@@ -650,6 +661,22 @@ mod tests {
         assert!(split_slabs(Vec::<u8>::new(), 4).is_empty());
         // a zero slab length is treated as one item per slab
         assert_eq!(split_slabs(vec![1, 2], 0).len(), 2);
+    }
+
+    #[test]
+    fn slabs_stay_claimable_after_a_panic_poisons_their_lock() {
+        let slabs = split_slabs(vec![1, 2, 3], 2);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = slabs[0].lock().unwrap();
+                panic!("worker panics holding the slab lock");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && slabs[0].is_poisoned());
+        assert_eq!(take_slab(&slabs, 0), vec![1, 2]);
+        assert_eq!(take_slab(&slabs, 1), vec![3]);
     }
 
     #[test]

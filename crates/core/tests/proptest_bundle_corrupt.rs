@@ -1,25 +1,24 @@
-//! Corruption property test for the bundle loaders: an arbitrary
-//! byte-flip or truncation of a persisted index — any version this
-//! build still reads (v2–v5) — must surface as a structured
-//! [`BundleError`], never as a panic. For checksummed v5 bundles the
-//! bar is higher: a flip landing anywhere inside the header or a
-//! section payload must be *rejected* (no silent wrong data); only
-//! flips in dead inter-section alignment padding may load.
+//! Corruption property test for the bundle loader: an arbitrary
+//! byte-flip or truncation of a persisted index, narrow or wide, must
+//! surface as a structured [`BundleError`], never as a panic — through
+//! both the zero-copy profile and the profile that rebuilds from the
+//! suffix array. The bar is higher than not panicking: a flip landing
+//! anywhere inside the header or a section payload must be *rejected*
+//! (no silent wrong data); only flips in dead inter-section alignment
+//! padding may load.
 
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use mem2_core::bundle::{
-    load_bundle, load_index, save_bundle, save_bundle_v2, save_bundle_v4, save_bundle_v5,
-};
-use mem2_fmindex::{BuildOpts, FmIndex, OccOpt};
+use mem2_core::bundle::{build_bundle_with_width, load_index};
+use mem2_fmindex::BuildOpts;
 use mem2_seqio::GenomeSpec;
-use mem2_suffix::{IndexWidth, SaVec};
+use mem2_suffix::IndexWidth;
 
-/// Clean serialized bundles, one per version, built once.
-fn fixtures() -> &'static [(u8, Vec<u8>); 4] {
-    static FIXTURES: OnceLock<[(u8, Vec<u8>); 4]> = OnceLock::new();
+/// Clean serialized bundles, narrow then wide, built once.
+fn fixtures() -> &'static [Vec<u8>; 2] {
+    static FIXTURES: OnceLock<[Vec<u8>; 2]> = OnceLock::new();
     FIXTURES.get_or_init(|| {
         let reference = GenomeSpec {
             len: 3_000,
@@ -27,21 +26,12 @@ fn fixtures() -> &'static [(u8, Vec<u8>); 4] {
             ..GenomeSpec::default()
         }
         .generate_reference("chrP");
-        let s = FmIndex::doubled_text(&reference);
-        let sa32 = mem2_suffix::suffix_array(&s);
-        let sa = SaVec::U32(sa32.clone());
-        let bwt = mem2_suffix::bwt_from_savec(&s, &sa);
-        let occ = OccOpt::build_with_width(&bwt, IndexWidth::W32);
-        [
-            (2, save_bundle_v2(&reference, &sa32).expect("v2")),
-            (3, save_bundle(&reference, &sa32, &occ).expect("v3")),
-            (4, save_bundle_v4(&reference, &sa, &occ).expect("v4")),
-            (5, save_bundle_v5(&reference, &sa, &occ).expect("v5")),
-        ]
+        [IndexWidth::W32, IndexWidth::W64]
+            .map(|w| build_bundle_with_width(&reference, Some(w), None).expect("encode"))
     })
 }
 
-/// v4/v5 TOC geometry: 20-byte fixed header then four 24-byte entries
+/// TOC geometry: 20-byte fixed header then four 24-byte entries
 /// (`id, crc, off, len`). Returns the four `(off, len)` extents.
 fn toc_extents(bytes: &[u8]) -> [(usize, usize); 4] {
     let mut extents = [(0usize, 0usize); 4];
@@ -54,9 +44,9 @@ fn toc_extents(bytes: &[u8]) -> [(usize, usize); 4] {
     extents
 }
 
-/// Is byte `pos` of a v5 bundle covered by a checksum (header CRC or a
+/// Is byte `pos` of a bundle covered by a checksum (header CRC or a
 /// section CRC), as opposed to dead alignment padding?
-fn v5_covered(bytes: &[u8], pos: usize) -> bool {
+fn covered(bytes: &[u8], pos: usize) -> bool {
     const TOC_HEADER_LEN: usize = 8 + 8 + 4 + 4 * 24;
     pos < TOC_HEADER_LEN
         || toc_extents(bytes)
@@ -64,75 +54,75 @@ fn v5_covered(bytes: &[u8], pos: usize) -> bool {
             .any(|&(off, len)| pos >= off && pos < off + len)
 }
 
-/// Run both loaders over possibly-corrupt bytes; the return value is
-/// whether *any* path accepted them. Panics propagate to proptest.
+/// Load through the zero-copy profile and the rebuilding profile; the
+/// return value is whether *either* accepted the bytes. Panics
+/// propagate to proptest.
 fn try_load(bytes: &[u8]) -> bool {
-    let owned = load_bundle(bytes).is_ok();
-    let indexed = load_index(bytes, &BuildOpts::default()).is_ok();
-    owned || indexed
+    let zero_copy = load_index(bytes, &BuildOpts::optimized_only()).is_ok();
+    let rebuilt = load_index(bytes, &BuildOpts::default()).is_ok();
+    zero_copy || rebuilt
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Byte flips anywhere in any version: structured error or load,
-    /// never a panic — and for v5, never a silent load of a covered
-    /// (checksummed) byte.
+    /// Byte flips anywhere: structured error or load, never a panic —
+    /// and never a silent load of a covered (checksummed) byte.
     #[test]
     fn flipped_byte_never_panics_and_v5_never_loads_silently(
-        which in 0usize..4,
+        which in 0usize..2,
         frac in 0.0f64..1.0,
         mask in 1u8..=255,
     ) {
-        let (version, clean) = &fixtures()[which];
+        let clean = &fixtures()[which];
         let mut bytes = clean.clone();
         let pos = ((frac * bytes.len() as f64) as usize).min(bytes.len() - 1);
         bytes[pos] ^= mask;
 
         let loaded = try_load(&bytes);
-        if *version == 5 && v5_covered(clean, pos) {
+        if covered(clean, pos) {
             prop_assert!(
                 !loaded,
-                "v5 flip at covered byte {pos} (len {}) loaded silently",
+                "flip at covered byte {pos} (len {}) loaded silently",
                 bytes.len()
             );
         }
-        // pre-CRC versions may load flipped bytes (documented gap: the
-        // loader warns "predates checksums") — not panicking and not
-        // crashing the caller is their whole contract here
     }
 
-    /// Truncation at any point in any version is always a structured
-    /// error: every bundle ends with a section payload, so a short file
-    /// can never satisfy the final extent (v4/v5) or the trailing
-    /// length checks (v2/v3).
+    /// Truncation at any point is always a structured error: every
+    /// bundle ends with a section payload, so a short file can never
+    /// satisfy the final extent.
     #[test]
     fn truncation_is_always_a_structured_error(
-        which in 0usize..4,
+        which in 0usize..2,
         frac in 0.0f64..1.0,
     ) {
-        let (_, clean) = &fixtures()[which];
+        let clean = &fixtures()[which];
         let cut = ((frac * clean.len() as f64) as usize).min(clean.len() - 1);
         let bytes = &clean[..cut];
         prop_assert!(!try_load(bytes), "truncated to {cut} of {} loaded", clean.len());
     }
 }
 
-/// Directed check riding along: a v5 flip inside each individual
-/// section is rejected with an error *naming* that section.
+/// Directed check riding along: a flip inside each individual section
+/// is rejected with an error *naming* that section, at either width and
+/// through either profile.
 #[test]
 fn v5_flip_names_the_failing_section() {
-    let (_, clean) = &fixtures()[3];
-    let extents = toc_extents(clean);
-    for (i, name) in ["META", "PAC", "SA", "OCC"].iter().enumerate() {
-        let (off, len) = extents[i];
-        let mut bytes = clean.clone();
-        bytes[off + len / 2] ^= 0x01;
-        let err = load_bundle(&bytes).expect_err("corrupt section must be rejected");
-        let msg = err.to_string();
-        assert!(
-            msg.contains(name) && msg.contains("CRC32"),
-            "flip in {name} produced unrelated error: {msg}"
-        );
+    for clean in fixtures() {
+        let extents = toc_extents(clean);
+        for (i, name) in ["META", "PAC", "SA", "OCC"].iter().enumerate() {
+            let (off, len) = extents[i];
+            let mut bytes = clean.clone();
+            bytes[off + len / 2] ^= 0x01;
+            for opts in [BuildOpts::optimized_only(), BuildOpts::default()] {
+                let err = load_index(&bytes, &opts).expect_err("corrupt section must be rejected");
+                let msg = err.to_string();
+                assert!(
+                    msg.contains(name) && msg.contains("CRC32"),
+                    "flip in {name} produced unrelated error: {msg}"
+                );
+            }
+        }
     }
 }

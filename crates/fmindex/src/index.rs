@@ -104,11 +104,9 @@ impl FmIndex {
         let s = Self::doubled_text(reference);
         let bwt = bwt_from_savec(&s, &sa);
         let meta = BwtMeta::from_bwt(&bwt);
-        // S is reverse-complement symmetric, so for well-formed input
-        // base counts pair up (A==T, C==G). Not asserted: this path
-        // also rebuilds from persisted pre-checksum (v2/v3) bundles,
-        // where a corrupt pac/SA may break the pairing — that must
-        // degrade, not abort.
+        // S is reverse-complement symmetric, so base counts pair up
+        // (A==T, C==G); nothing below depends on it, so it is not
+        // asserted.
         FmIndex {
             l_pac: l as i64,
             meta,
@@ -121,38 +119,7 @@ impl FmIndex {
         }
     }
 
-    /// Assemble an index from a persisted optimized occurrence table (the
-    /// v3 bundle's CP-OCC section) without touching the BWT: the blocks
-    /// stream in with a sequential read instead of being rebuilt from a
-    /// suffix-array pass. Only the optimized components can be served
-    /// this way — `opts.orig_occ` must be false (the classic profile
-    /// still takes the rebuild path).
-    pub fn from_persisted_occ(
-        reference: &Reference,
-        sa: impl Into<SaVec>,
-        occ: OccOpt,
-        opts: &BuildOpts,
-    ) -> FmIndex {
-        assert!(
-            !opts.orig_occ,
-            "original occurrence table is not persisted; use build_from_sa"
-        );
-        let sa: SaVec = sa.into();
-        let l = reference.len();
-        assert_eq!(sa.len(), 2 * l + 1, "suffix array size mismatch");
-        let meta = *occ.meta();
-        assert_eq!(meta.n_stored, 2 * l as i64, "occ table size mismatch");
-        FmIndex {
-            l_pac: l as i64,
-            meta,
-            occ_orig: None,
-            occ_opt: opts.opt_occ.then_some(occ),
-            sa_sampled: opts.sampled_sa.map(|q| SampledSa::build(&sa, q)),
-            sa_flat: opts.flat_sa.then(|| FlatSa::build(sa)),
-        }
-    }
-
-    /// Assemble an index whose big components *borrow* a mapped v4
+    /// Assemble an index whose big components *borrow* a mapped
     /// bundle — zero copies, zero rebuild work. The flat suffix array
     /// stands in for sampled storage too (a sampled table, if the
     /// profile asks for one, is derived by copying out of the mapped

@@ -7,14 +7,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::alphabet::{encode_base, BASE_N};
 use crate::fasta::FastaRecord;
 use crate::pack::PackedSeq;
 
 /// Annotation for one contig in the concatenated reference.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ContigAnn {
     /// Contig name (FASTA header).
     pub name: String,
@@ -25,7 +24,7 @@ pub struct ContigAnn {
 }
 
 /// A run of ambiguous bases that was replaced with random bases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AmbHole {
     /// Start in concatenated coordinates.
     pub offset: usize,
@@ -34,7 +33,7 @@ pub struct AmbHole {
 }
 
 /// The set of contigs making up a reference.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ContigSet {
     /// Per-contig annotations, ordered by offset.
     pub contigs: Vec<ContigAnn>,

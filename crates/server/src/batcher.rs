@@ -103,12 +103,6 @@ pub struct Counters {
     pub slabs: AtomicU64,
     /// Submissions coalesced into those slabs (occupancy numerator).
     pub slab_submissions: AtomicU64,
-    /// Reads carried by those slabs.
-    pub slab_reads: AtomicU64,
-    /// Total µs submissions spent queued before a worker took them.
-    pub queue_wait_us: AtomicU64,
-    /// Total µs workers spent aligning slabs.
-    pub service_us: AtomicU64,
     /// Connections currently open.
     pub active_connections: AtomicUsize,
     /// Alignment slabs that panicked (each answers its requests with
@@ -354,10 +348,6 @@ fn align_group(
     for sub in &group {
         n_reads += sub.payload.n_reads() as u64;
         let waited_us = sub.enqueued.elapsed().as_micros() as u64;
-        shared
-            .counters
-            .queue_wait_us
-            .fetch_add(waited_us, Ordering::Relaxed);
         shared.counters.queue_wait_hist.record(waited_us);
     }
     let fingerprint = group[0].fingerprint.clone();
@@ -474,15 +464,7 @@ fn align_group(
         .counters
         .slab_submissions
         .fetch_add(n_subs, Ordering::Relaxed);
-    shared
-        .counters
-        .slab_reads
-        .fetch_add(n_reads, Ordering::Relaxed);
     let service_us = t_service.elapsed().as_micros() as u64;
-    shared
-        .counters
-        .service_us
-        .fetch_add(service_us, Ordering::Relaxed);
     shared.counters.service_hist.record(service_us);
     // `worker.times` was reset at the previous slab boundary, so the
     // take is exactly this slab's per-stage breakdown.

@@ -91,8 +91,8 @@ pub struct ServeConfig {
 
 /// Everything needed to load a replacement index bundle for a hot-swap
 /// exactly like the startup load (same workflow profile, same load
-/// mode). Verification is always eager on reload — a swap must never
-/// install bytes it has not checked.
+/// mode). Every section is verified before the swap — a swap must
+/// never install bytes it has not checked.
 #[derive(Clone, Copy)]
 pub struct ReloadSpec {
     /// Base alignment options the new [`Aligner`] is built with.
@@ -312,15 +312,15 @@ fn reload_index(ctx: &ConnCtx, path: &str) -> Result<u64, String> {
         ));
     }
     let t_load = Instant::now();
-    // Always eager: every checksummed section is verified before the
-    // swap, so a corrupt bundle is rejected here and never serves.
+    // Every section is CRC-verified before the swap, so a corrupt
+    // bundle is rejected here and never serves.
     let loaded = bundle::load_index_file(
         std::path::Path::new(path),
         &spec.workflow.build_opts(),
         spec.load_mode,
         VerifyMode::Eager,
     );
-    let (reference, index, report) = match loaded {
+    let (reference, index, _) = match loaded {
         Ok(parts) => parts,
         Err(e) => {
             ctx.slot.record_failure();
@@ -338,13 +338,7 @@ fn reload_index(ctx: &ConnCtx, path: &str) -> Result<u64, String> {
     olog::info(
         "serve",
         "index hot-swapped",
-        &[
-            ("path", &path),
-            ("epoch", &epoch),
-            ("bundle_version", &report.version),
-            ("verified", &report.checksummed),
-            ("load_ms", &ms),
-        ],
+        &[("path", &path), ("epoch", &epoch), ("load_ms", &ms)],
     );
     Ok(epoch)
 }
@@ -727,29 +721,18 @@ fn finish_request(
     Ok(true)
 }
 
-/// The STATS snapshot: queue state, traffic counters, batch occupancy,
-/// and per-stage latency distributions. Hand-rolled JSON (no serde in
-/// the offline shim set), flat enough for `grep`/`jq` alike.
+/// The STATS snapshot: queue state, traffic counters (`reads` ÷ `slabs`
+/// is the batch occupancy), and per-stage latency distributions.
+/// Hand-rolled JSON (no JSON library dependency), flat enough for
+/// `grep`/`jq` alike.
 ///
 /// Schema v2: `queue_wait`, `service`, and `stages` carry mean plus
 /// p50/p90/p99/max summaries whose fields are `null` when nothing has
-/// been observed — distinct from a true measured 0. The flat `avg_*`
-/// and `stage_ms` keys are the v1 schema, kept one release for
-/// compatibility (their 0-on-empty behavior included); new consumers
-/// should read the structured keys.
+/// been observed — distinct from a true measured 0.
 fn render_stats(ctx: &ConnCtx) -> String {
     ctx.batcher.with(|b| {
         let c = b.counters();
-        let slabs = c.slabs.load(Ordering::Relaxed);
-        let slab_subs = c.slab_submissions.load(Ordering::Relaxed);
-        let slab_reads = c.slab_reads.load(Ordering::Relaxed);
-        let admitted = c.admitted.load(Ordering::Relaxed);
         let times = b.stage_times();
-        let stage_ms: Vec<String> = mem2_core::profile::STAGE_NAMES
-            .iter()
-            .zip(times.totals.iter())
-            .map(|(name, d)| format!("\"{}\": {:.3}", name, d.as_secs_f64() * 1e3))
-            .collect();
         let stages: Vec<String> = mem2_core::profile::STAGE_NAMES
             .iter()
             .enumerate()
@@ -771,20 +754,17 @@ fn render_stats(ctx: &ConnCtx) -> String {
                 "\"requests_rejected\": {}, \"reads\": {}, \"records\": {}, ",
                 "\"slabs\": {}, \"slab_panics\": {}, \"deadlines_expired\": {}, ",
                 "\"epoch\": {}, \"swaps\": {}, \"swap_failures\": {}, ",
-                "\"queue_wait\": {}, \"service\": {}, \"stages\": {{{}}}, ",
-                "\"avg_requests_per_slab\": {:.3}, ",
-                "\"avg_reads_per_slab\": {:.3}, \"avg_queue_wait_ms\": {:.3}, ",
-                "\"avg_service_ms\": {:.3}, \"stage_ms\": {{{}}}}}"
+                "\"queue_wait\": {}, \"service\": {}, \"stages\": {{{}}}}}"
             ),
             ctx.started.elapsed().as_millis(),
             b.queue_depth(),
             ctx.queue_cap,
             c.active_connections.load(Ordering::Relaxed),
-            admitted,
+            c.admitted.load(Ordering::Relaxed),
             c.rejected.load(Ordering::Relaxed),
             c.reads.load(Ordering::Relaxed),
             c.records.load(Ordering::Relaxed),
-            slabs,
+            c.slabs.load(Ordering::Relaxed),
             c.slab_panics.load(Ordering::Relaxed),
             c.deadlines_expired.load(Ordering::Relaxed),
             b.slot().epoch(),
@@ -793,11 +773,6 @@ fn render_stats(ctx: &ConnCtx) -> String {
             latency_summary(&c.queue_wait_hist.snapshot()),
             latency_summary(&c.service_hist.snapshot()),
             stages.join(", "),
-            ratio(slab_subs, slabs),
-            ratio(slab_reads, slabs),
-            ratio(c.queue_wait_us.load(Ordering::Relaxed), admitted) / 1e3,
-            ratio(c.service_us.load(Ordering::Relaxed), slabs) / 1e3,
-            stage_ms.join(", "),
         )
     })
 }
@@ -815,16 +790,6 @@ fn latency_summary(snap: &mem2_obs::HistSnapshot) -> String {
         mean_ms,
         percentile_fields_us(snap).replace("\":", "\": "),
     )
-}
-
-/// v1-schema average helper: silently 0 on an empty denominator (kept
-/// for the deprecated `avg_*` keys; v2 uses `null` instead).
-fn ratio(num: u64, den: u64) -> f64 {
-    if den == 0 {
-        0.0
-    } else {
-        num as f64 / den as f64
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -172,8 +172,8 @@ fn concurrent_clients_get_offline_identical_sam() {
     for field in [
         "\"queue_depth\"",
         "\"requests_admitted\"",
-        "\"avg_reads_per_slab\"",
-        "\"stage_ms\"",
+        "\"reads\"",
+        "\"slabs\"",
     ] {
         assert!(stats.contains(field), "stats missing {field}: {stats}");
     }
@@ -358,8 +358,8 @@ fn metrics_endpoint_reflects_traffic() {
         "endpoint must survive a 404"
     );
 
-    // STATS v2 now carries real percentiles alongside the deprecated
-    // v1 averages
+    // STATS v2 carries real percentiles; the retired v1 flat keys are
+    // gone
     let stats = client.stats().expect("stats");
     assert!(
         stats.contains("\"service\": {\"count\": 1, \"mean_ms\": "),
@@ -369,10 +369,18 @@ fn metrics_endpoint_reflects_traffic() {
         stats.contains("\"stages\": {\"SMEM\": {\"total_ms\": "),
         "{stats}"
     );
-    assert!(
-        stats.contains("\"avg_reads_per_slab\""),
-        "v1 keys stay one release: {stats}"
-    );
+    for v1 in [
+        "avg_requests_per_slab",
+        "avg_reads_per_slab",
+        "avg_queue_wait_ms",
+        "avg_service_ms",
+        "stage_ms",
+    ] {
+        assert!(
+            !stats.contains(&format!("\"{v1}\"")),
+            "v1 key {v1} still present: {stats}"
+        );
+    }
     assert!(
         !stats.contains("\"mean_ms\": null, \"p50_us\": null}}, \"service\""),
         "queue_wait must have data after traffic: {stats}"

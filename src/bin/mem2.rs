@@ -39,13 +39,10 @@
 //!                       spread over all threads
 //!     --batch-pairs N   pairs per paired-end batch / pestat window
 //!                       (default 32768)
-//!     --load MODE       index file loading: auto|mmap|read (default
-//!                       auto = mmap when available; v4+ bundles are
-//!                       then served zero-copy from the mapping)
-//!     --verify MODE     v5 bundle checksum policy: eager|first-touch
-//!                       (default eager; `read` loads always verify
-//!                       eagerly; first-touch skips sections the
-//!                       profile never reads)
+//!     --load MODE       index file loading: auto|read (default auto =
+//!                       mmap when available, the bundle then served
+//!                       zero-copy from the mapping; read = buffered).
+//!                       Every section's CRC32 is verified at load.
 //!     --profile[=json]  end-of-run per-stage latency report on stderr:
 //!                       totals plus p50/p90/p99/max, and the scheduler's
 //!                       worker_busy_share, slabs_per_worker and
@@ -304,7 +301,6 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
     let mut batch_pairs_set = false;
     let mut pes_override: Option<PeStats> = None;
     let mut load_mode = LoadMode::Auto;
-    let mut verify = VerifyMode::Eager;
     let mut profile: Option<ProfileFormat> = None;
     let mut out_path: Option<String> = None;
     let mut ckpt_path: Option<String> = None;
@@ -320,7 +316,6 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
                     .parse()
                     .map_err(|_| "-t needs an integer")?;
             }
-            "--verify" => verify = parse_verify_mode(it.next().ok_or("--verify needs a value")?)?,
             "--profile" => profile = Some(ProfileFormat::Text),
             "--profile=json" => profile = Some(ProfileFormat::Json),
             "-o" => out_path = Some(it.next().ok_or("-o needs a file path")?.clone()),
@@ -364,16 +359,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
                 }
             }
             "--classic" => workflow = Workflow::Classic,
-            "--load" => {
-                load_mode = match it.next().ok_or("--load needs a value")?.as_str() {
-                    "auto" => LoadMode::Auto,
-                    "mmap" => LoadMode::Mmap,
-                    "read" => LoadMode::Read,
-                    other => {
-                        return Err(format!("--load must be auto|mmap|read, got {other}").into())
-                    }
-                };
-            }
+            "--load" => load_mode = parse_load_mode(it.next().ok_or("--load needs a value")?)?,
             "--simd" => {
                 let v = it.next().ok_or("--simd needs a value")?;
                 opts.simd = SimdChoice::parse(v)
@@ -431,7 +417,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
         &[],
     );
 
-    let (reference, index) = load_ref_index(ref_path, workflow, load_mode, verify, "mem")?;
+    let (reference, index) = load_ref_index(ref_path, workflow, load_mode, "mem")?;
     let aligner = Aligner::with_index(index, reference, opts, workflow);
 
     // -- checkpoint state: fingerprint, and (on resume) the journal --
@@ -913,7 +899,6 @@ fn load_ref_index(
     ref_path: &str,
     workflow: Workflow,
     load_mode: LoadMode,
-    verify: VerifyMode,
     tag: &str,
 ) -> Result<(Reference, FmIndex), AnyError> {
     if ref_path.ends_with(".idx") {
@@ -922,14 +907,14 @@ fn load_ref_index(
             std::path::Path::new(ref_path),
             &workflow.build_opts(),
             load_mode,
-            verify,
+            VerifyMode::Eager,
         )
         .map_err(|e| format!("{ref_path}: {e}"))?;
         olog::info(
             tag,
             &format!(
-                "index: bundle v{}, {}-bit positions, {} MB, {} load{}{} in {:.0} ms",
-                report.version,
+                "index: bundle v{}, {}-bit positions, {} MB, {} load{} (verified) in {:.0} ms",
+                bundle::BUNDLE_VERSION,
                 report.sa_width,
                 report.bytes / (1 << 20),
                 if report.file_mapped {
@@ -938,11 +923,6 @@ fn load_ref_index(
                     "buffered"
                 },
                 if report.zero_copy { " (zero-copy)" } else { "" },
-                if report.checksummed {
-                    " (verified)"
-                } else {
-                    " (no checksums)"
-                },
                 t_load.elapsed().as_secs_f64() * 1e3
             ),
             &[],
@@ -955,12 +935,12 @@ fn load_ref_index(
     }
 }
 
-/// Parse `--verify eager|first-touch` (shared by `mem` and `serve`).
-fn parse_verify_mode(s: &str) -> Result<VerifyMode, AnyError> {
+/// Parse `--load auto|read` (shared by `mem` and `serve`).
+fn parse_load_mode(s: &str) -> Result<LoadMode, AnyError> {
     match s {
-        "eager" => Ok(VerifyMode::Eager),
-        "first-touch" => Ok(VerifyMode::FirstTouch),
-        other => Err(format!("--verify must be eager|first-touch, got {other}").into()),
+        "auto" => Ok(LoadMode::Auto),
+        "read" => Ok(LoadMode::Read),
+        other => Err(format!("--load must be auto|read, got {other}").into()),
     }
 }
 
@@ -1008,7 +988,7 @@ fn parse_endpoint(socket: Option<&String>, tcp: Option<&String>) -> Result<Endpo
 fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     const USAGE: &str = "usage: mem2 serve [--socket PATH|--tcp ADDR] [-t N] [--queue N] \
          [--slab-reads N] [--retry-ms N] [--metrics-addr ADDR] [--slow-ms N] [-I MEAN[,STD]] \
-         [--classic] [--simd MODE] [--load MODE] [--verify MODE] [--request-timeout MS] \
+         [--classic] [--simd MODE] [--load MODE] [--request-timeout MS] \
          [--conn-timeout MS] <ref.idx|ref.fasta>";
     let mut threads = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -1016,7 +996,6 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     let mut workflow = Workflow::Batched;
     let mut opts = MemOpts::default();
     let mut load_mode = LoadMode::Auto;
-    let mut verify = VerifyMode::Eager;
     let mut socket: Option<&String> = None;
     let mut tcp: Option<&String> = None;
     let mut queue_cap = 64usize;
@@ -1099,22 +1078,12 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
                 pes_override = Some(parse_insert_override(it.next().ok_or("-I needs a value")?)?);
             }
             "--classic" => workflow = Workflow::Classic,
-            "--load" => {
-                load_mode = match it.next().ok_or("--load needs a value")?.as_str() {
-                    "auto" => LoadMode::Auto,
-                    "mmap" => LoadMode::Mmap,
-                    "read" => LoadMode::Read,
-                    other => {
-                        return Err(format!("--load must be auto|mmap|read, got {other}").into())
-                    }
-                };
-            }
+            "--load" => load_mode = parse_load_mode(it.next().ok_or("--load needs a value")?)?,
             "--simd" => {
                 let v = it.next().ok_or("--simd needs a value")?;
                 opts.simd = SimdChoice::parse(v)
                     .ok_or_else(|| format!("--simd must be one of {}", SimdChoice::VALUES))?;
             }
-            "--verify" => verify = parse_verify_mode(it.next().ok_or("--verify needs a value")?)?,
             _ => positional.push(a),
         }
     }
@@ -1128,7 +1097,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         &format!("SIMD: --simd {} -> {}", opts.simd, resolve_simd(opts.simd)),
         &[],
     );
-    let (reference, index) = load_ref_index(ref_path, workflow, load_mode, verify, "serve")?;
+    let (reference, index) = load_ref_index(ref_path, workflow, load_mode, "serve")?;
     let aligner = Aligner::with_index(index, reference, opts, workflow);
 
     // hot-swap (RELOAD / SIGHUP) only makes sense when the daemon was

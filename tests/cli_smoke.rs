@@ -522,17 +522,21 @@ fn old_index_bundles_are_rejected_with_version_error() {
     mem2_ok(&["simulate", "0.02", "1", "50", &prefix]);
     let idx = dir.path("v.idx");
     mem2_ok(&["index", &format!("{prefix}.fasta"), &idx]);
-    let mut bytes = std::fs::read(&idx).expect("read idx");
-    assert_eq!(&bytes[..7], b"MEM2IDX");
-    bytes[7] = 1; // the retired v1 layout
-    std::fs::write(&idx, &bytes).expect("rewrite idx");
-    let out = mem2(&["mem", &idx, &format!("{prefix}.fastq")]);
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("version 1") && stderr.contains("mem2 index"),
-        "actionable version error: {stderr}"
-    );
+    let clean = std::fs::read(&idx).expect("read idx");
+    assert_eq!(&clean[..7], b"MEM2IDX");
+    // the retired v1 layout, and v4 (the last one before checksums)
+    for v in [1u8, 4] {
+        let mut bytes = clean.clone();
+        bytes[7] = v;
+        std::fs::write(&idx, &bytes).expect("rewrite idx");
+        let out = mem2(&["mem", &idx, &format!("{prefix}.fastq")]);
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("version {v}")) && stderr.contains("re-run `mem2 index`"),
+            "actionable version error: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -561,15 +565,10 @@ fn index_width_matrix_is_byte_identical() {
     let n64 = std::fs::metadata(&idx64).expect("idx64").len();
     assert!(n64 > n32, "wide bundle must be larger: {n64} vs {n32}");
 
-    // single-end: byte identity across widths and load modes
+    // single-end: byte identity across widths and load modes (the
+    // default, auto, is the base run)
     let base = mem2_ok(&["mem", "-t", "2", &idx32, &fastq]);
-    for (idx, load) in [
-        (&idx32, "read"),
-        (&idx32, "mmap"),
-        (&idx64, "auto"),
-        (&idx64, "read"),
-        (&idx64, "mmap"),
-    ] {
+    for (idx, load) in [(&idx32, "read"), (&idx64, "auto"), (&idx64, "read")] {
         let got = mem2_ok(&["mem", "-t", "2", "--load", load, idx, &fastq]);
         assert_eq!(
             base.stdout, got.stdout,
@@ -626,9 +625,18 @@ fn index_width_matrix_is_byte_identical() {
     let out = mem2(&["index", "--index-width", "48", &fasta, &dir.path("x.idx")]);
     assert!(!out.status.success(), "bad --index-width must fail");
     assert!(String::from_utf8_lossy(&out.stderr).contains("auto|32|64"));
-    let out = mem2(&["mem", "--load", "dma", &idx32, &fastq]);
-    assert!(!out.status.success(), "bad --load must fail");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("auto|mmap|read"));
+    let out = mem2(&["mem", "--load", "mmap", &idx32, &fastq]);
+    assert!(!out.status.success(), "--load mmap is gone (auto maps)");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("auto|read"));
+    // --verify is gone too: there is one verification policy
+    for verb in [
+        &["mem", "--verify", "eager", &idx32, &fastq][..],
+        &["serve", "--verify", "eager", &idx32][..],
+    ] {
+        let out = mem2(verb);
+        assert!(!out.status.success(), "{verb:?} must fail");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    }
 }
 
 /// `mem2 serve` + `mem2 client` end to end as real processes: the
