@@ -1,17 +1,17 @@
-//! End-to-end criterion bench: classic vs batched workflow, single
-//! thread and multi-thread (the continuously-runnable Figure 5).
+//! End-to-end criterion bench: the classic oracle vs the batched
+//! pipeline, single thread and multi-thread (the continuously-runnable
+//! Figure 5).
 
 use std::sync::OnceLock;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mem2_bench::{BenchEnv, EnvConfig};
-use mem2_core::{align_reads_parallel, Aligner, Workflow};
+use mem2_core::{align_reads_parallel, classic, Aligner};
 use mem2_seqio::FastqRecord;
 
 struct Fixtures {
-    classic: Aligner,
-    batched: Aligner,
+    aligner: Aligner,
     reads: Vec<FastqRecord>,
 }
 
@@ -22,23 +22,9 @@ fn fixtures() -> &'static Fixtures {
             genome_mb: 1.0,
             read_scale: 2000,
         });
-        let reads = env.reads_n("D1", 250);
-        let classic = Aligner::with_index(
-            env.index.clone(),
-            env.reference.clone(),
-            env.opts,
-            Workflow::Classic,
-        );
-        let batched = Aligner::with_index(
-            env.index.clone(),
-            env.reference.clone(),
-            env.opts,
-            Workflow::Batched,
-        );
         Fixtures {
-            classic,
-            batched,
-            reads,
+            aligner: env.aligner(),
+            reads: env.reads_n("D1", 250),
         }
     })
 }
@@ -47,8 +33,10 @@ fn bench_single_thread(c: &mut Criterion) {
     let f = fixtures();
     let mut group = c.benchmark_group("e2e_single_thread");
     group.sample_size(10);
-    group.bench_function("classic", |b| b.iter(|| f.classic.align_reads(&f.reads)));
-    group.bench_function("batched", |b| b.iter(|| f.batched.align_reads(&f.reads)));
+    group.bench_function("classic", |b| {
+        b.iter(|| classic::align_reads_parallel(&f.aligner, &f.reads, 1))
+    });
+    group.bench_function("batched", |b| b.iter(|| f.aligner.align_reads(&f.reads)));
     group.finish();
 }
 
@@ -61,10 +49,10 @@ fn bench_multi_thread(c: &mut Criterion) {
     let mut group = c.benchmark_group("e2e_multi_thread");
     group.sample_size(10);
     group.bench_function(format!("classic_x{threads}"), |b| {
-        b.iter(|| align_reads_parallel(&f.classic, &f.reads, threads))
+        b.iter(|| classic::align_reads_parallel(&f.aligner, &f.reads, threads))
     });
     group.bench_function(format!("batched_x{threads}"), |b| {
-        b.iter(|| align_reads_parallel(&f.batched, &f.reads, threads))
+        b.iter(|| align_reads_parallel(&f.aligner, &f.reads, threads))
     });
     group.finish();
 }

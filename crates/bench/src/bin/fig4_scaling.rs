@@ -13,7 +13,7 @@ use mem2_bench::{
     intercept_bsw_jobs, intercept_sal_rows, intercept_smem_queries, BenchEnv, EnvConfig, Table,
 };
 use mem2_bsw::{BswEngine, ExtendJob};
-use mem2_core::{align_reads_parallel, Aligner, Workflow};
+use mem2_core::{align_reads_parallel, classic};
 use mem2_fmindex::{collect_intv, OccTable, SmemAux};
 use mem2_memsim::NoopSink;
 
@@ -117,18 +117,7 @@ fn main() {
         let jobs = intercept_bsw_jobs(&env.index, &env.reference, &env.opts, &reads);
         let scalar = BswEngine::original(env.opts.score);
         let vector = BswEngine::optimized(env.opts.score);
-        let classic = Aligner::with_index(
-            env.index.clone(),
-            env.reference.clone(),
-            env.opts,
-            Workflow::Classic,
-        );
-        let batched = Aligner::with_index(
-            env.index.clone(),
-            env.reference.clone(),
-            env.opts,
-            Workflow::Batched,
-        );
+        let aligner = env.aligner();
 
         let mut table = Table::new(&[
             "threads",
@@ -152,12 +141,12 @@ fn main() {
                 bsw_kernel(&vector, &jobs, t),
                 {
                     let t0 = Instant::now();
-                    let _ = align_reads_parallel(&classic, &reads, t);
+                    let _ = classic::align_reads_parallel(&aligner, &reads, t);
                     t0.elapsed().as_secs_f64()
                 },
                 {
                     let t0 = Instant::now();
-                    let _ = align_reads_parallel(&batched, &reads, t);
+                    let _ = align_reads_parallel(&aligner, &reads, t);
                     t0.elapsed().as_secs_f64()
                 },
             ];

@@ -6,17 +6,22 @@ use std::time::Instant;
 
 use mem2_bench::{BenchEnv, EnvConfig, Table};
 use mem2_core::profile::STAGE_NAMES;
-use mem2_core::{align_reads_parallel, Aligner, StageTimes, Workflow};
+use mem2_core::{align_reads_parallel, classic, Aligner, SamRecord, StageTimes};
+use mem2_seqio::FastqRecord;
 
-fn run(env: &BenchEnv, label: &str, workflow: Workflow, threads: usize) -> (f64, StageTimes) {
+/// One implementation's in-memory driver: reads on `n` threads → SAM
+/// records and stage times.
+type Driver = fn(&Aligner, &[FastqRecord], usize) -> (Vec<SamRecord>, StageTimes);
+
+fn run(env: &BenchEnv, label: &str, align: Driver, threads: usize) -> (f64, StageTimes) {
     let reads = env.reads(label);
-    let aligner = Aligner::with_index(env.index.clone(), env.reference.clone(), env.opts, workflow);
+    let aligner = env.aligner();
     // best of three to tame container noise
     let mut best = f64::MAX;
     let mut best_times = StageTimes::default();
     for _ in 0..3 {
         let t = Instant::now();
-        let (_, times) = align_reads_parallel(&aligner, &reads, threads);
+        let (_, times) = align(&aligner, &reads, threads);
         let secs = t.elapsed().as_secs_f64();
         if secs < best {
             best = secs;
@@ -43,8 +48,8 @@ fn main() {
             "Dataset", "Orig (s)", "Opt (s)", "Speedup", "SMEM%", "SAL%", "BSW%", "Misc%",
         ]);
         for label in ["D1", "D2", "D3", "D4", "D5"] {
-            let (orig_s, _) = run(&env, label, Workflow::Classic, threads);
-            let (opt_s, opt_t) = run(&env, label, Workflow::Batched, threads);
+            let (orig_s, _) = run(&env, label, classic::align_reads_parallel, threads);
+            let (opt_s, opt_t) = run(&env, label, align_reads_parallel, threads);
             let pct = opt_t.percentages();
             let misc = pct[2] + pct[3] + pct[5] + pct[6]; // chain+pre+sam+misc
             table.row(vec![

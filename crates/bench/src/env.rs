@@ -1,6 +1,6 @@
 //! Benchmark environment: reference, dual-layout index, scaled datasets.
 
-use mem2_core::MemOpts;
+use mem2_core::{Aligner, MemOpts};
 use mem2_fmindex::{BuildOpts, FmIndex};
 use mem2_seqio::{DatasetPreset, FastqRecord, GenomeSpec, ReadSim, Reference};
 
@@ -63,6 +63,16 @@ impl BenchEnv {
             reference,
             index,
             opts: MemOpts::default(),
+        }
+    }
+
+    /// An aligner over a copy of the dual-layout index: it serves both
+    /// the batched pipeline and the `mem2_core::classic` oracle.
+    pub fn aligner(&self) -> Aligner {
+        Aligner {
+            opts: self.opts,
+            index: self.index.clone(),
+            reference: self.reference.clone(),
         }
     }
 

@@ -59,11 +59,9 @@ pub fn interval_rid(contigs: &ContigSet, l_pac: i64, rb: i64, re: i64) -> Option
 pub enum SaMode {
     /// The paper's flat, uncompressed SA — one load per lookup.
     Flat,
-    /// The original sampled SA walked with LF-mapping over the given
-    /// occurrence layout.
+    /// The original sampled SA walked with LF-mapping over the η=128
+    /// occurrence table.
     SampledOrig,
-    /// Sampled SA walked over the optimized occurrence layout.
-    SampledOpt,
 }
 
 /// The suffix-array rows an interval's seeds resolve through, in bwa's
@@ -105,11 +103,6 @@ pub fn seeds_from_interval<P: PerfSink>(
                 .as_ref()
                 .expect("sampled SA not built")
                 .lookup(index.orig(), row, sink),
-            SaMode::SampledOpt => index
-                .sa_sampled
-                .as_ref()
-                .expect("sampled SA not built")
-                .lookup(index.opt(), row, sink),
         };
         let seed = Seed {
             rbeg,

@@ -1,5 +1,5 @@
 //! Generates the expected lines for the golden determinism test.
-use mem2_core::{Aligner, MemOpts, Workflow};
+use mem2_core::{Aligner, MemOpts};
 use mem2_seqio::{FastqRecord, GenomeSpec, ReadSim, ReadSimSpec};
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     .into_iter()
     .map(|s| s.record)
     .collect();
-    let aligner = Aligner::build(reference, MemOpts::default(), Workflow::Batched);
+    let aligner = Aligner::build(reference, MemOpts::default());
     for rec in aligner.align_reads(&reads) {
         println!("{:?},", rec.to_line());
     }

@@ -4,33 +4,22 @@ use mem2_fmindex::{BuildOpts, FmIndex};
 use mem2_seqio::{FastqRecord, Reference};
 
 use crate::opts::MemOpts;
-use crate::pipeline::{align_prepared, read_to_sam, PipelineContext, PreparedRead, Worker};
+use crate::pipeline::{align_to_records, PipelineContext, PreparedRead, Worker};
 use crate::profile::StageTimes;
 use crate::sam::SamRecord;
 
-/// Which pipeline organization to run (Figure 2 of the paper).
+/// The pipeline organization: always the paper's stage-batched one.
+/// The type survives only because the benchmark package's pinned call
+/// to [`Aligner::with_index`] passes `Workflow::Batched`; the original
+/// per-read organization is the test oracle in [`crate::classic`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workflow {
-    /// Original BWA-MEM: per-read processing, η=128 occurrence table,
-    /// sampled suffix array, scalar BSW.
-    Classic,
-    /// The paper's re-organization: stage-batched processing, η=32
-    /// cache-line occurrence table with software prefetch, flat suffix
-    /// array, inter-task SIMD BSW with length sorting.
+    /// Stage-batched processing, η=32 cache-line occurrence table with
+    /// software prefetch, flat suffix array, inter-task SIMD BSW.
     Batched,
 }
 
-impl Workflow {
-    /// The index components this workflow requires.
-    pub fn build_opts(&self) -> BuildOpts {
-        match self {
-            Workflow::Classic => BuildOpts::original_only(),
-            Workflow::Batched => BuildOpts::optimized_only(),
-        }
-    }
-}
-
-/// A ready-to-use aligner: reference + index + options + workflow.
+/// A ready-to-use aligner: reference + index + options.
 pub struct Aligner {
     /// Aligner options.
     pub opts: MemOpts,
@@ -38,37 +27,33 @@ pub struct Aligner {
     pub index: FmIndex,
     /// The reference.
     pub reference: Reference,
-    /// Selected workflow.
-    pub workflow: Workflow,
 }
 
 impl Aligner {
-    /// Build an aligner, constructing exactly the index components the
-    /// workflow needs.
-    pub fn build(reference: Reference, opts: MemOpts, workflow: Workflow) -> Aligner {
-        let index = FmIndex::build(&reference, &workflow.build_opts());
+    /// Build an aligner with the production index components (η=32
+    /// occurrence table, flat suffix array).
+    pub fn build(reference: Reference, opts: MemOpts) -> Aligner {
+        let index = FmIndex::build(&reference, &BuildOpts::optimized_only());
         Aligner {
             opts,
             index,
             reference,
-            workflow,
         }
     }
 
-    /// Wrap an existing index (it must contain the components the
-    /// workflow requires — e.g. a [`BuildOpts::default`] index serves
-    /// both workflows).
+    /// Wrap an existing index. It must hold the η=32 occurrence table
+    /// and the flat suffix array; a [`BuildOpts::default`] index also
+    /// serves the [`crate::classic`] oracle.
     pub fn with_index(
         index: FmIndex,
         reference: Reference,
         opts: MemOpts,
-        workflow: Workflow,
+        _workflow: Workflow,
     ) -> Aligner {
         Aligner {
             opts,
             index,
             reference,
-            workflow,
         }
     }
 
@@ -92,28 +77,14 @@ impl Aligner {
     }
 
     /// Align reads on the current thread; returns SAM records in input
-    /// order and accumulates stage times into `times`.
-    pub fn align_reads_timed(
-        &self,
-        reads: &[FastqRecord],
-        times: &mut StageTimes,
-    ) -> Vec<SamRecord> {
-        let ctx = self.context();
+    /// order.
+    pub fn align_reads(&self, reads: &[FastqRecord]) -> Vec<SamRecord> {
         let mut worker = Worker::new(&self.opts);
         let prepared: Vec<PreparedRead> = reads.iter().map(PreparedRead::from_fastq).collect();
-        let regs = align_prepared(&ctx, &mut worker, self.workflow, &prepared);
-        let mut out = Vec::new();
-        for (read, r) in prepared.iter().zip(&regs) {
-            out.extend(read_to_sam(&ctx, read, r, &mut worker.times));
-        }
-        times.merge(&worker.times);
-        out
-    }
-
-    /// Align reads on the current thread.
-    pub fn align_reads(&self, reads: &[FastqRecord]) -> Vec<SamRecord> {
-        let mut times = StageTimes::default();
-        self.align_reads_timed(reads, &mut times)
+        align_to_records(&self.context(), &mut worker, &prepared)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Align a stream of read batches with `n_threads` workers, writing

@@ -631,20 +631,17 @@ pub struct LoadReport {
     /// The file itself was memory-mapped (vs. buffered into the heap).
     pub file_mapped: bool,
     /// The big arrays are served from the loaded region in place (no
-    /// per-component copies) — true only for a profile that needs no
-    /// rebuilt components, on a little-endian host.
+    /// per-component copies) — true on a little-endian host.
     pub zero_copy: bool,
     /// Total bundle size in bytes.
     pub bytes: usize,
 }
 
 /// Assemble the index from a loaded bundle region, after verifying
-/// every section's checksum. A profile that needs no unpersisted
-/// components adopts the region's arrays *in place*; the classic
-/// profile decodes the suffix array owned and rebuilds its η=128 table.
+/// every section's checksum. The η=32 occurrence table and the flat
+/// suffix array are adopted from the region *in place*.
 pub fn load_index_region(
     region: ByteRegion,
-    opts: &BuildOpts,
     file_mapped: bool,
 ) -> Result<(Reference, FmIndex, LoadReport), BundleError> {
     let bytes = region.as_slice();
@@ -661,32 +658,25 @@ pub fn load_index_region(
         pac: PackedSeq::from_region(pac_region, layout.l_pac),
         contigs: layout.contigs,
     };
+    // borrow the mapped arrays in place; fall back to owned decode per
+    // component (big-endian hosts)
     let sa_region = region.slice(layout.sa.0, layout.sa.1);
-    if opts.orig_occ {
-        // classic profile: the η=128 table is not persisted — rebuild
-        // from an owned copy of the suffix array
-        let sa = decode_sa_owned(sa_region.as_slice(), layout.sa_width);
-        let index = FmIndex::build_from_sa(&reference, sa, opts);
-        return Ok((reference, index, report));
-    }
-    // zero-copy path: borrow the mapped arrays in place; fall back to
-    // owned decode per component (big-endian hosts)
     let occ_region = region.slice(layout.occ.0, layout.occ.1);
     let flat = FlatSa::from_region(sa_region.clone(), layout.sa_width)
         .unwrap_or_else(|_| FlatSa::build(decode_sa_owned(sa_region.as_slice(), layout.sa_width)));
     let occ = OccOpt::from_region(layout.meta, occ_region.clone(), layout.occ_width)
         .unwrap_or_else(|_| decode_occ_owned(occ_region.as_slice(), layout.occ_width, layout.meta));
     report.zero_copy = flat.is_mapped() && occ.is_mapped();
-    let index = FmIndex::from_mapped_parts(&reference, flat, occ, opts);
+    let index = FmIndex::from_mapped_parts(&reference, flat, occ);
     Ok((reference, index, report))
 }
 
-/// Load a bundle from a byte buffer and build the index components the
-/// workflow needs. The buffer is staged into page-aligned storage so
-/// the in-place views apply; [`load_index_file`] avoids even that copy.
-pub fn load_index(buf: &[u8], opts: &BuildOpts) -> Result<(Reference, FmIndex), BundleError> {
+/// Load a bundle from a byte buffer. The buffer is staged into
+/// page-aligned storage so the in-place views apply; [`load_index_file`]
+/// avoids even that copy.
+pub fn load_index(buf: &[u8]) -> Result<(Reference, FmIndex), BundleError> {
     let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(buf));
-    let (reference, index, _) = load_index_region(ByteRegion::whole(owner), opts, false)?;
+    let (reference, index, _) = load_index_region(ByteRegion::whole(owner), false)?;
     Ok((reference, index))
 }
 
@@ -718,15 +708,17 @@ fn open_region(path: &std::path::Path, mode: LoadMode) -> Result<(ByteRegion, bo
 /// Open an index bundle file and assemble the index, memory-mapping it
 /// when `mode` and the platform allow (the big arrays are then served
 /// zero-copy). Every section is checksum-verified before the index is
-/// assembled ([`VerifyMode::Eager`] is the only policy).
+/// assembled ([`VerifyMode::Eager`] is the only policy). `_opts` and
+/// `_verify` are unused: they remain for the benchmark package's pinned
+/// call.
 pub fn load_index_file(
     path: &std::path::Path,
-    opts: &BuildOpts,
+    _opts: &BuildOpts,
     mode: LoadMode,
     _verify: VerifyMode,
 ) -> Result<(Reference, FmIndex, LoadReport), BundleError> {
     let (region, file_mapped) = open_region(path, mode)?;
-    load_index_region(region, opts, file_mapped)
+    load_index_region(region, file_mapped)
 }
 
 #[cfg(test)]
@@ -735,9 +727,9 @@ mod tests {
     use mem2_seqio::GenomeSpec;
 
     /// Load through the zero-copy path from a page-aligned copy.
-    fn load_region(bytes: &[u8], opts: &BuildOpts) -> Result<LoadReport, BundleError> {
+    fn load_region(bytes: &[u8]) -> Result<LoadReport, BundleError> {
         let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(bytes));
-        load_index_region(ByteRegion::whole(owner), opts, false).map(|(_, _, report)| report)
+        load_index_region(ByteRegion::whole(owner), false).map(|(_, _, report)| report)
     }
 
     #[test]
@@ -760,10 +752,10 @@ mod tests {
             ..GenomeSpec::default()
         };
         let reference = genome.generate_reference("chrZ");
-        let direct = FmIndex::build(&reference, &BuildOpts::default());
+        let direct = FmIndex::build(&reference, &BuildOpts::optimized_only());
 
         let bytes = build_bundle(&reference).expect("encode");
-        let (loaded_ref, loaded) = load_index(&bytes, &BuildOpts::optimized_only()).expect("load");
+        let (loaded_ref, loaded) = load_index(&bytes).expect("load");
         assert_eq!(loaded_ref.pac, reference.pac);
         assert_eq!(loaded_ref.contigs, reference.contigs);
         // the persisted CP-OCC table equals a from-scratch build
@@ -775,13 +767,11 @@ mod tests {
                 direct.opt().occ4(r, &mut sink)
             );
         }
-        // the full profile rebuilds from the persisted suffix array
-        let (_, rebuilt) = load_index(&bytes, &BuildOpts::default()).expect("rebuild");
-        assert_eq!(rebuilt.meta, direct.meta);
-        assert_eq!(rebuilt.l_pac, direct.l_pac);
-        // spot-check SA storage equality
+        // and so do the metadata and the persisted suffix array
+        assert_eq!(loaded.meta, direct.meta);
+        assert_eq!(loaded.l_pac, direct.l_pac);
         let flat_a = direct.sa_flat.as_ref().expect("flat built");
-        let flat_b = rebuilt.sa_flat.as_ref().expect("flat built");
+        let flat_b = loaded.sa_flat.as_ref().expect("flat built");
         assert_eq!(flat_a.as_u32(), flat_b.as_u32());
     }
 
@@ -812,8 +802,8 @@ mod tests {
         let narrow = build_bundle_with_width(&reference, Some(IndexWidth::W32), None).unwrap();
         let wide = build_bundle_with_width(&reference, Some(IndexWidth::W64), None).unwrap();
         assert_eq!(parse_toc(&wide).unwrap().sa_width, IndexWidth::W64);
-        let (_, idx_n) = load_index(&narrow, &BuildOpts::optimized_only()).unwrap();
-        let (_, idx_w) = load_index(&wide, &BuildOpts::optimized_only()).unwrap();
+        let (_, idx_n) = load_index(&narrow).unwrap();
+        let (_, idx_w) = load_index(&wide).unwrap();
         assert_eq!(idx_n.meta, idx_w.meta);
         let mut sink = mem2_memsim::NoopSink;
         for r in 0..=2 * idx_n.l_pac {
@@ -842,7 +832,7 @@ mod tests {
         let bytes = build_bundle_with_width(&reference, None, Some(100)).expect("encode");
         let layout = parse_toc(&bytes).expect("parse");
         assert_eq!(layout.sa_width, IndexWidth::W64);
-        let (_, idx) = load_index(&bytes, &BuildOpts::optimized_only()).expect("load");
+        let (_, idx) = load_index(&bytes).expect("load");
         let direct = FmIndex::build(&reference, &BuildOpts::optimized_only());
         let mut sink = mem2_memsim::NoopSink;
         for r in 0..=2 * idx.l_pac {
@@ -879,12 +869,8 @@ mod tests {
         for width in [IndexWidth::W32, IndexWidth::W64] {
             let bytes = build_bundle_with_width(&reference, Some(width), None).unwrap();
             let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(&bytes));
-            let (refer, idx, report) = load_index_region(
-                ByteRegion::whole(owner),
-                &BuildOpts::optimized_only(),
-                false,
-            )
-            .expect("load");
+            let (refer, idx, report) =
+                load_index_region(ByteRegion::whole(owner), false).expect("load");
             assert!(report.zero_copy, "width {width}");
             assert_eq!(report.sa_width, width);
             assert_eq!(refer.contigs, reference.contigs);
@@ -963,7 +949,7 @@ mod tests {
         let reference = genome.generate_reference("chrY");
         let direct = FmIndex::build(&reference, &BuildOpts::optimized_only());
         let bytes = build_bundle(&reference).expect("encode");
-        let (_, loaded) = load_index(&bytes, &BuildOpts::optimized_only()).expect("load");
+        let (_, loaded) = load_index(&bytes).expect("load");
         assert!(loaded.occ_orig.is_none());
         assert_eq!(loaded.meta, direct.meta);
         let mut sink = mem2_memsim::NoopSink;
@@ -979,10 +965,6 @@ mod tests {
                 direct.sa_lookup(r, &mut sink)
             );
         }
-        // the classic profile needs the η=128 table: rebuild path
-        let (_, classic) = load_index(&bytes, &BuildOpts::original_only()).expect("load classic");
-        assert!(classic.occ_orig.is_some());
-        assert_eq!(classic.meta, direct.meta);
     }
 
     #[test]
@@ -990,7 +972,7 @@ mod tests {
         let recs = mem2_seqio::parse_fasta(">a\nACGTNNNNACGT\n>b\nGGGG\n").expect("parse");
         let reference = Reference::from_fasta(&recs, 3);
         let bytes = build_bundle(&reference).expect("encode");
-        let (loaded, _) = load_index(&bytes, &BuildOpts::optimized_only()).expect("roundtrip");
+        let (loaded, _) = load_index(&bytes).expect("roundtrip");
         assert_eq!(loaded.contigs, reference.contigs);
         assert_eq!(loaded.contigs.holes.len(), 1);
     }
@@ -1003,19 +985,15 @@ mod tests {
         };
         let reference = genome.generate_reference("c");
         let bytes = build_bundle(&reference).expect("encode");
-        let opts = BuildOpts::optimized_only();
         assert!(matches!(
-            load_index(&bytes[..4], &opts),
+            load_index(&bytes[..4]),
             Err(BundleError::BadMagic)
         ));
         let mut bad = bytes.clone();
         bad[0] = b'X';
+        assert!(matches!(load_index(&bad), Err(BundleError::BadMagic)));
         assert!(matches!(
-            load_index(&bad, &opts),
-            Err(BundleError::BadMagic)
-        ));
-        assert!(matches!(
-            load_index(&bytes[..bytes.len() / 2], &opts),
+            load_index(&bytes[..bytes.len() / 2]),
             Err(BundleError::Truncated(_))
         ));
         // a TOC entry pointing past the file is caught by the header
@@ -1024,7 +1002,7 @@ mod tests {
         let off_pos = 20 + 8; // first entry's offset field
         toc_bad[off_pos..off_pos + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(matches!(
-            load_index(&toc_bad, &opts),
+            load_index(&toc_bad),
             Err(BundleError::ChecksumMismatch {
                 section: "header",
                 ..
@@ -1034,7 +1012,7 @@ mod tests {
         let mut width_bad = bytes.clone();
         width_bad[8] = 2;
         assert!(matches!(
-            load_index(&width_bad, &opts),
+            load_index(&width_bad),
             Err(BundleError::ChecksumMismatch {
                 section: "header",
                 ..
@@ -1062,23 +1040,17 @@ mod tests {
         for (pos, want) in pokes {
             let mut bad = bytes.clone();
             bad[pos] ^= 0x40;
-            // both the zero-copy and the rebuilding profile reject it
-            for opts in [BuildOpts::optimized_only(), BuildOpts::default()] {
-                match load_region(&bad, &opts) {
-                    Err(BundleError::ChecksumMismatch { section, .. }) => {
-                        assert_eq!(section, want, "flip at byte {pos}");
-                    }
-                    other => panic!("flip at byte {pos}: expected checksum error, got {other:?}"),
+            match load_region(&bad) {
+                Err(BundleError::ChecksumMismatch { section, .. }) => {
+                    assert_eq!(section, want, "flip at byte {pos}");
                 }
+                other => panic!("flip at byte {pos}: expected checksum error, got {other:?}"),
             }
         }
         // appended trailing garbage is rejected as well
         let mut grown = bytes.clone();
         grown.push(0xAB);
-        assert!(matches!(
-            load_index(&grown, &BuildOpts::optimized_only()),
-            Err(BundleError::Truncated(_))
-        ));
+        assert!(matches!(load_index(&grown), Err(BundleError::Truncated(_))));
     }
 
     #[test]
@@ -1092,14 +1064,10 @@ mod tests {
         let layout = parse_toc(&bytes).expect("parse");
         let mut bad = bytes.clone();
         bad[layout.occ.0 + 7] ^= 0x01;
-        // the classic profile rebuilds its own table and never reads
-        // OCC, yet verification is eager: the flip still fails the load
-        for opts in [BuildOpts::original_only(), BuildOpts::optimized_only()] {
-            assert!(matches!(
-                load_region(&bad, &opts),
-                Err(BundleError::ChecksumMismatch { section: "OCC", .. })
-            ));
-        }
+        assert!(matches!(
+            load_region(&bad),
+            Err(BundleError::ChecksumMismatch { section: "OCC", .. })
+        ));
     }
 
     #[test]
@@ -1145,8 +1113,7 @@ mod tests {
         for v in [1u8, 2, 3, 4, 6] {
             let mut other = bytes.clone();
             other[7] = v;
-            let err = load_index(&other, &BuildOpts::optimized_only())
-                .expect_err("version must be rejected");
+            let err = load_index(&other).expect_err("version must be rejected");
             assert_eq!(err, BundleError::UnsupportedVersion(v));
             let msg = err.to_string();
             assert!(msg.contains(&format!("version {v}")), "{msg}");

@@ -1,22 +1,20 @@
 //! The accelerated BWA-MEM aligner.
 //!
 //! This crate assembles the substrate crates into the full pipeline of
-//! Figure 2 of the paper, in **both** organizations:
+//! Figure 2 of the paper. There is one production organization, the
+//! paper's re-organization ([`pipeline`]): a chunk of reads is divided
+//! into batches and **every stage runs over the whole batch** before the
+//! next stage starts, enabling inter-task SIMD for BSW; optimized index
+//! layout (η=32, flat SA), software prefetch, contiguous reusable
+//! buffers.
 //!
-//! * [`Workflow::Classic`] — the original BWA-MEM organization: each read
-//!   runs SMEM → SAL → CHAIN → BSW to completion before the next read;
-//!   original index layout (η=128 occurrence table, sampled SA), scalar
-//!   BSW, per-read allocations.
-//! * [`Workflow::Batched`] — the paper's re-organization: a chunk of
-//!   reads is divided into batches and **every stage runs over the whole
-//!   batch** before the next stage starts, enabling inter-task SIMD for
-//!   BSW; optimized index layout (η=32, flat SA), software prefetch,
-//!   contiguous reusable buffers.
+//! The original BWA-MEM organization — each read runs SMEM → SAL → CHAIN
+//! → BSW to completion before the next read, over the η=128 occurrence
+//! table and sampled SA with scalar BSW — lives on in [`classic`] as the
+//! oracle: the batched pipeline must produce byte-identical SAM (the
+//! paper's central requirement), which the integration tests enforce.
 //!
-//! Both workflows produce byte-identical SAM output — the paper's central
-//! requirement — which the integration tests enforce.
-//!
-//! Key types: [`Aligner`] (index + reference + options + workflow),
+//! Key types: [`Aligner`] (index + reference + options),
 //! [`MemOpts`], [`AlnReg`]/[`SamRecord`] (per-read results),
 //! [`pipeline::Worker`] (reusable per-thread arenas), [`StageTimes`]
 //! (Table-1 profiling), and the [`bundle`] persistent-index loader.
@@ -30,6 +28,7 @@
 pub mod aligner;
 pub mod bundle;
 pub mod checkpoint;
+pub mod classic;
 pub mod extend;
 pub mod mapq;
 pub mod mmap;

@@ -1,11 +1,6 @@
-//! The two pipeline organizations of Figure 2.
+//! The paper's stage-batched pipeline (Figure 2, right).
 //!
-//! **Classic** (original BWA-MEM): each read is taken through
-//! SMEM → SAL → CHAIN → BSW before the next read is touched; the original
-//! index layout (η=128 occurrence buckets, sampled suffix array), scalar
-//! BSW, no software prefetching.
-//!
-//! **Batched** (the paper): reads are processed in slabs; each stage
+//! Reads are processed in slabs; each stage
 //! runs over the entire slab before the next begins. The SMEM/SAL stages
 //! hide memory latency: seeding interleaves `seed_batch` reads' resumable
 //! state machines round-robin (each occ prefetch is issued a full
@@ -16,22 +11,21 @@
 //! sends every active read's next accepted seed through the inter-task
 //! SIMD engine (left flanks, then right flanks, which need the left
 //! score), and the walks resume with the new regions — so the engine
-//! runs exactly the extensions the classic path computes. Buffers live in
-//! the per-thread [`Worker`] and are reused across slabs (paper §3.2).
+//! runs exactly the extensions the per-read oracle ([`crate::classic`])
+//! computes. Buffers live in the per-thread [`Worker`] and are reused
+//! across slabs (paper §3.2).
 
 use std::time::Instant;
 
 use mem2_bsw::{BswEngine, ExtendJob, ExtendResult, JobRef, NoPhase as NoBswPhase};
-use mem2_chain::{
-    chain_seeds, filter_chains, frac_rep, seeds_from_interval, Chain, SaMode, SalBatch, Seed,
-};
-use mem2_fmindex::{collect_intv, BiInterval, FmIndex, SmemAux, SmemScheduler, SAL_PREFETCH_DIST};
+use mem2_chain::{chain_seeds, filter_chains, frac_rep, Chain, SalBatch, Seed};
+use mem2_fmindex::{BiInterval, FmIndex, SmemAux, SmemScheduler, SAL_PREFETCH_DIST};
 use mem2_memsim::NoopSink;
 use mem2_seqio::{encode_base, FastqRecord, Reference};
 
 use crate::extend::{
-    chain_to_regions, left_job, needs_band_retry, plan_chain, region_from_extension, right_job,
-    ChainPlan, ScalarSource, SeedExtension, SeedWalk,
+    left_job, needs_band_retry, plan_chain, region_from_extension, right_job, ChainPlan,
+    SeedExtension, SeedWalk,
 };
 use crate::opts::MemOpts;
 use crate::profile::{ExtendStats, Stage, StageTimes};
@@ -82,7 +76,7 @@ impl PreparedRead {
 pub struct PipelineContext<'a> {
     /// Aligner options.
     pub opts: &'a MemOpts,
-    /// The FM-index (with the layouts the workflow needs).
+    /// The FM-index.
     pub index: &'a FmIndex,
     /// The reference (packed bases + contigs).
     pub reference: &'a Reference,
@@ -136,7 +130,8 @@ impl ReadState {
 /// Per-thread scratch: the paper's "allocate large buffers once and
 /// reuse them across batches".
 pub struct Worker {
-    aux: SmemAux,
+    /// Per-read SMEM scratch of the [`crate::classic`] oracle.
+    pub(crate) aux: SmemAux,
     smem_sched: SmemScheduler,
     sal: SalBatch,
     states: Vec<ReadState>,
@@ -180,99 +175,8 @@ impl Worker {
     }
 }
 
-// ---------------------------------------------------------------------
-// classic workflow
-// ---------------------------------------------------------------------
-
-/// Align one read through the classic per-read pipeline; returns its
-/// final, primary-marked regions.
-pub fn align_read_classic(
-    ctx: &PipelineContext<'_>,
-    worker: &mut Worker,
-    read: &PreparedRead,
-) -> Vec<AlnReg> {
-    let opts = ctx.opts;
-    let occ = ctx.index.orig();
-    let mut sink = NoopSink;
-    let state = take_state(&mut worker.states);
-    let mut state = state;
-
-    let t = Instant::now();
-    collect_intv(
-        occ,
-        &opts.smem,
-        &read.codes,
-        &mut state.intervals,
-        &mut worker.aux,
-        false,
-        &mut sink,
-    );
-    worker.times.add(Stage::Smem, t.elapsed());
-
-    let t = Instant::now();
-    state.seeds.clear();
-    for iv in &state.intervals {
-        seeds_from_interval(
-            ctx.index,
-            &ctx.reference.contigs,
-            iv,
-            opts.chain.max_occ,
-            SaMode::SampledOrig,
-            &mut state.seeds,
-            &mut sink,
-        );
-    }
-    state.frac_rep = frac_rep(&state.intervals, opts.chain.max_occ, read.codes.len());
-    worker.times.add(Stage::Sal, t.elapsed());
-
-    let t = Instant::now();
-    let chains = chain_seeds(&opts.chain, ctx.index.l_pac, &state.seeds, state.frac_rep);
-    state.chains = filter_chains(&opts.chain, chains);
-    worker.times.add(Stage::Chain, t.elapsed());
-
-    let mut av: Vec<AlnReg> = Vec::new();
-    let l_query = read.codes.len() as i32;
-    let mut src = ScalarSource::new(opts);
-    for (cid, chain) in state.chains.iter().enumerate() {
-        let t = Instant::now();
-        let plan = plan_chain(
-            opts,
-            ctx.index.l_pac,
-            l_query,
-            chain,
-            &ctx.reference.contigs,
-            &ctx.reference.pac,
-        );
-        worker.times.add(Stage::BswPre, t.elapsed());
-        let t = Instant::now();
-        chain_to_regions(
-            opts,
-            l_query,
-            &read.codes,
-            chain,
-            cid,
-            &plan,
-            &mut src,
-            &mut av,
-        );
-        worker.times.add(Stage::Bsw, t.elapsed());
-    }
-    worker.extension.merge(&src.stats);
-    worker.extension.reads += 1;
-
-    let t = Instant::now();
-    let regs = mark_primary(opts, sort_dedup(opts, av));
-    worker.times.add(Stage::Misc, t.elapsed());
-    give_state(&mut worker.states, state);
-    regs
-}
-
-// ---------------------------------------------------------------------
-// batched workflow
-// ---------------------------------------------------------------------
-
 /// Align a batch of reads through the stage-batched pipeline; returns
-/// final regions per read (same values as the classic pipeline).
+/// final regions per read (same values as [`crate::classic::align_read`]).
 pub fn align_batch(
     ctx: &PipelineContext<'_>,
     worker: &mut Worker,
@@ -513,29 +417,19 @@ fn run_with_band_retry(
     retry_idx.len()
 }
 
-/// Align prepared reads through the selected workflow, returning each
-/// read's final regions — the single Classic/Batched dispatch point
-/// shared by the in-memory, streaming, and paired-end drivers (batched
-/// execution chunks by `opts.batch_reads`).
+/// Align prepared reads, returning each read's final regions — the
+/// entry point shared by the in-memory, streaming, and paired-end
+/// drivers (execution chunks by `opts.batch_reads`).
 pub fn align_prepared(
     ctx: &PipelineContext<'_>,
     worker: &mut Worker,
-    workflow: crate::aligner::Workflow,
     reads: &[PreparedRead],
 ) -> Vec<Vec<AlnReg>> {
-    match workflow {
-        crate::aligner::Workflow::Classic => reads
-            .iter()
-            .map(|read| align_read_classic(ctx, worker, read))
-            .collect(),
-        crate::aligner::Workflow::Batched => {
-            let mut out = Vec::with_capacity(reads.len());
-            for chunk in reads.chunks(ctx.opts.batch_reads) {
-                out.extend(align_batch(ctx, worker, chunk));
-            }
-            out
-        }
+    let mut out = Vec::with_capacity(reads.len());
+    for chunk in reads.chunks(ctx.opts.batch_reads) {
+        out.extend(align_batch(ctx, worker, chunk));
     }
+    out
 }
 
 /// Align externally-owned prepared reads and format each read's SAM
@@ -548,21 +442,27 @@ pub fn align_prepared(
 pub fn align_to_records(
     ctx: &PipelineContext<'_>,
     worker: &mut Worker,
-    workflow: crate::aligner::Workflow,
     reads: &[PreparedRead],
 ) -> Vec<Vec<SamRecord>> {
-    let regs = align_prepared(ctx, worker, workflow, reads);
-    let mut times = std::mem::take(&mut worker.times);
-    let out = reads
-        .iter()
-        .zip(&regs)
-        .map(|(read, r)| read_to_sam(ctx, read, r, &mut times))
-        .collect();
-    worker.times = times;
-    out
+    let regs = align_prepared(ctx, worker, reads);
+    regions_to_records(ctx, reads, &regs, &mut worker.times)
 }
 
-/// Format one read's regions as SAM lines (shared by both workflows).
+/// Format each read's regions as its SAM records, in read order.
+pub(crate) fn regions_to_records(
+    ctx: &PipelineContext<'_>,
+    reads: &[PreparedRead],
+    regs: &[Vec<AlnReg>],
+    times: &mut StageTimes,
+) -> Vec<Vec<SamRecord>> {
+    reads
+        .iter()
+        .zip(regs)
+        .map(|(read, r)| read_to_sam(ctx, read, r, times))
+        .collect()
+}
+
+/// Format one read's regions as SAM lines.
 pub fn read_to_sam(
     ctx: &PipelineContext<'_>,
     read: &PreparedRead,
@@ -586,12 +486,4 @@ pub fn read_to_sam(
     );
     times.add(Stage::SamForm, t.elapsed());
     recs
-}
-
-fn take_state(pool: &mut Vec<ReadState>) -> ReadState {
-    pool.pop().unwrap_or_default()
-}
-
-fn give_state(pool: &mut Vec<ReadState>, state: ReadState) {
-    pool.push(state);
 }

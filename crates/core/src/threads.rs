@@ -30,8 +30,11 @@ use mem2_seqio::{FastqRecord, SeqIoError};
 
 use crate::aligner::Aligner;
 use crate::opts::MemOpts;
-use crate::pipeline::{align_to_records, PreparedRead, Worker};
+use crate::pipeline::{
+    align_prepared, align_to_records, regions_to_records, PipelineContext, PreparedRead, Worker,
+};
 use crate::profile::{ExtendStats, Stage, StageTimes};
+use crate::region::AlnReg;
 use crate::sam::SamRecord;
 
 /// One finished slab: its SAM text (newline-terminated lines, in read
@@ -271,7 +274,7 @@ fn align_slab_to_text(aligner: &Aligner, worker: &mut Worker, reads: Vec<FastqRe
         .into_iter()
         .map(PreparedRead::from_fastq_owned)
         .collect();
-    let records = align_to_records(&aligner.context(), worker, aligner.workflow, &prepared);
+    let records = align_to_records(&aligner.context(), worker, &prepared);
     let t = Instant::now();
     let mut out = SlabOut::for_reads(&prepared);
     for rec in records.iter().flatten() {
@@ -291,11 +294,28 @@ pub fn align_reads_parallel(
     reads: &[FastqRecord],
     n_threads: usize,
 ) -> (Vec<SamRecord>, StageTimes) {
+    align_reads_with(aligner, reads, n_threads, align_prepared)
+}
+
+/// The slab loop of [`align_reads_parallel`] with `align` turning each
+/// slab's prepared reads into their regions (the batched pipeline, or the
+/// per-read [`crate::classic`] oracle).
+pub(crate) fn align_reads_with<F>(
+    aligner: &Aligner,
+    reads: &[FastqRecord],
+    n_threads: usize,
+    align: F,
+) -> (Vec<SamRecord>, StageTimes)
+where
+    F: Fn(&PipelineContext<'_>, &mut Worker, &[PreparedRead]) -> Vec<Vec<AlnReg>> + Sync,
+{
     let slabs: Vec<&[FastqRecord]> = reads.chunks(aligner.opts.batch_reads.max(1)).collect();
     let mut team = Team::new(&aligner.opts, n_threads);
     let per_slab = team.par_map(slabs.len(), |worker, k| {
+        let ctx = aligner.context();
         let prepared: Vec<PreparedRead> = slabs[k].iter().map(PreparedRead::from_fastq).collect();
-        align_to_records(&aligner.context(), worker, aligner.workflow, &prepared)
+        let regs = align(&ctx, worker, &prepared);
+        regions_to_records(&ctx, &prepared, &regs, &mut worker.times)
     });
     let records = per_slab.into_iter().flatten().flatten().collect();
     (records, team.finish().0)

@@ -17,7 +17,7 @@ fn align(aligner: &Aligner, reads: &[PreparedRead], backend: Backend) -> Vec<(St
     dispatch::force(Some(backend));
     let ctx = aligner.context();
     let mut worker = Worker::new(&aligner.opts);
-    let regs = align_prepared(&ctx, &mut worker, Workflow::Batched, reads);
+    let regs = align_prepared(&ctx, &mut worker, reads);
     let mut times = StageTimes::default();
     let out = reads
         .iter()

@@ -5,15 +5,15 @@
 //! a long period of time" requirement (§1).
 //!
 //! Expected lines were produced by `cargo run -p mem2-core --example
-//! golden_gen` and verified identical across Classic/Batched and thread
-//! counts before pinning. Note read 4 lands in an injected repeat copy:
+//! golden_gen` and verified identical between the classic oracle and the
+//! batched pipeline and across thread counts before pinning. Note read 4 lands in an injected repeat copy:
 //! MAPQ 0 with XS == AS is the correct repeat-aware answer.
 //!
 //! The pinned bytes depend on the deterministic PRNG stream of the
 //! in-repo `rand` shim (see `shims/rand`); if the shim is ever replaced
 //! by upstream `rand`, regenerate with `golden_gen`.
 
-use mem2_core::{Aligner, MemOpts, Workflow};
+use mem2_core::{classic, Aligner, MemOpts, Workflow};
 use mem2_fmindex::{BuildOpts, FmIndex};
 use mem2_seqio::{FastqRecord, GenomeSpec, ReadSim, ReadSimSpec};
 
@@ -55,7 +55,7 @@ fn fixture() -> (mem2_seqio::Reference, Vec<FastqRecord>) {
 #[test]
 fn pinned_sam_output_batched() {
     let (reference, reads) = fixture();
-    let aligner = Aligner::build(reference, MemOpts::default(), Workflow::Batched);
+    let aligner = Aligner::build(reference, MemOpts::default());
     let got: Vec<String> = aligner
         .align_reads(&reads)
         .iter()
@@ -71,12 +71,10 @@ fn pinned_sam_output_batched() {
 fn pinned_sam_output_classic() {
     let (reference, reads) = fixture();
     let index = FmIndex::build(&reference, &BuildOpts::original_only());
-    let aligner = Aligner::with_index(index, reference, MemOpts::default(), Workflow::Classic);
-    let got: Vec<String> = aligner
-        .align_reads(&reads)
-        .iter()
-        .map(|r| r.to_line())
-        .collect();
+    let aligner = Aligner::with_index(index, reference, MemOpts::default(), Workflow::Batched);
+    let (records, _) = classic::align_reads_parallel(&aligner, &reads, 1);
+    let got: Vec<String> = records.iter().map(|r| r.to_line()).collect();
+    assert_eq!(got.len(), EXPECTED.len());
     for (g, e) in got.iter().zip(EXPECTED) {
         assert_eq!(g, e);
     }

@@ -1,8 +1,7 @@
 //! Corruption property test for the bundle loader: an arbitrary
 //! byte-flip or truncation of a persisted index, narrow or wide, must
-//! surface as a structured [`BundleError`], never as a panic — through
-//! both the zero-copy profile and the profile that rebuilds from the
-//! suffix array. The bar is higher than not panicking: a flip landing
+//! surface as a structured [`BundleError`], never as a panic. The bar
+//! is higher than not panicking: a flip landing
 //! anywhere inside the header or a section payload must be *rejected*
 //! (no silent wrong data); only flips in dead inter-section alignment
 //! padding may load.
@@ -12,7 +11,6 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use mem2_core::bundle::{build_bundle_with_width, load_index};
-use mem2_fmindex::BuildOpts;
 use mem2_seqio::GenomeSpec;
 use mem2_suffix::IndexWidth;
 
@@ -54,13 +52,9 @@ fn covered(bytes: &[u8], pos: usize) -> bool {
             .any(|&(off, len)| pos >= off && pos < off + len)
 }
 
-/// Load through the zero-copy profile and the rebuilding profile; the
-/// return value is whether *either* accepted the bytes. Panics
-/// propagate to proptest.
+/// Whether the loader accepted the bytes. Panics propagate to proptest.
 fn try_load(bytes: &[u8]) -> bool {
-    let zero_copy = load_index(bytes, &BuildOpts::optimized_only()).is_ok();
-    let rebuilt = load_index(bytes, &BuildOpts::default()).is_ok();
-    zero_copy || rebuilt
+    load_index(bytes).is_ok()
 }
 
 proptest! {
@@ -105,8 +99,7 @@ proptest! {
 }
 
 /// Directed check riding along: a flip inside each individual section
-/// is rejected with an error *naming* that section, at either width and
-/// through either profile.
+/// is rejected with an error *naming* that section, at either width.
 #[test]
 fn v5_flip_names_the_failing_section() {
     for clean in fixtures() {
@@ -115,14 +108,12 @@ fn v5_flip_names_the_failing_section() {
             let (off, len) = extents[i];
             let mut bytes = clean.clone();
             bytes[off + len / 2] ^= 0x01;
-            for opts in [BuildOpts::optimized_only(), BuildOpts::default()] {
-                let err = load_index(&bytes, &opts).expect_err("corrupt section must be rejected");
-                let msg = err.to_string();
-                assert!(
-                    msg.contains(name) && msg.contains("CRC32"),
-                    "flip in {name} produced unrelated error: {msg}"
-                );
-            }
+            let err = load_index(&bytes).expect_err("corrupt section must be rejected");
+            let msg = err.to_string();
+            assert!(
+                msg.contains(name) && msg.contains("CRC32"),
+                "flip in {name} produced unrelated error: {msg}"
+            );
         }
     }
 }

@@ -1,12 +1,12 @@
-//! The batched BSW stage's dependency rounds against the classic per-seed
-//! walk, on the inputs that exercise the accept/skip test hardest:
+//! The batched BSW stage's dependency rounds against the classic oracle's
+//! per-seed walk, on the inputs that exercise the accept/skip test hardest:
 //! repeat-rich references, divergent reads (5–8 % substitutions plus
 //! indels), chimeric reads with chains on two loci, reads copied exactly
 //! (seeds at `qbeg == 0` and at `qend == l_query`) and a small band `w`
 //! that forces band-doubling retries.
 //!
-//! * equivalence: batched regions equal the classic path's, and the
-//!   engine runs exactly as many extension jobs (retries included);
+//! * equivalence: batched regions equal the oracle's, and the engine runs
+//!   exactly as many extension jobs (retries included);
 //! * slab-composition invariance: a read's regions and SAM are the same
 //!   aligned alone, first, last or in the middle of a 512-read slab of
 //!   strangers, and at `batch_reads` 1, 7 or 512 — round interleaving
@@ -15,7 +15,7 @@
 use proptest::prelude::*;
 
 use mem2_core::pipeline::{align_prepared, read_to_sam, PipelineContext, PreparedRead, Worker};
-use mem2_core::{Aligner, AlnReg, MemOpts, StageTimes, Workflow};
+use mem2_core::{classic, Aligner, AlnReg, MemOpts, StageTimes, Workflow};
 use mem2_fmindex::{BuildOpts, FmIndex};
 use mem2_seqio::{FastqRecord, GenomeSpec, ReadSim, ReadSimSpec, Reference};
 
@@ -83,14 +83,21 @@ fn divergent_reads(
     records.iter().map(PreparedRead::from_fastq).collect()
 }
 
-/// Regions of `reads` through `workflow`, plus the worker (its counters).
-fn regions(
-    ctx: &PipelineContext<'_>,
-    workflow: Workflow,
-    reads: &[PreparedRead],
-) -> (Vec<Vec<AlnReg>>, Worker) {
+/// Regions of `reads` through the batched pipeline, plus the worker (its
+/// counters).
+fn regions(ctx: &PipelineContext<'_>, reads: &[PreparedRead]) -> (Vec<Vec<AlnReg>>, Worker) {
     let mut worker = Worker::new(ctx.opts);
-    let regs = align_prepared(ctx, &mut worker, workflow, reads);
+    let regs = align_prepared(ctx, &mut worker, reads);
+    (regs, worker)
+}
+
+/// [`regions`] through the classic oracle, read by read.
+fn oracle_regions(ctx: &PipelineContext<'_>, reads: &[PreparedRead]) -> (Vec<Vec<AlnReg>>, Worker) {
+    let mut worker = Worker::new(ctx.opts);
+    let regs = reads
+        .iter()
+        .map(|read| classic::align_read(ctx, &mut worker, read))
+        .collect();
     (regs, worker)
 }
 
@@ -114,9 +121,9 @@ proptest! {
         let aligner = Aligner::with_index(index, reference, opts, Workflow::Batched);
         let ctx = aligner.context();
 
-        let (classic, wc) = regions(&ctx, Workflow::Classic, &reads);
-        let (batched, wb) = regions(&ctx, Workflow::Batched, &reads);
-        prop_assert_eq!(classic, batched);
+        let (oracle, wc) = oracle_regions(&ctx, &reads);
+        let (batched, wb) = regions(&ctx, &reads);
+        prop_assert_eq!(oracle, batched);
         prop_assert_eq!(wc.extension.jobs, wb.extension.jobs);
         prop_assert_eq!(wc.extension.retries, wb.extension.retries);
         prop_assert_eq!(wb.extension.reads, reads.len() as u64);
@@ -135,9 +142,9 @@ fn small_band_divergent_corpus_exercises_retries_and_rounds() {
     let index = FmIndex::build(&reference, &BuildOpts::default());
     let aligner = Aligner::with_index(index, reference, opts, Workflow::Batched);
     let ctx = aligner.context();
-    let (classic, wc) = regions(&ctx, Workflow::Classic, &reads);
-    let (batched, wb) = regions(&ctx, Workflow::Batched, &reads);
-    assert_eq!(classic, batched);
+    let (oracle, wc) = oracle_regions(&ctx, &reads);
+    let (batched, wb) = regions(&ctx, &reads);
+    assert_eq!(oracle, batched);
     let (c, b) = (wc.extension, wb.extension);
     assert_eq!((c.reads, c.jobs, c.retries), (b.reads, b.jobs, b.retries));
     assert!(b.retries > 0, "{b:?}");
@@ -161,7 +168,7 @@ fn per_read_output(
         index,
         reference,
     };
-    let (regs, _) = regions(&ctx, Workflow::Batched, reads);
+    let (regs, _) = regions(&ctx, reads);
     let mut times = StageTimes::default();
     reads
         .iter()

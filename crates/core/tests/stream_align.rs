@@ -8,7 +8,7 @@
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mem2_core::{align_reads_parallel, Aligner, MemOpts, StreamError, Workflow};
+use mem2_core::{align_reads_parallel, classic, Aligner, MemOpts, StreamError, Workflow};
 use mem2_fmindex::{BuildOpts, FmIndex};
 use mem2_seqio::{
     gzip_compress_stored, write_fastq, AutoReader, BatchReader, FastqRecord, GenomeSpec, ReadSim,
@@ -39,16 +39,19 @@ fn fixture_with(opts: MemOpts) -> (Aligner, Vec<FastqRecord>) {
     .into_iter()
     .map(|s| s.record)
     .collect();
-    // dual-layout index so the same fixture serves both workflows
+    // dual-layout index so the same fixture also serves the classic oracle
     let index = FmIndex::build(&reference, &BuildOpts::default());
     let aligner = Aligner::with_index(index, reference, opts, Workflow::Batched);
     (aligner, reads)
 }
 
 fn sam_bytes_in_memory(aligner: &Aligner, reads: &[FastqRecord], threads: usize) -> Vec<u8> {
-    let (records, _) = align_reads_parallel(aligner, reads, threads);
+    sam_bytes(&align_reads_parallel(aligner, reads, threads).0)
+}
+
+fn sam_bytes(records: &[mem2_core::SamRecord]) -> Vec<u8> {
     let mut out = Vec::new();
-    for r in &records {
+    for r in records {
         out.extend_from_slice(r.to_line().as_bytes());
         out.push(b'\n');
     }
@@ -91,45 +94,37 @@ fn streamed_sam_is_identical_across_batch_sizes_and_threads() {
 /// Byte identity vs `-t 1` over the shapes a batch can take relative to
 /// the slab (16 reads here): one batch, many one-read batches, a batch
 /// size that is not a multiple of the slab, and an odd final slab — for
-/// more workers than, as many as, and fewer than the slabs of a batch,
-/// in both workflows.
+/// more workers than, as many as, and fewer than the slabs of a batch;
+/// the classic oracle on the same slab loop agrees at every team size.
 #[test]
 fn slab_scheduling_matrix_is_byte_identical_to_one_thread() {
-    let (batched, mut reads) = fixture_with(MemOpts {
+    let (aligner, mut reads) = fixture_with(MemOpts {
         batch_reads: 16,
         ..MemOpts::default()
     });
     reads.truncate(119); // 7 full slabs and a 7-read tail in one batch
-    let classic = Aligner::with_index(
-        batched.index.clone(),
-        batched.reference.clone(),
-        batched.opts,
-        Workflow::Classic,
-    );
     let fastq = write_fastq(&reads);
-    let expected = sam_bytes_in_memory(&batched, &reads, 1);
+    let expected = sam_bytes_in_memory(&aligner, &reads, 1);
     let shapes = [
         ("one batch", mem2_seqio::DEFAULT_BATCH_BASES),
         ("one read per batch", 0),
         ("2.5 slabs per batch", 40 * 101 - 1),
         ("33 reads per batch, odd final slab", 33 * 101 - 1),
     ];
-    for (workflow, aligner) in [("batched", &batched), ("classic", &classic)] {
-        for (shape, batch_bases) in shapes {
-            for threads in [1, 2, 3, 8] {
-                assert_eq!(
-                    sam_bytes_streamed(aligner, fastq.as_bytes(), batch_bases, threads),
-                    expected,
-                    "{workflow}, {shape}, threads={threads}"
-                );
-            }
+    for (shape, batch_bases) in shapes {
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(
+                sam_bytes_streamed(&aligner, fastq.as_bytes(), batch_bases, threads),
+                expected,
+                "{shape}, threads={threads}"
+            );
         }
     }
-    for threads in [2, 3, 8] {
+    for threads in [1, 2, 3, 8] {
         assert_eq!(
-            sam_bytes_in_memory(&classic, &reads, threads),
+            sam_bytes(&classic::align_reads_parallel(&aligner, &reads, threads).0),
             expected,
-            "in-memory classic, threads={threads}"
+            "in-memory classic oracle, threads={threads}"
         );
     }
 }
@@ -263,21 +258,6 @@ fn streamed_gzip_input_is_identical() {
         .align_fastq_stream(BatchReader::new(auto, 2048), 2, &mut out)
         .expect("stream align");
     assert_eq!(out, expected, "gz streamed SAM must match in-memory SAM");
-}
-
-#[test]
-fn classic_workflow_streams_identically() {
-    let (batched, reads) = fixture();
-    let classic = Aligner::with_index(
-        batched.index.clone(),
-        batched.reference.clone(),
-        batched.opts,
-        Workflow::Classic,
-    );
-    let fastq = write_fastq(&reads);
-    let expected = sam_bytes_in_memory(&batched, &reads, 1);
-    let got = sam_bytes_streamed(&classic, fastq.as_bytes(), 4096, 3);
-    assert_eq!(got, expected, "classic streamed == batched in-memory");
 }
 
 #[test]

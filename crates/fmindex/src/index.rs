@@ -119,35 +119,20 @@ impl FmIndex {
         }
     }
 
-    /// Assemble an index whose big components *borrow* a mapped
-    /// bundle — zero copies, zero rebuild work. The flat suffix array
-    /// stands in for sampled storage too (a sampled table, if the
-    /// profile asks for one, is derived by copying out of the mapped
-    /// entries); the original occurrence table is never persisted, so
-    /// `opts.orig_occ` must be false here.
-    pub fn from_mapped_parts(
-        reference: &Reference,
-        flat: FlatSa,
-        occ: OccOpt,
-        opts: &BuildOpts,
-    ) -> FmIndex {
-        assert!(
-            !opts.orig_occ,
-            "original occurrence table is not persisted; use build_from_sa"
-        );
+    /// Assemble the production index (η=32 occurrence table + flat
+    /// suffix array) from components that *borrow* a mapped bundle —
+    /// zero copies, zero rebuild work.
+    pub fn from_mapped_parts(reference: &Reference, flat: FlatSa, occ: OccOpt) -> FmIndex {
         let l = reference.len();
         assert_eq!(flat.len(), 2 * l + 1, "suffix array size mismatch");
         let meta = *occ.meta();
         assert_eq!(meta.n_stored, 2 * l as i64, "occ table size mismatch");
-        let sa_sampled = opts
-            .sampled_sa
-            .map(|q| SampledSa::build(&flat.to_savec(), q));
         FmIndex {
             l_pac: l as i64,
             meta,
             occ_orig: None,
-            occ_opt: opts.opt_occ.then_some(occ),
-            sa_sampled,
+            occ_opt: Some(occ),
+            sa_sampled: None,
             sa_flat: Some(flat),
         }
     }
@@ -179,8 +164,8 @@ impl FmIndex {
             .expect("original occurrence table not built")
     }
 
-    /// Suffix-array lookup using the preferred available storage
-    /// (flat first, then sampled via the preferred occurrence table).
+    /// Suffix-array lookup using the preferred available storage (flat
+    /// first, then sampled via the original occurrence table).
     pub fn sa_lookup<P: PerfSink>(&self, r: i64, sink: &mut P) -> i64 {
         if let Some(flat) = &self.sa_flat {
             return flat.lookup(r, sink);
@@ -189,11 +174,7 @@ impl FmIndex {
             .sa_sampled
             .as_ref()
             .expect("no suffix array storage built");
-        if let Some(opt) = &self.occ_opt {
-            sampled.lookup(opt, r, sink)
-        } else {
-            sampled.lookup(self.orig(), r, sink)
-        }
+        sampled.lookup(self.orig(), r, sink)
     }
 
     /// Convert a position in the doubled coordinate space to

@@ -236,18 +236,6 @@ impl FlatSa {
             _ => None,
         }
     }
-
-    /// Copy the entries into an owned width-dispatched array (the
-    /// rebuild path for profiles that need components a mapped bundle
-    /// does not carry).
-    pub fn to_savec(&self) -> SaVec {
-        match &self.store {
-            SaStore::OwnedU32(v) => SaVec::U32(v.clone()),
-            SaStore::OwnedU64(v) => SaVec::U64(v.clone()),
-            SaStore::Mapped32(m) => SaVec::U32(mapped_u32(m).to_vec()),
-            SaStore::Mapped64(m) => SaVec::U64(mapped_u64(m).to_vec()),
-        }
-    }
 }
 
 /// Sampled suffix array resolved by LF-walking (the original scheme).
@@ -378,7 +366,6 @@ mod tests {
         for r in 0..sa.len() as i64 {
             assert_eq!(mapped.lookup(r, &mut sink), owned.lookup(r, &mut sink));
         }
-        assert_eq!(mapped.to_savec(), SaVec::U32(sa));
         // the wide interpretation of a 4-byte-entry region is rejected
         // when sizes do not line up
         if !bytes.len().is_multiple_of(8) {

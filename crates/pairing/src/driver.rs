@@ -2,78 +2,36 @@
 //!
 //! A PE batch ([`mem2_core::MemOpts::batch_pairs`] pairs) is the unit of
 //! everything:
-//! single-end alignment of all 2·N reads (through the existing classic or
-//! batched pipeline), per-batch insert-size estimation, mate rescue, pair
-//! selection, and SAM emission all happen within the batch, so the byte
-//! stream is a pure function of the pair sequence and `batch_pairs` —
-//! invariant to thread count, `--batch-bases`, and the two-file vs
-//! interleaved input layout.
+//! single-end alignment of all 2·N reads (through the batched pipeline),
+//! per-batch insert-size estimation, mate rescue, pair selection, and SAM
+//! emission all happen within the batch, so the byte stream is a pure
+//! function of the pair sequence and `batch_pairs` — invariant to thread
+//! count, `--batch-bases`, and the two-file vs interleaved input layout.
 //!
-//! The streaming driver has the shape of bwa's `mem_process_seqs`: all
-//! workers single-end align the window's pair-aligned slabs (phase 1),
-//! one thread estimates the insert distribution over the whole window,
-//! then all workers rescue, pair and render per slab (phase 2).
+//! One window driver serves every entry point — the streaming CLI path,
+//! the in-memory [`align_pairs`] and the daemon's
+//! [`align_pairs_window`] — with the shape of bwa's `mem_process_seqs`:
+//! all of a [`Team`]'s workers single-end align the window's pair-aligned
+//! slabs (phase 1), one thread estimates the insert distribution over the
+//! whole window, then all workers rescue, pair and render per slab
+//! (phase 2). A one-member team runs the same code serially.
 
 use std::io::Write;
 use std::time::{Duration, Instant};
 
-use mem2_core::pipeline::{align_prepared, PipelineContext, PreparedRead, Worker};
+use mem2_core::pipeline::{align_prepared, PipelineContext, PreparedRead};
 use mem2_core::sam::{ReadInfo, SamRecord};
 use mem2_core::threads::{
     split_slabs, stream_batches_parallel_flush, take_slab, FlushHook, SlabOut, StreamError,
     StreamSummary, Team,
 };
 use mem2_core::{profile::Stage, region::mark_primary};
-use mem2_core::{Aligner, AlnReg, StageTimes, Workflow};
+use mem2_core::{Aligner, AlnReg, StageTimes};
 use mem2_seqio::{FastqRecord, ReadPair, SeqIoError};
 
 use crate::pestat::{estimate_pe_stats, PeStats};
 use crate::rescue::mate_rescue;
 use crate::sam_pe::{pair_to_sam, select_pair};
-
-/// Align one batch of pairs to SAM records (read 1 lines then read 2
-/// lines per pair, pairs in input order). `pes_override` pins the insert
-/// distribution (the CLI's `-I`); otherwise it is estimated from this
-/// batch's confident pairs à la `mem_pestat`.
-pub fn align_pairs_batch(
-    aligner: &Aligner,
-    worker: &mut Worker,
-    pairs: Vec<ReadPair>,
-    pes_override: Option<PeStats>,
-) -> Vec<SamRecord> {
-    align_pairs_ctx(
-        &aligner.context(),
-        aligner.workflow,
-        worker,
-        pairs,
-        pes_override,
-    )
-}
-
-/// [`align_pairs_batch`] against an externally-assembled
-/// [`PipelineContext`] — the resident-daemon entry point: the caller
-/// owns the options (which may be a per-request override), no
-/// [`Aligner`] needs to exist, and nothing is written to any output
-/// stream. One call is one pestat window, so the records are a pure
-/// function of `(pairs, ctx.opts, workflow, pes_override)` — invariant
-/// to whatever other traffic the server is carrying.
-pub fn align_pairs_ctx(
-    ctx: &PipelineContext<'_>,
-    workflow: Workflow,
-    worker: &mut Worker,
-    pairs: Vec<ReadPair>,
-    pes_override: Option<PeStats>,
-) -> Vec<SamRecord> {
-    let prepared = prepare_pairs(pairs);
-    let mut regs = align_prepared(ctx, worker, workflow, &prepared);
-
-    let t = Instant::now();
-    let pes = pes_override.unwrap_or_else(|| estimate_pe_stats(ctx.opts, ctx.index.l_pac, &regs));
-    let mut out: Vec<SamRecord> = Vec::with_capacity(prepared.len());
-    let sam = finish_pairs(ctx, &pes, &prepared, &mut regs, &mut out, &mut worker.times);
-    add_rescue_and_sam(&mut worker.times, t.elapsed(), sam);
-    out
-}
 
 /// Mate-interleaved prepared reads (`[2i]` = pair `i` read 1, `[2i+1]` =
 /// read 2), taking the records' buffers.
@@ -83,14 +41,6 @@ fn prepare_pairs(pairs: Vec<ReadPair>) -> Vec<PreparedRead> {
         .flat_map(|p| [p.r1, p.r2])
         .map(PreparedRead::from_fastq_owned)
         .collect()
-}
-
-/// Stage attribution of a paired-end back half that took `total`, of
-/// which `sam` went to SAM formatting: the rest — insert estimation, mate
-/// rescue, pair selection — is `Misc`.
-fn add_rescue_and_sam(times: &mut StageTimes, total: Duration, sam: Duration) {
-    times.add(Stage::Misc, total.saturating_sub(sam));
-    times.add(Stage::SamForm, sam);
 }
 
 /// The per-pair back half, given the window's insert distribution: mate
@@ -183,24 +133,31 @@ fn finish_pairs(
     sam
 }
 
-/// One `batch_pairs` window on all of the team's workers: phase 1
-/// single-end aligns pair-aligned slabs, a single estimate over the
-/// whole window follows (so the window, and with it the PE byte stream,
-/// is what it was when one worker did it all), and phase 2 runs
-/// [`finish_pairs`] and renders SAM text per slab. `on_estimate` sees
-/// each estimated distribution (never a `pes_override`).
-fn align_pairs_team(
-    aligner: &Aligner,
+/// One `batch_pairs` window on all of the team's workers — the one
+/// paired-end driver: phase 1 single-end aligns pair-aligned slabs, a
+/// single estimate over the whole window follows (so the window, and
+/// with it the PE byte stream, is what it was when one worker did it
+/// all), and phase 2 runs [`finish_pairs`] per slab and hands each
+/// slab's records to `render` on the worker that produced them (the
+/// streaming driver renders SAM text there). `on_estimate` sees each
+/// estimated distribution (never a `pes_override`).
+fn align_pairs_team<R, F>(
+    ctx: &PipelineContext<'_>,
     team: &mut Team,
     pairs: Vec<ReadPair>,
     pes_override: Option<PeStats>,
     on_estimate: &(dyn Fn(&PeStats) + Sync),
-) -> Vec<SlabOut> {
-    let slab_pairs = (aligner.opts.batch_reads / 2).max(1);
+    render: F,
+) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&[PreparedRead], Vec<SamRecord>) -> R + Sync,
+{
+    let slab_pairs = (ctx.opts.batch_reads / 2).max(1);
     let pair_slabs = split_slabs(pairs, slab_pairs);
     let aligned = team.par_map(pair_slabs.len(), |worker, k| {
         let prepared = prepare_pairs(take_slab(&pair_slabs, k));
-        let regs = align_prepared(&aligner.context(), worker, aligner.workflow, &prepared);
+        let regs = align_prepared(ctx, worker, &prepared);
         (prepared, regs)
     });
     let (prepared, regs): (Vec<_>, Vec<_>) = aligned.into_iter().unzip();
@@ -209,7 +166,7 @@ fn align_pairs_team(
 
     let t = Instant::now();
     let pes = pes_override.unwrap_or_else(|| {
-        let pes = estimate_pe_stats(&aligner.opts, aligner.index.l_pac, &regs);
+        let pes = estimate_pe_stats(ctx.opts, ctx.index.l_pac, &regs);
         on_estimate(&pes);
         pes
     });
@@ -222,22 +179,47 @@ fn align_pairs_team(
         let reads = &prepared[k];
         let mut records = Vec::with_capacity(reads.len());
         let sam = finish_pairs(
-            &aligner.context(),
+            ctx,
             &pes,
             reads,
             &mut take_slab(&reg_slabs, k),
             &mut records,
             &mut worker.times,
         );
-        let t_text = Instant::now();
-        let mut out = SlabOut::for_reads(reads);
-        for rec in &records {
-            out.push(rec);
-        }
-        let sam = sam + t_text.elapsed();
-        add_rescue_and_sam(&mut worker.times, t.elapsed(), sam);
+        let t_render = Instant::now();
+        let out = render(reads, records);
+        // SAM formatting and rendering are `SamForm`; rescue and pair
+        // selection are `Misc`
+        let sam = sam + t_render.elapsed();
+        worker
+            .times
+            .add(Stage::Misc, t.elapsed().saturating_sub(sam));
+        worker.times.add(Stage::SamForm, sam);
         out
     })
+}
+
+/// Align one `batch_pairs` window on `team` and return its SAM records
+/// (read 1 lines then read 2 lines per pair, pairs in input order) — the
+/// resident-daemon entry point: the caller owns the options (which may
+/// be a per-request override) and no [`Aligner`] needs to exist. The
+/// records are a pure function of `(pairs, ctx.opts, pes_override)` —
+/// invariant to the team's size and to whatever other traffic the
+/// server is carrying. `pes_override` pins the insert distribution (the
+/// CLI's `-I`); otherwise it is estimated from this window's confident
+/// pairs à la `mem_pestat`.
+pub fn align_pairs_window(
+    ctx: &PipelineContext<'_>,
+    team: &mut Team,
+    pairs: Vec<ReadPair>,
+    pes_override: Option<PeStats>,
+) -> Vec<SamRecord> {
+    align_pairs_team(ctx, team, pairs, pes_override, &|_| {}, |_, records| {
+        records
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Align pairs in memory on the current thread, windowed into
@@ -248,12 +230,12 @@ pub fn align_pairs(
     pairs: &[ReadPair],
     pes_override: Option<PeStats>,
 ) -> Vec<SamRecord> {
-    let mut worker = Worker::new(&aligner.opts);
+    let mut team = Team::new(&aligner.opts, 1);
     let mut out = Vec::new();
     for window in pairs.chunks(aligner.opts.batch_pairs.max(1)) {
-        out.extend(align_pairs_batch(
-            aligner,
-            &mut worker,
+        out.extend(align_pairs_window(
+            &aligner.context(),
+            &mut team,
             window.to_vec(),
             pes_override,
         ));
@@ -332,7 +314,22 @@ where
         out,
         on_flush,
         |batch: &Vec<ReadPair>| 2 * batch.len(),
-        |team, batch| align_pairs_team(aligner, team, batch, pes_override, on_estimate),
+        |team, batch| {
+            align_pairs_team(
+                &aligner.context(),
+                team,
+                batch,
+                pes_override,
+                on_estimate,
+                |reads, records| {
+                    let mut out = SlabOut::for_reads(reads);
+                    for rec in &records {
+                        out.push(rec);
+                    }
+                    out
+                },
+            )
+        },
     )
 }
 
@@ -390,7 +387,7 @@ mod tests {
             batch_reads: 16, // 8-pair slabs: 5 slabs per 40-pair window
             ..MemOpts::default()
         };
-        let aligner = Aligner::build(reference, opts, Workflow::Batched);
+        let aligner = Aligner::build(reference, opts);
         let window = 40;
 
         let estimates = |threads: usize| {

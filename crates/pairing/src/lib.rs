@@ -5,8 +5,8 @@
 //!
 //! The subsystem is organized around one invariant: **everything is a
 //! per-batch pure function**. A batch of [`MemOpts::batch_pairs`] read
-//! pairs is single-end aligned (both workflows of the paper work
-//! unchanged), the insert-size distribution is estimated from that
+//! pairs is single-end aligned by the batched pipeline, the insert-size
+//! distribution is estimated from that
 //! batch's confident unique pairs ([`pestat`]), orientation-inconsistent
 //! or missing mates are recovered by windowed Smith–Waterman against the
 //! region the distribution implies ([`rescue`]), the jointly best
@@ -17,9 +17,8 @@
 //! two-file vs interleaved input layout ([`driver`]).
 //!
 //! Key types: [`PeStats`] (per-orientation insert distribution),
-//! [`PairChoice`]/[`PairDecision`], and the [`driver`] batch/stream/ctx
-//! entry points. Introduced in PR 3; context-level `align_pairs_ctx` for
-//! the daemon in PR 7.
+//! [`PairChoice`]/[`PairDecision`], and the [`driver`] entry points: one
+//! window driver behind the in-memory, streaming and daemon paths.
 //!
 //! [`MemOpts::batch_pairs`]: mem2_core::MemOpts
 
@@ -30,7 +29,7 @@ pub mod rescue;
 pub mod sam_pe;
 
 pub use driver::{
-    align_pairs, align_pairs_batch, align_pairs_ctx, align_pairs_stream, align_pairs_stream_flush,
+    align_pairs, align_pairs_stream, align_pairs_stream_flush, align_pairs_window,
     pairs_from_interleaved,
 };
 pub use pair::{mem_pair, raw_mapq, PairChoice};

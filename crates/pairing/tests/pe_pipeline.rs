@@ -1,10 +1,10 @@
 //! End-to-end paired-end pipeline tests on simulated data: proper-pair
 //! rate, SAM field consistency (RNEXT/PNEXT/TLEN mirroring), mate rescue
 //! recovering reads that single-end alignment drops, and byte-identity
-//! across thread counts, workflows, and the streaming vs in-memory
+//! across thread counts, input layouts, and the streaming vs in-memory
 //! drivers.
 
-use mem2_core::{Aligner, MemOpts, SamRecord, Workflow};
+use mem2_core::{Aligner, MemOpts, SamRecord};
 use mem2_pairing::{align_pairs, align_pairs_stream, PeStats};
 use mem2_seqio::{
     gzip_compress_stored, write_fastq, AutoReader, FastqRecord, GenomeSpec, InterleavedBatchReader,
@@ -44,8 +44,8 @@ fn fixture(n_pairs: usize, r2_sub: Option<f64>) -> (Reference, Vec<ReadPair>) {
     (reference, pairs)
 }
 
-fn aligner(reference: Reference, workflow: Workflow) -> Aligner {
-    Aligner::build(reference, MemOpts::default(), workflow)
+fn aligner(reference: Reference) -> Aligner {
+    Aligner::build(reference, MemOpts::default())
 }
 
 fn render(records: &[SamRecord]) -> String {
@@ -60,7 +60,7 @@ fn render(records: &[SamRecord]) -> String {
 #[test]
 fn simulated_pairs_are_proper_and_consistent() {
     let (reference, pairs) = fixture(400, None);
-    let aligner = aligner(reference, Workflow::Batched);
+    let aligner = aligner(reference);
     let recs = align_pairs(&aligner, &pairs, None);
 
     // primary lines only (no 0x100/0x800)
@@ -110,7 +110,7 @@ fn simulated_pairs_are_proper_and_consistent() {
 #[test]
 fn pairing_disambiguates_and_lifts_mapq() {
     let (reference, pairs) = fixture(200, None);
-    let aligner = aligner(reference, Workflow::Batched);
+    let aligner = aligner(reference);
     let recs = align_pairs(&aligner, &pairs, None);
     let proper: Vec<&SamRecord> = recs
         .iter()
@@ -126,7 +126,7 @@ fn mate_rescue_recovers_degraded_r2() {
     // extinct, so single-end alignment drops most R2 reads — the pair
     // context must bring them back
     let (reference, pairs) = fixture(150, Some(0.12));
-    let aligner = aligner(reference, Workflow::Batched);
+    let aligner = aligner(reference);
 
     // single-end view of the R2 reads alone
     let r2_reads: Vec<_> = pairs.iter().map(|p| p.r2.clone()).collect();
@@ -156,9 +156,9 @@ fn mate_rescue_recovers_degraded_r2() {
 }
 
 #[test]
-fn output_is_invariant_to_threads_streaming_and_workflow() {
+fn output_is_invariant_to_threads_and_streaming() {
     let (reference, pairs) = fixture(150, None);
-    let aligner = aligner(reference, Workflow::Batched);
+    let aligner = aligner(reference);
     let baseline = render(&align_pairs(&aligner, &pairs, None));
 
     // streaming driver, various thread counts and batch partitions
@@ -191,13 +191,6 @@ fn output_is_invariant_to_threads_streaming_and_workflow() {
             }
         }
     }
-
-    // classic workflow: identical bytes (the paper's invariant, extended
-    // to the PE layer)
-    let (reference2, _) = fixture(1, None);
-    let classic = Aligner::build(reference2, MemOpts::default(), Workflow::Classic);
-    let classic_sam = render(&align_pairs(&classic, &pairs, None));
-    assert_eq!(baseline, classic_sam, "classic and batched PE SAM differ");
 
     // insert override pins the distribution: output independent of the
     // batch partition entirely
@@ -271,7 +264,7 @@ impl PeFiles {
 /// compression × the shapes a `batch_pairs` window can take relative to
 /// the slab (8 pairs here): one window, many tiny windows, a window that
 /// is not a multiple of the slab, an odd final slab — for fewer workers
-/// than, as many as, and more workers than slabs, in both workflows. The
+/// than, as many as, and more workers than slabs. The
 /// window is the insert-size estimation unit, so each shape has its own
 /// expected bytes; the one-window shape must also equal the in-memory
 /// driver.
@@ -282,15 +275,14 @@ fn slab_scheduling_matrix_is_byte_identical_to_one_thread() {
         batch_reads: 16,
         ..MemOpts::default()
     };
-    let batched = Aligner::build(reference.clone(), opts, Workflow::Batched);
-    let classic = Aligner::build(reference, opts, Workflow::Classic);
+    let aligner = Aligner::build(reference, opts);
     let (plain, gz) = PeFiles::new(&pairs);
-    let in_memory = render(&align_pairs(&batched, &pairs, None));
+    let in_memory = render(&align_pairs(&aligner, &pairs, None));
 
-    let stream = |aligner: &Aligner, files: &PeFiles, il: bool, window: usize, threads: usize| {
+    let stream = |files: &PeFiles, il: bool, window: usize, threads: usize| {
         let mut out = Vec::new();
         let (summary, _) =
-            align_pairs_stream(aligner, None, files.batches(il, window), threads, &mut out)
+            align_pairs_stream(&aligner, None, files.batches(il, window), threads, &mut out)
                 .expect("stream");
         assert_eq!(summary.reads, 2 * pairs.len());
         assert_eq!(summary.batches, pairs.len().div_ceil(window));
@@ -304,20 +296,18 @@ fn slab_scheduling_matrix_is_byte_identical_to_one_thread() {
         ("27 pairs per window, odd final slabs", 27),
     ];
     for (shape, window) in shapes {
-        let expected = stream(&batched, &plain, false, window, 1);
+        let expected = stream(&plain, false, window, 1);
         if window >= pairs.len() {
             assert_eq!(expected, in_memory, "{shape}: streamed == in-memory");
         }
-        for (workflow, aligner) in [("batched", &batched), ("classic", &classic)] {
-            for (layout, il) in [("two-file", false), ("interleaved", true)] {
-                for (compression, files) in [("plain", &plain), ("gz", &gz)] {
-                    for threads in [2, 3, 8] {
-                        assert_eq!(
-                            stream(aligner, files, il, window, threads),
-                            expected,
-                            "{shape}, {workflow}, {layout}, {compression}, threads={threads}"
-                        );
-                    }
+        for (layout, il) in [("two-file", false), ("interleaved", true)] {
+            for (compression, files) in [("plain", &plain), ("gz", &gz)] {
+                for threads in [2, 3, 8] {
+                    assert_eq!(
+                        stream(files, il, window, threads),
+                        expected,
+                        "{shape}, {layout}, {compression}, threads={threads}"
+                    );
                 }
             }
         }

@@ -5,22 +5,21 @@
 //! emulation and the native backend. Its own test binary, because
 //! `dispatch::force` is process-wide.
 
-use mem2_core::pipeline::Worker;
-use mem2_core::{Aligner, MemOpts, RescueStats, Workflow};
-use mem2_pairing::align_pairs_batch;
+use mem2_core::{Aligner, MemOpts, RescueStats, Team};
+use mem2_pairing::align_pairs_window;
 use mem2_seqio::{GenomeSpec, PairSim, PairSimSpec, ReadPair};
 use mem2_simd::{dispatch, Backend};
 
-/// The batch's SAM text and the rescue counters it took.
+/// The window's SAM text and the rescue counters it took.
 fn align(aligner: &Aligner, pairs: &[ReadPair], backend: Backend) -> (String, RescueStats) {
     dispatch::force(Some(backend));
-    let mut worker = Worker::new(&aligner.opts);
-    let sam: String = align_pairs_batch(aligner, &mut worker, pairs.to_vec(), None)
+    let mut team = Team::new(&aligner.opts, 1);
+    let sam: String = align_pairs_window(&aligner.context(), &mut team, pairs.to_vec(), None)
         .iter()
         .map(|rec| rec.to_line() + "\n")
         .collect();
     dispatch::force(None);
-    (sam, worker.times.rescue)
+    (sam, team.lead().times.rescue)
 }
 
 #[test]
@@ -47,7 +46,7 @@ fn divergent_mates_are_rescued_identically_on_portable_and_native() {
     .into_iter()
     .map(|p| ReadPair { r1: p.r1, r2: p.r2 })
     .collect();
-    let aligner = Aligner::build(reference, MemOpts::default(), Workflow::Batched);
+    let aligner = Aligner::build(reference, MemOpts::default());
 
     let (portable, portable_stats) = align(&aligner, &pairs, Backend::Portable);
     let (native, native_stats) = align(&aligner, &pairs, Backend::native());

@@ -9,7 +9,7 @@
 //! many sockets, and the seeding/BSW superstages run as full as they
 //! would under one fat file. This is safe because per-read SAM output
 //! is a pure function of `(read, opts)` — invariant to slab-mates — the
-//! invariant the whole repo pins (batch size, thread count, workflow);
+//! invariant the whole repo pins (batch size, thread count);
 //! the daemon's integration tests pin it again end to end.
 //!
 //! Backpressure is explicit: [`Batcher::try_submit`] never blocks —
@@ -27,11 +27,11 @@ use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use mem2_core::pipeline::{align_to_records, PipelineContext, PreparedRead, Worker};
+use mem2_core::pipeline::{align_to_records, PipelineContext, PreparedRead};
 use mem2_core::profile::STAGE_NAMES;
-use mem2_core::{SamRecord, StageTimes};
+use mem2_core::{SamRecord, StageTimes, Team};
 use mem2_obs::Hist;
-use mem2_pairing::{align_pairs_ctx, PeStats};
+use mem2_pairing::{align_pairs_window, PeStats};
 use mem2_seqio::ReadPair;
 
 use crate::faultsim;
@@ -259,12 +259,12 @@ impl Drop for Batcher {
 /// epoch, align, and ship each request's slice of the records back to
 /// its connection.
 fn worker_loop(shared: &Shared, slot: &IndexSlot) {
-    // Worker arenas are keyed by options fingerprint: the BSW engines
+    // One single-member team per options fingerprint: the BSW engines
     // bake in scoring, so each distinct override set gets (and reuses)
-    // its own arena — the "allocate once, reuse across batches" design
-    // survives per-request options. Arenas depend only on options, not
-    // on the index, so they also survive hot-swaps.
-    let mut arenas: HashMap<String, Worker> = HashMap::new();
+    // its own worker arena — the "allocate once, reuse across batches"
+    // design survives per-request options. Teams depend only on options,
+    // not on the index, so they also survive hot-swaps.
+    let mut teams: HashMap<String, Team> = HashMap::new();
     loop {
         let group = {
             let mut q = shared.queue.lock().expect("queue poisoned");
@@ -282,7 +282,7 @@ fn worker_loop(shared: &Shared, slot: &IndexSlot) {
         // (and therefore every request) is answered by exactly one
         // epoch, even if a RELOAD lands mid-flight.
         let pinned = slot.current();
-        align_group(shared, &pinned, &mut arenas, group);
+        align_group(shared, &pinned, &mut teams, group);
     }
 }
 
@@ -326,12 +326,12 @@ enum Work {
 
 /// Align one coalesced group and distribute replies. Alignment runs
 /// under `catch_unwind`: a panic answers every request in the slab with
-/// an error reply (relayed as ERR) and drops the worker arena — other
-/// slabs, connections, and the daemon itself are unaffected.
+/// an error reply (relayed as ERR) and drops the fingerprint's team —
+/// other slabs, connections, and the daemon itself are unaffected.
 fn align_group(
     shared: &Shared,
     pinned: &PinnedIndex,
-    arenas: &mut HashMap<String, Worker>,
+    teams: &mut HashMap<String, Team>,
     group: Vec<Submission>,
 ) {
     let t_service = Instant::now();
@@ -351,12 +351,12 @@ fn align_group(
         shared.counters.queue_wait_hist.record(waited_us);
     }
     let fingerprint = group[0].fingerprint.clone();
-    // Take the arena *out* of the map: if the slab panics the arena may
+    // Take the team *out* of the map: if the slab panics its arena may
     // hold torn state, so it must not be reused — it is reinserted only
     // on the success path.
-    let mut worker = arenas
+    let mut team = teams
         .remove(&fingerprint)
-        .unwrap_or_else(|| Worker::new(&opts));
+        .unwrap_or_else(|| Team::new(&opts, 1));
 
     // Peel reply routing off the submissions before the unwind
     // boundary; `routes[i]` is (reply channel, reads) per request.
@@ -383,7 +383,7 @@ fn align_group(
         }
     };
 
-    // AssertUnwindSafe: on panic the worker arena is dropped and the
+    // AssertUnwindSafe: on panic the team is dropped and the
     // per-request outputs discarded, so no torn state escapes the slab.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if let Some(ms) = faultsim::fire(faultsim::SLAB_DELAY_MS) {
@@ -394,7 +394,7 @@ fn align_group(
         }
         match work {
             Work::Single(reads) => {
-                let per_read = align_to_records(&ctx, &mut worker, aligner.workflow, &reads);
+                let per_read = align_to_records(&ctx, team.lead(), &reads);
                 let mut it = per_read.into_iter();
                 routes
                     .iter()
@@ -407,13 +407,7 @@ fn align_group(
                 // own pestat scope
                 let mut records = Vec::new();
                 for window in chunk_pairs(pairs, opts.batch_pairs.max(1)) {
-                    records.extend(align_pairs_ctx(
-                        &ctx,
-                        aligner.workflow,
-                        &mut worker,
-                        window,
-                        pes,
-                    ));
+                    records.extend(align_pairs_window(&ctx, &mut team, window, pes));
                 }
                 vec![records]
             }
@@ -427,7 +421,7 @@ fn align_group(
             shared.counters.slab_panics.fetch_add(1, Ordering::Relaxed);
             mem2_obs::log::error(
                 "serve",
-                "alignment slab panicked; requests answered with ERR, worker arena dropped",
+                "alignment slab panicked; requests answered with ERR, worker team dropped",
                 &[("panic", &msg), ("requests", &n_subs), ("reads", &n_reads)],
             );
             for (reply, n) in routes {
@@ -438,7 +432,7 @@ fn align_group(
                     error: Some(msg.clone()),
                 });
             }
-            return; // worker dropped here — never reinserted
+            return; // team dropped here — never reinserted
         }
     };
 
@@ -466,9 +460,9 @@ fn align_group(
         .fetch_add(n_subs, Ordering::Relaxed);
     let service_us = t_service.elapsed().as_micros() as u64;
     shared.counters.service_hist.record(service_us);
-    // `worker.times` was reset at the previous slab boundary, so the
-    // take is exactly this slab's per-stage breakdown.
-    let slab_times = std::mem::take(&mut worker.times);
+    // the lead's times were reset at the previous slab boundary, so the
+    // take is exactly this slab's per-stage breakdown
+    let slab_times = std::mem::take(&mut team.lead().times);
     if shared.slow_us > 0 && service_us >= shared.slow_us {
         log_slow_slab(&fingerprint, n_subs, n_reads, service_us, &slab_times);
     }
@@ -477,7 +471,7 @@ fn align_group(
         .lock()
         .expect("times poisoned")
         .merge(&slab_times);
-    arenas.insert(fingerprint, worker);
+    teams.insert(fingerprint, team);
 }
 
 /// Best-effort extraction of a panic payload's message.

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant, SystemTime};
 use mem2_core::bundle::{self, LoadMode, VerifyMode};
 use mem2_core::pipeline::PreparedRead;
 use mem2_core::profile::percentile_fields_us;
-use mem2_core::{Aligner, MemOpts, Workflow};
+use mem2_core::{Aligner, MemOpts};
 use mem2_obs::log as olog;
 use mem2_obs::{MetricsServer, RateLimited, Registry};
 use mem2_pairing::{pairs_from_interleaved, PeStats};
@@ -90,15 +90,13 @@ pub struct ServeConfig {
 }
 
 /// Everything needed to load a replacement index bundle for a hot-swap
-/// exactly like the startup load (same workflow profile, same load
-/// mode). Every section is verified before the swap — a swap must
-/// never install bytes it has not checked.
+/// exactly like the startup load (same load mode). Every section is
+/// verified before the swap — a swap must never install bytes it has
+/// not checked.
 #[derive(Clone, Copy)]
 pub struct ReloadSpec {
     /// Base alignment options the new [`Aligner`] is built with.
     pub opts: MemOpts,
-    /// Workflow profile (decides which index components are needed).
-    pub workflow: Workflow,
     /// Buffered read vs. mmap, matching the startup `--load` choice.
     pub load_mode: LoadMode,
 }
@@ -316,7 +314,7 @@ fn reload_index(ctx: &ConnCtx, path: &str) -> Result<u64, String> {
     // bundle is rejected here and never serves.
     let loaded = bundle::load_index_file(
         std::path::Path::new(path),
-        &spec.workflow.build_opts(),
+        &Default::default(), // unused build profile
         spec.load_mode,
         VerifyMode::Eager,
     );
@@ -332,7 +330,11 @@ fn reload_index(ctx: &ConnCtx, path: &str) -> Result<u64, String> {
             return Err(format!("reload rejected: {path}: {e}"));
         }
     };
-    let aligner = Aligner::with_index(index, reference, ctx.base_opts, spec.workflow);
+    let aligner = Aligner {
+        opts: ctx.base_opts,
+        index,
+        reference,
+    };
     let epoch = ctx.slot.swap(Arc::new(aligner));
     let ms = format!("{:.0}", t_load.elapsed().as_secs_f64() * 1e3);
     olog::info(

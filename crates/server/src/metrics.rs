@@ -212,7 +212,7 @@ pub fn render_process_metrics(out: &mut String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mem2_core::{Aligner, MemOpts, Workflow};
+    use mem2_core::{Aligner, MemOpts};
     use mem2_seqio::GenomeSpec;
     use std::sync::Arc;
 
@@ -224,11 +224,7 @@ mod tests {
             ..GenomeSpec::default()
         }
         .generate_reference("chrM");
-        let aligner = Arc::new(Aligner::build(
-            reference,
-            MemOpts::default(),
-            Workflow::Batched,
-        ));
+        let aligner = Arc::new(Aligner::build(reference, MemOpts::default()));
         let slot = Arc::new(crate::swap::IndexSlot::new(aligner));
         let batcher = Batcher::start(slot, 1, 4, 64, 0);
 

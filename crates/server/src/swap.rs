@@ -88,7 +88,7 @@ impl IndexSlot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mem2_core::{MemOpts, Workflow};
+    use mem2_core::MemOpts;
     use mem2_seqio::GenomeSpec;
 
     fn tiny_aligner(seed: u64) -> Arc<Aligner> {
@@ -98,11 +98,7 @@ mod tests {
             ..GenomeSpec::default()
         }
         .generate_reference("chrS");
-        Arc::new(Aligner::build(
-            reference,
-            MemOpts::default(),
-            Workflow::Batched,
-        ))
+        Arc::new(Aligner::build(reference, MemOpts::default()))
     }
 
     #[test]

@@ -15,7 +15,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use mem2_core::bundle;
-use mem2_core::{Aligner, MemOpts, SamRecord, Workflow};
+use mem2_core::{Aligner, MemOpts, SamRecord};
 use mem2_seqio::{write_fastq, FastqRecord, GenomeSpec, ReadSim, ReadSimSpec};
 use mem2_server::proto;
 use mem2_server::{
@@ -69,7 +69,7 @@ fn start_server(
     reference: &mem2_seqio::Reference,
     tweak: impl FnOnce(&mut ServeConfig),
 ) -> (ServerHandle, Endpoint) {
-    let aligner = Aligner::build(reference.clone(), MemOpts::default(), Workflow::Batched);
+    let aligner = Aligner::build(reference.clone(), MemOpts::default());
     let mut config = ServeConfig {
         endpoint: Endpoint::Tcp("127.0.0.1:0".into()),
         threads: 2,
@@ -96,7 +96,7 @@ fn tcp_addr(endpoint: &Endpoint) -> String {
 fn slab_panic_is_isolated_to_its_request() {
     let _guard = chaos_lock();
     let reference = reference_with_seed(7);
-    let offline = Aligner::build(reference.clone(), MemOpts::default(), Workflow::Batched);
+    let offline = Aligner::build(reference.clone(), MemOpts::default());
     let (handle, endpoint) = start_server(&reference, |c| c.threads = 1);
 
     let reads = sim_reads(&reference, 30, 41);
@@ -185,7 +185,7 @@ fn request_deadline_frees_the_connection() {
 fn client_disconnect_mid_data_frees_the_slot() {
     let _guard = chaos_lock();
     let reference = reference_with_seed(7);
-    let offline = Aligner::build(reference.clone(), MemOpts::default(), Workflow::Batched);
+    let offline = Aligner::build(reference.clone(), MemOpts::default());
     let (handle, endpoint) = start_server(&reference, |c| c.threads = 2);
     let addr = tcp_addr(&endpoint);
 
@@ -276,7 +276,7 @@ fn client_disconnect_mid_sam_is_survivable() {
 fn short_reads_reassemble_byte_identically() {
     let _guard = chaos_lock();
     let reference = reference_with_seed(7);
-    let offline = Aligner::build(reference.clone(), MemOpts::default(), Workflow::Batched);
+    let offline = Aligner::build(reference.clone(), MemOpts::default());
     let (handle, endpoint) = start_server(&reference, |c| c.threads = 1);
 
     let reads = sim_reads(&reference, 20, 99);
@@ -369,8 +369,8 @@ fn hot_swap_serves_both_epochs_byte_identically() {
     let bytes_b = bundle::build_bundle(&ref_b).expect("bundle B");
     bundle::write_bundle_atomic(&bundle_b, &bytes_b).expect("write bundle B");
 
-    let offline_a = Aligner::build(ref_a.clone(), MemOpts::default(), Workflow::Batched);
-    let offline_b = Aligner::build(ref_b.clone(), MemOpts::default(), Workflow::Batched);
+    let offline_a = Aligner::build(ref_a.clone(), MemOpts::default());
+    let offline_b = Aligner::build(ref_b.clone(), MemOpts::default());
     let reads = sim_reads(&ref_a, 25, 1234);
     let fastq = write_fastq(&reads);
     let expected_a = records_to_text(&offline_a.align_reads(&reads));
@@ -384,7 +384,6 @@ fn hot_swap_serves_both_epochs_byte_identically() {
         c.threads = 2;
         c.reload = Some(ReloadSpec {
             opts: MemOpts::default(),
-            workflow: Workflow::Batched,
             load_mode: bundle::LoadMode::Read,
         });
     });
@@ -469,7 +468,7 @@ fn corrupt_reload_is_rejected_and_old_index_survives() {
     bytes[flip] ^= 0x40; // corrupt one byte somewhere in a big section
     std::fs::write(&bundle_bad, &bytes).expect("write corrupt bundle");
 
-    let offline_a = Aligner::build(ref_a.clone(), MemOpts::default(), Workflow::Batched);
+    let offline_a = Aligner::build(ref_a.clone(), MemOpts::default());
     let reads = sim_reads(&ref_a, 20, 4321);
     let fastq = write_fastq(&reads);
     let expected_a = records_to_text(&offline_a.align_reads(&reads));
@@ -477,7 +476,6 @@ fn corrupt_reload_is_rejected_and_old_index_survives() {
     let (handle, endpoint) = start_server(&ref_a, |c| {
         c.reload = Some(ReloadSpec {
             opts: MemOpts::default(),
-            workflow: Workflow::Batched,
             load_mode: bundle::LoadMode::Read,
         });
     });

@@ -7,8 +7,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mem2_core::{Aligner, MemOpts, SamRecord, Workflow};
-use mem2_pairing::{align_pairs, pairs_from_interleaved};
+use mem2_core::{Aligner, MemOpts, SamRecord};
+use mem2_pairing::{align_pairs, align_pairs_stream, pairs_from_interleaved};
 use mem2_seqio::{
     write_fastq, FastqRecord, GenomeSpec, PairSim, PairSimSpec, ReadSim, ReadSimSpec,
 };
@@ -49,7 +49,7 @@ fn records_to_text(records: &[SamRecord]) -> String {
 }
 
 fn start_test_server(config_tweak: impl FnOnce(&mut ServeConfig)) -> (ServerHandle, Endpoint) {
-    let aligner = Aligner::build(test_reference(), MemOpts::default(), Workflow::Batched);
+    let aligner = Aligner::build(test_reference(), MemOpts::default());
     let mut config = ServeConfig {
         // TCP loopback: portable and collision-free via port 0
         endpoint: Endpoint::Tcp("127.0.0.1:0".into()),
@@ -70,7 +70,7 @@ fn start_test_server(config_tweak: impl FnOnce(&mut ServeConfig)) -> (ServerHand
 #[test]
 fn concurrent_clients_get_offline_identical_sam() {
     let reference = test_reference();
-    let offline = Aligner::build(reference.clone(), MemOpts::default(), Workflow::Batched);
+    let offline = Aligner::build(reference.clone(), MemOpts::default());
 
     // 8 default-opts SE clients
     let per_client: Vec<Vec<FastqRecord>> =
@@ -86,7 +86,7 @@ fn concurrent_clients_get_offline_identical_sam() {
         t_min_score: 55,
         ..MemOpts::default()
     };
-    let strict_offline = Aligner::build(reference.clone(), strict_opts, Workflow::Batched);
+    let strict_offline = Aligner::build(reference.clone(), strict_opts);
     let strict_expected = records_to_text(&strict_offline.align_reads(&strict_reads));
 
     // one paired-end client (interleaved)
@@ -187,13 +187,77 @@ fn concurrent_clients_get_offline_identical_sam() {
     );
 }
 
+/// A paired-end request spanning several insert-size windows, each cut
+/// into several slabs, is served with exactly the bytes the multi-threaded
+/// streaming driver writes for the same pairs: the daemon's one-member
+/// team runs the same window driver as `mem2 mem -t 3`.
+#[test]
+fn multi_window_pe_request_matches_the_streaming_driver() {
+    let reference = test_reference();
+    // 24-pair windows (enough for an insert estimate) of 8-pair slabs:
+    // 72 pairs are 3 windows of 3 slabs
+    let opts = MemOpts {
+        batch_pairs: 24,
+        batch_reads: 16,
+        ..MemOpts::default()
+    };
+    let aligner = Aligner::build(reference.clone(), opts);
+    let records: Vec<FastqRecord> = PairSim::new(
+        &reference,
+        PairSimSpec {
+            n_pairs: 72,
+            read_len: 101,
+            insert_mean: 400.0,
+            insert_std: 30.0,
+            // degraded mates: some are only placed by rescue
+            r2_sub_rate: Some(0.08),
+            seed: 902,
+            ..PairSimSpec::default()
+        },
+    )
+    .generate()
+    .into_iter()
+    .flat_map(|p| [p.r1, p.r2])
+    .collect();
+    let interleaved = write_fastq(&records);
+    let pairs = pairs_from_interleaved(records);
+    let mut streamed = Vec::new();
+    let windows = pairs.chunks(opts.batch_pairs).map(|w| Ok(w.to_vec()));
+    let (summary, _) =
+        align_pairs_stream(&aligner, None, windows, 3, &mut streamed).expect("stream");
+    assert_eq!(summary.batches, 3);
+
+    let handle = serve(
+        aligner,
+        ServeConfig {
+            endpoint: Endpoint::Tcp("127.0.0.1:0".into()),
+            threads: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind test server");
+    let mut client = Client::connect(handle.endpoint()).expect("connect");
+    client.set_opts("mode=pe").expect("set_opts");
+    let (sam, n_reads, _) = client
+        .align_with_retry(interleaved.as_bytes(), 50)
+        .expect("align");
+    assert_eq!(n_reads, 144);
+    assert_eq!(
+        sam,
+        String::from_utf8(streamed).expect("utf8"),
+        "served PE SAM differs from the streaming driver"
+    );
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
 /// A tiny queue bound under a flood must (a) surface RETRY frames and
 /// (b) lose nothing: every request eventually completes with bytes
 /// identical to the offline run.
 #[test]
 fn backpressure_rejects_whole_requests_then_recovers() {
     let reference = test_reference();
-    let offline = Aligner::build(reference.clone(), MemOpts::default(), Workflow::Batched);
+    let offline = Aligner::build(reference.clone(), MemOpts::default());
 
     let (handle, endpoint) = start_test_server(|c| {
         c.threads = 1;

@@ -185,7 +185,11 @@ fn main() {
     }
 
     // --- the whole pipeline, for comparison ---
-    let aligner = Aligner::with_index(index, reference, opts, Workflow::Batched);
+    let aligner = Aligner {
+        opts,
+        index,
+        reference,
+    };
     println!("\n== final SAM record ==");
     for rec in aligner.align_reads(std::slice::from_ref(&sim.record)) {
         println!("{}", rec.to_line());

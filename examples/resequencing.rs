@@ -44,7 +44,7 @@ fn main() {
     eprintln!("[resequencing] data simulated in {:.2?}", t.elapsed());
 
     let t = Instant::now();
-    let aligner = Aligner::build(reference, MemOpts::default(), Workflow::Batched);
+    let aligner = Aligner::build(reference, MemOpts::default());
     eprintln!("[resequencing] index built in {:.2?}", t.elapsed());
 
     let reads: Vec<FastqRecord> = sims.iter().map(|s| s.record.clone()).collect();

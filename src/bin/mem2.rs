@@ -26,7 +26,6 @@
 //!                       the output's torn tail, fast-forwards the
 //!                       inputs); output bytes are identical to an
 //!                       uninterrupted run
-//!     --classic         use the original per-read workflow
 //!     --simd MODE       SIMD backend: auto|scalar|portable|native
 //!                       (default auto; SAM bytes are identical across
 //!                       modes — only speed differs)
@@ -72,7 +71,7 @@
 //!     --slow-ms N       log slabs serviced in >= N ms with their
 //!                       per-stage breakdown (default off)
 //!     -I MEAN[,STD]     pinned insert distribution for mode=pe requests
-//!     --classic / --simd MODE / --load MODE   as for `mem2 mem`
+//!     --simd MODE / --load MODE   as for `mem2 mem`
 //! mem2 client [opts] [reads.fastq[.gz]]
 //!     --socket PATH | --tcp ADDR   where the daemon listens
 //!     --opts K=V[,K=V...]          per-request overrides (see README)
@@ -130,7 +129,7 @@ fn main() -> ExitCode {
             );
             eprintln!(
                 "  mem2 mem [-t N] [-p] [-I MEAN[,STD]] [-o FILE] [--checkpoint P [--resume]] \
-                 [--classic] [--simd MODE] [--seed-batch N] \
+                 [--simd MODE] [--seed-batch N] \
                  [--batch-bases N] [--batch-pairs N] [--load MODE] [--profile[=json]] \
                  <ref.idx|ref.fasta> <R1.fastq[.gz]> [R2.fastq[.gz]]"
             );
@@ -140,7 +139,7 @@ fn main() -> ExitCode {
             );
             eprintln!(
                 "  mem2 serve [--socket PATH|--tcp ADDR] [-t N] [--queue N] [--slab-reads N] \
-                 [--retry-ms N] [--metrics-addr ADDR] [--slow-ms N] [-I MEAN[,STD]] [--classic] \
+                 [--retry-ms N] [--metrics-addr ADDR] [--slow-ms N] [-I MEAN[,STD]] \
                  [--simd MODE] [--load MODE] <ref.idx|ref.fasta>"
             );
             eprintln!(
@@ -291,10 +290,13 @@ fn parse_insert_override(arg: &str) -> Result<PeStats, AnyError> {
 }
 
 fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
+    const USAGE: &str =
+        "usage: mem2 mem [-t N] [-p] [-I MEAN[,STD]] [-o FILE] [--checkpoint P [--resume]] \
+         [--simd MODE] [--seed-batch N] [--batch-bases N] [--batch-pairs N] [--load MODE] \
+         [--profile[=json]] <ref.idx|ref.fasta> <R1.fastq[.gz]> [R2.fastq[.gz]]";
     let mut threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut workflow = Workflow::Batched;
     let mut opts = MemOpts::default();
     let mut interleaved = false;
     let mut batch_bases_set = false;
@@ -358,26 +360,19 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
                     return Err("--seed-batch must be at least 1".into());
                 }
             }
-            "--classic" => workflow = Workflow::Classic,
             "--load" => load_mode = parse_load_mode(it.next().ok_or("--load needs a value")?)?,
             "--simd" => {
                 let v = it.next().ok_or("--simd needs a value")?;
                 opts.simd = SimdChoice::parse(v)
                     .ok_or_else(|| format!("--simd must be one of {}", SimdChoice::VALUES))?;
             }
-            _ => positional.push(a),
+            _ => positional.push(positional_arg(a, USAGE)?),
         }
     }
     let (ref_path, reads1, reads2) = match positional[..] {
         [r, q1] => (r, q1, None),
         [r, q1, q2] => (r, q1, Some(q2)),
-        _ => return Err(
-            "usage: mem2 mem [-t N] [-p] [-I MEAN[,STD]] [-o FILE] [--checkpoint P [--resume]] \
-                 [--classic] [--simd MODE] [--seed-batch N] \
-                 [--batch-bases N] [--batch-pairs N] [--load MODE] [--profile[=json]] \
-                 <ref.idx|ref.fasta> <R1.fastq[.gz]> [R2.fastq[.gz]]"
-                .into(),
-        ),
+        _ => return Err(USAGE.into()),
     };
     if interleaved && reads2.is_some() {
         return Err("-p (interleaved) takes a single reads file".into());
@@ -417,8 +412,12 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
         &[],
     );
 
-    let (reference, index) = load_ref_index(ref_path, workflow, load_mode, "mem")?;
-    let aligner = Aligner::with_index(index, reference, opts, workflow);
+    let (reference, index) = load_ref_index(ref_path, load_mode, "mem")?;
+    let aligner = Aligner {
+        opts,
+        index,
+        reference,
+    };
 
     // -- checkpoint state: fingerprint, and (on resume) the journal --
     let mut base_batch = 0u64;
@@ -586,11 +585,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
                         in1.format(),
                         in2.format()
                     ),
-                    &[
-                        ("ref_bp", &aligner.reference.len()),
-                        ("threads", &threads),
-                        ("workflow", &format_args!("{workflow:?}")),
-                    ],
+                    &[("ref_bp", &aligner.reference.len()), ("threads", &threads)],
                 );
                 let raw = PairedBatchReader::with_positions(
                     in1,
@@ -620,11 +615,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
                 olog::info(
                     "mem",
                     &format!("streaming {:?} interleaved input", input.format()),
-                    &[
-                        ("ref_bp", &aligner.reference.len()),
-                        ("threads", &threads),
-                        ("workflow", &format_args!("{workflow:?}")),
-                    ],
+                    &[("ref_bp", &aligner.reference.len()), ("threads", &threads)],
                 );
                 let raw = InterleavedBatchReader::with_position(
                     input,
@@ -665,7 +656,6 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
                 &[
                     ("ref_bp", &aligner.reference.len()),
                     ("threads", &threads),
-                    ("workflow", &format_args!("{workflow:?}")),
                     ("bases_per_batch", &aligner.opts.batch_bases),
                 ],
             );
@@ -897,7 +887,6 @@ fn mem_failure(e: AnyError, out_path: Option<&str>, ckpt: Option<&str>) -> Resul
 /// — shared by `mem` and `serve`.
 fn load_ref_index(
     ref_path: &str,
-    workflow: Workflow,
     load_mode: LoadMode,
     tag: &str,
 ) -> Result<(Reference, FmIndex), AnyError> {
@@ -905,7 +894,7 @@ fn load_ref_index(
         let t_load = std::time::Instant::now();
         let (reference, index, report) = bundle::load_index_file(
             std::path::Path::new(ref_path),
-            &workflow.build_opts(),
+            &BuildOpts::optimized_only(),
             load_mode,
             VerifyMode::Eager,
         )
@@ -930,9 +919,18 @@ fn load_ref_index(
         Ok((reference, index))
     } else {
         let reference = load_reference(ref_path)?;
-        let index = FmIndex::build(&reference, &workflow.build_opts());
+        let index = FmIndex::build(&reference, &BuildOpts::optimized_only());
         Ok((reference, index))
     }
+}
+
+/// A positional argument of `mem` or `serve`; an unrecognized option is
+/// refused with the subcommand's usage rather than taken for a path.
+fn positional_arg<'a>(arg: &'a String, usage: &str) -> Result<&'a String, AnyError> {
+    if arg.starts_with('-') {
+        return Err(format!("unknown option {arg}\n{usage}").into());
+    }
+    Ok(arg)
 }
 
 /// Parse `--load auto|read` (shared by `mem` and `serve`).
@@ -988,12 +986,11 @@ fn parse_endpoint(socket: Option<&String>, tcp: Option<&String>) -> Result<Endpo
 fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
     const USAGE: &str = "usage: mem2 serve [--socket PATH|--tcp ADDR] [-t N] [--queue N] \
          [--slab-reads N] [--retry-ms N] [--metrics-addr ADDR] [--slow-ms N] [-I MEAN[,STD]] \
-         [--classic] [--simd MODE] [--load MODE] [--request-timeout MS] \
+         [--simd MODE] [--load MODE] [--request-timeout MS] \
          [--conn-timeout MS] <ref.idx|ref.fasta>";
     let mut threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let mut workflow = Workflow::Batched;
     let mut opts = MemOpts::default();
     let mut load_mode = LoadMode::Auto;
     let mut socket: Option<&String> = None;
@@ -1077,14 +1074,13 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
             "-I" => {
                 pes_override = Some(parse_insert_override(it.next().ok_or("-I needs a value")?)?);
             }
-            "--classic" => workflow = Workflow::Classic,
             "--load" => load_mode = parse_load_mode(it.next().ok_or("--load needs a value")?)?,
             "--simd" => {
                 let v = it.next().ok_or("--simd needs a value")?;
                 opts.simd = SimdChoice::parse(v)
                     .ok_or_else(|| format!("--simd must be one of {}", SimdChoice::VALUES))?;
             }
-            _ => positional.push(a),
+            _ => positional.push(positional_arg(a, USAGE)?),
         }
     }
     let [ref_path] = positional[..] else {
@@ -1097,18 +1093,18 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         &format!("SIMD: --simd {} -> {}", opts.simd, resolve_simd(opts.simd)),
         &[],
     );
-    let (reference, index) = load_ref_index(ref_path, workflow, load_mode, "serve")?;
-    let aligner = Aligner::with_index(index, reference, opts, workflow);
+    let (reference, index) = load_ref_index(ref_path, load_mode, "serve")?;
+    let aligner = Aligner {
+        opts,
+        index,
+        reference,
+    };
 
     // hot-swap (RELOAD / SIGHUP) only makes sense when the daemon was
-    // started from a bundle: swaps reuse the same workflow + load mode
+    // started from a bundle: swaps reuse the same load mode
     let reload = ref_path
         .ends_with(".idx")
-        .then_some(mem2::server::ReloadSpec {
-            opts,
-            workflow,
-            load_mode,
-        });
+        .then_some(mem2::server::ReloadSpec { opts, load_mode });
 
     mem2::server::signal::install_termination_handler();
     let handle = mem2::server::serve(

@@ -3,8 +3,9 @@
 //! A from-scratch Rust reproduction of *"Efficient Architecture-Aware
 //! Acceleration of BWA-MEM for Multicore Systems"* (Vasimuddin, Misra, Li,
 //! Aluru — the system that became **bwa-mem2**). The library implements
-//! both the original BWA-MEM organization and the paper's optimized one,
-//! with the paper's identical-output guarantee enforced by tests.
+//! the paper's optimized organization; the original BWA-MEM organization
+//! is kept as a test oracle (`core::classic`), so the paper's
+//! identical-output guarantee is enforced by tests.
 //!
 //! ## Quick start
 //!
@@ -25,8 +26,8 @@
 //! .map(|s| s.record)
 //! .collect();
 //!
-//! // 3. align with the paper's batched workflow
-//! let aligner = Aligner::build(reference, MemOpts::default(), Workflow::Batched);
+//! // 3. align with the paper's batched pipeline
+//! let aligner = Aligner::build(reference, MemOpts::default());
 //! let sam = aligner.align_reads(&reads);
 //! assert!(sam.len() >= 20);
 //! ```
@@ -40,7 +41,7 @@
 //! | [`fmindex`] | FM-index, SMEM search, suffix-array lookup |
 //! | [`chain`] | seed chaining and chain filtering |
 //! | [`bsw`] | banded Smith-Waterman: scalar + inter-task SIMD engines |
-//! | [`core`] | the aligner: pipelines, SAM output, worker pool |
+//! | [`core`] | the aligner: batched pipeline, its per-read oracle, SAM output, worker pool |
 //! | [`pairing`] | paired-end: insert-size estimation, pair selection, mate rescue |
 //! | [`server`] | `mem2 serve`: resident daemon, cross-connection micro-batching |
 //! | [`obs`] | observability: metrics registry, histograms, structured logging, /metrics |
@@ -63,7 +64,7 @@ pub use mem2_suffix as suffix;
 pub mod prelude {
     pub use mem2_bsw::{BswEngine, ExtendJob, ExtendResult, ScoreParams};
     pub use mem2_core::{
-        align_reads_parallel, Aligner, AlnReg, MemOpts, SamRecord, Stage, StageTimes, Workflow,
+        align_reads_parallel, Aligner, AlnReg, MemOpts, SamRecord, Stage, StageTimes,
     };
     pub use mem2_fmindex::{BiInterval, BuildOpts, FmIndex, SmemOpts};
     pub use mem2_pairing::{align_pairs, align_pairs_stream, PeStats};

@@ -131,13 +131,6 @@ fn simulate_index_mem_roundtrip_is_deterministic() {
         ".idx and .fasta inputs must agree"
     );
 
-    // the classic workflow reproduces the batched output (paper invariant)
-    let classic = mem2_ok(&["mem", "-t", "2", "--classic", &idx, &fastq]);
-    assert_eq!(
-        t2.stdout, classic.stdout,
-        "classic and batched SAM must be identical"
-    );
-
     // streamed batch size must not change the bytes: 1-read batches and
     // a 1 KiB base budget both reproduce the default
     let tiny = mem2_ok(&["mem", "-t", "2", "--batch-bases", "1", &idx, &fastq]);
@@ -460,11 +453,9 @@ fn seed_batch_matrix_is_byte_identical() {
             "--seed-batch {w} changed the SE SAM bytes"
         );
     }
-    // width composes with thread count and the classic baseline
+    // width composes with thread count
     let wide_t4 = mem2_ok(&["mem", "-t", "4", "--seed-batch", "16", &idx, &fastq]);
     assert_eq!(base.stdout, wide_t4.stdout, "seed-batch × threads");
-    let classic = mem2_ok(&["mem", "-t", "2", "--classic", &idx, &fastq]);
-    assert_eq!(base.stdout, classic.stdout, "interleaved vs classic");
 
     // paired-end through the full PE stack
     let pe = dir.path("pe");
@@ -617,10 +608,6 @@ fn index_width_matrix_is_byte_identical() {
             "PE SAM differs for 64-bit index --load {load}"
         );
     }
-    // the classic workflow also reproduces through a wide bundle
-    let classic = mem2_ok(&["mem", "-t", "2", "--classic", &idx64, &fastq]);
-    assert_eq!(base.stdout, classic.stdout, "classic over 64-bit index");
-
     // invalid values are rejected with the accepted ones
     let out = mem2(&["index", "--index-width", "48", &fasta, &dir.path("x.idx")]);
     assert!(!out.status.success(), "bad --index-width must fail");
@@ -628,10 +615,13 @@ fn index_width_matrix_is_byte_identical() {
     let out = mem2(&["mem", "--load", "mmap", &idx32, &fastq]);
     assert!(!out.status.success(), "--load mmap is gone (auto maps)");
     assert!(String::from_utf8_lossy(&out.stderr).contains("auto|read"));
-    // --verify is gone too: there is one verification policy
+    // --verify is gone too: there is one verification policy; and
+    // --classic: the per-read organization is a test oracle, not a mode
     for verb in [
         &["mem", "--verify", "eager", &idx32, &fastq][..],
         &["serve", "--verify", "eager", &idx32][..],
+        &["mem", "--classic", &idx32, &fastq][..],
+        &["serve", "--classic", &idx32][..],
     ] {
         let out = mem2(verb);
         assert!(!out.status.success(), "{verb:?} must fail");

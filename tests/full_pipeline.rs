@@ -1,6 +1,7 @@
 //! Cross-crate integration tests at the facade level: SAM
 //! well-formedness, multi-contig references, FASTA/FASTQ round trips.
 
+use mem2::core::classic;
 use mem2::prelude::*;
 
 /// Parse a CIGAR string into (op, len) pairs.
@@ -87,6 +88,25 @@ fn simulate(reference: &Reference, n: usize, len: usize, seed: u64) -> Vec<Fastq
     .collect()
 }
 
+fn lines(records: &[SamRecord]) -> Vec<String> {
+    records.iter().map(|r| r.to_line()).collect()
+}
+
+/// An aligner over an index holding both layouts, so it serves the
+/// batched pipeline and the classic oracle alike.
+fn dual_aligner(reference: &Reference) -> Aligner {
+    Aligner {
+        opts: MemOpts::default(),
+        index: FmIndex::build(reference, &BuildOpts::default()),
+        reference: reference.clone(),
+    }
+}
+
+/// SAM lines of `reads` from the classic oracle.
+fn oracle_lines(aligner: &Aligner, reads: &[FastqRecord]) -> Vec<String> {
+    lines(&classic::align_reads_parallel(aligner, reads, 1).0)
+}
+
 #[test]
 fn every_sam_record_is_well_formed() {
     let reference = GenomeSpec {
@@ -102,7 +122,7 @@ fn every_sam_record_is_well_formed() {
         .map(|c| (c.name.clone(), c.len))
         .collect();
     let reads = simulate(&reference, 300, 151, 0x5A);
-    let aligner = Aligner::build(reference, MemOpts::default(), Workflow::Batched);
+    let aligner = Aligner::build(reference, MemOpts::default());
     for rec in aligner.align_reads(&reads) {
         validate_sam(&rec, &contig_lens);
     }
@@ -147,30 +167,9 @@ fn multi_contig_reference_works_end_to_end() {
     ];
     let reference = Reference::from_fasta(&records, 0);
     let reads = simulate(&reference, 250, 101, 0x77);
-    let index = FmIndex::build(&reference, &BuildOpts::default());
-    let classic = Aligner::with_index(
-        index.clone(),
-        reference.clone(),
-        MemOpts::default(),
-        Workflow::Classic,
-    );
-    let batched = Aligner::with_index(
-        index,
-        reference.clone(),
-        MemOpts::default(),
-        Workflow::Batched,
-    );
-
-    let sam_c: Vec<String> = classic
-        .align_reads(&reads)
-        .iter()
-        .map(|r| r.to_line())
-        .collect();
-    let sam_b: Vec<String> = batched
-        .align_reads(&reads)
-        .iter()
-        .map(|r| r.to_line())
-        .collect();
+    let batched = dual_aligner(&reference);
+    let sam_c = oracle_lines(&batched, &reads);
+    let sam_b = lines(&batched.align_reads(&reads));
     assert_eq!(sam_c, sam_b, "multi-contig identity must hold");
 
     // all three contigs should attract alignments
@@ -217,25 +216,11 @@ fn reference_with_ambiguous_bases_stays_identical() {
     );
     assert!(!reference.contigs.holes.is_empty());
     let reads = simulate(&reference, 200, 101, 0x88);
-    let index = FmIndex::build(&reference, &BuildOpts::default());
-    let classic = Aligner::with_index(
-        index.clone(),
-        reference.clone(),
-        MemOpts::default(),
-        Workflow::Classic,
+    let aligner = dual_aligner(&reference);
+    assert_eq!(
+        oracle_lines(&aligner, &reads),
+        lines(&aligner.align_reads(&reads))
     );
-    let batched = Aligner::with_index(index, reference, MemOpts::default(), Workflow::Batched);
-    let a: Vec<String> = classic
-        .align_reads(&reads)
-        .iter()
-        .map(|r| r.to_line())
-        .collect();
-    let b: Vec<String> = batched
-        .align_reads(&reads)
-        .iter()
-        .map(|r| r.to_line())
-        .collect();
-    assert_eq!(a, b);
 }
 
 #[test]
@@ -251,7 +236,7 @@ fn fastq_roundtrip_feeds_the_aligner() {
     let text = mem2::seqio::write_fastq(&reads);
     let parsed = parse_fastq(&text).expect("roundtrip parse");
     assert_eq!(parsed, reads);
-    let aligner = Aligner::build(reference, MemOpts::default(), Workflow::Batched);
+    let aligner = Aligner::build(reference, MemOpts::default());
     let sam = aligner.align_reads(&parsed);
     assert!(sam.iter().filter(|r| r.flag & 0x4 == 0).count() >= 35);
 }
@@ -304,26 +289,9 @@ fn tiny_and_edge_case_reads_do_not_break_the_pipeline() {
             qual: vec![b'I'; 151],
         },
     ];
-    let index = FmIndex::build(&reference, &BuildOpts::default());
-    let classic = Aligner::with_index(
-        index.clone(),
-        reference.clone(),
-        MemOpts::default(),
-        Workflow::Classic,
-    );
-    let batched = Aligner::with_index(index, reference, MemOpts::default(), Workflow::Batched);
-    let a: Vec<String> = classic
-        .align_reads(&reads)
-        .iter()
-        .map(|r| r.to_line())
-        .collect();
-    let b: Vec<String> = batched
-        .align_reads(&reads)
-        .iter()
-        .map(|r| r.to_line())
-        .collect();
-    assert_eq!(a, b);
-    let sam = batched.align_reads(&reads);
+    let aligner = dual_aligner(&reference);
+    let sam = aligner.align_reads(&reads);
+    assert_eq!(oracle_lines(&aligner, &reads), lines(&sam));
     let by_name = |n: &str| sam.iter().find(|r| r.qname == n).expect("record exists");
     assert!(
         by_name("tiny").flag & 0x4 != 0,
