@@ -1,8 +1,13 @@
 //! The public aligner facade.
 
-use mem2_fmindex::{BuildOpts, FmIndex};
-use mem2_seqio::{FastqRecord, Reference};
+use std::path::Path;
+use std::time::Instant;
 
+use mem2_fmindex::{BuildOpts, FmIndex};
+use mem2_obs::log as olog;
+use mem2_seqio::{parse_fasta, FastqRecord, Reference, SeqIoError};
+
+use crate::bundle::{self, LoadMode, VerifyMode};
 use crate::opts::MemOpts;
 use crate::pipeline::{align_to_records, PipelineContext, PreparedRead, Worker};
 use crate::profile::StageTimes;
@@ -39,6 +44,48 @@ impl Aligner {
             index,
             reference,
         }
+    }
+
+    /// Open the index behind `path` — how `mem2 mem`, `mem2 serve` and
+    /// the daemon's RELOAD all get one. A `.idx` path loads the bundle
+    /// (mapped where the platform allows, every section CRC-verified)
+    /// and logs its load report; any other path is read as FASTA
+    /// ([`load_reference`]) and indexed in memory. Errors name `path`.
+    pub fn open(path: &str, opts: MemOpts) -> Result<Aligner, String> {
+        if !path.ends_with(".idx") {
+            let reference = load_reference(path)?;
+            return Ok(Aligner::build(reference, opts));
+        }
+        let t_load = Instant::now();
+        let (reference, index, report) = bundle::load_index_file(
+            Path::new(path),
+            &BuildOpts::optimized_only(),
+            LoadMode::Auto,
+            VerifyMode::Eager,
+        )
+        .map_err(|e| format!("{path}: {e}"))?;
+        olog::info(
+            "index",
+            &format!(
+                "bundle v{}, {}-bit positions, {} MB, {} load{} (verified) in {:.0} ms",
+                bundle::BUNDLE_VERSION,
+                report.sa_width,
+                report.bytes / (1 << 20),
+                if report.file_mapped {
+                    "mmap"
+                } else {
+                    "buffered"
+                },
+                if report.zero_copy { " (zero-copy)" } else { "" },
+                t_load.elapsed().as_secs_f64() * 1e3
+            ),
+            &[],
+        );
+        Ok(Aligner {
+            opts,
+            index,
+            reference,
+        })
     }
 
     /// Wrap an existing index. It must hold the η=32 occurrence table
@@ -104,4 +151,22 @@ impl Aligner {
     {
         crate::threads::align_stream_parallel(self, batches, n_threads, out)
     }
+}
+
+/// Read a FASTA reference file; `N`s are replaced with a fixed seed, so
+/// every run (and `mem2 index`) builds the same text from the same file.
+pub fn load_reference(path: &str) -> Result<Reference, String> {
+    let fail = |e: SeqIoError| e.in_file(path).to_string();
+    let bytes = std::fs::read(path).map_err(|e| fail(SeqIoError::io("read", &e)))?;
+    let text = String::from_utf8(bytes).map_err(|_| {
+        fail(SeqIoError::Io {
+            context: "read".into(),
+            detail: "FASTA is not valid UTF-8".into(),
+        })
+    })?;
+    let records = parse_fasta(&text).map_err(fail)?;
+    if records.is_empty() {
+        return Err(format!("{path}: no FASTA records"));
+    }
+    Ok(Reference::from_fasta(&records, 11))
 }

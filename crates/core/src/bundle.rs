@@ -138,8 +138,8 @@ pub fn flat_sa_fits(l_pac: usize) -> bool {
 
 /// Pick the position width for a reference: narrow while the doubled
 /// text fits 4-byte entries, wide beyond. `narrow_limit` overrides the
-/// `u32` ceiling (in doubled-text positions) so tests and the CLI's
-/// `--width-limit` can exercise the wide path on tiny fixtures.
+/// `u32` ceiling (in doubled-text positions) so tests can exercise the
+/// wide path on tiny fixtures.
 pub fn choose_width(l_pac: usize, narrow_limit: Option<usize>) -> IndexWidth {
     let limit = narrow_limit.unwrap_or(u32::MAX as usize);
     if 2 * l_pac < limit {
@@ -303,25 +303,23 @@ pub fn write_bundle_atomic(path: &std::path::Path, bytes: &[u8]) -> Result<(), B
 /// automatically (never fails on size — oversized references widen to
 /// u64 entries).
 pub fn build_bundle(reference: &Reference) -> Result<Vec<u8>, BundleError> {
-    build_bundle_with_width(reference, None, None)
+    build_bundle_with_width(reference, None)
 }
 
 /// Build the bundle with an explicit width. `None` chooses
-/// automatically (honoring `narrow_limit`, the CLI's `--width-limit`
-/// test override); forcing [`IndexWidth::W32`] onto a reference past
-/// the u32 ceiling fails with [`BundleError::TooLarge`] — the only way
-/// to hit that error.
+/// automatically ([`choose_width`]); forcing [`IndexWidth::W32`] onto a
+/// reference past the u32 ceiling fails with [`BundleError::TooLarge`]
+/// — the only way to hit that error.
 pub fn build_bundle_with_width(
     reference: &Reference,
     width: Option<IndexWidth>,
-    narrow_limit: Option<usize>,
 ) -> Result<Vec<u8>, BundleError> {
     let width = match width {
         Some(IndexWidth::W32) if !flat_sa_fits(reference.len()) => {
             return Err(BundleError::TooLarge(2 * reference.len() + 1));
         }
         Some(w) => w,
-        None => choose_width(reference.len(), narrow_limit),
+        None => choose_width(reference.len(), None),
     };
     let s = FmIndex::doubled_text(reference);
     let sa = mem2_suffix::suffix_array_width(&s, width);
@@ -692,7 +690,7 @@ pub enum LoadMode {
 
 fn open_region(path: &std::path::Path, mode: LoadMode) -> Result<(ByteRegion, bool), BundleError> {
     let io = |e: std::io::Error| BundleError::Io(format!("{}: {e}", path.display()));
-    #[cfg(all(unix, feature = "mmap"))]
+    #[cfg(unix)]
     if mode == LoadMode::Auto {
         if let Some(m) = crate::mmap::try_map_file(path).map_err(io)? {
             let owner: RegionOwner = Arc::new(m);
@@ -799,8 +797,8 @@ mod tests {
             ..GenomeSpec::default()
         };
         let reference = genome.generate_reference("chrW");
-        let narrow = build_bundle_with_width(&reference, Some(IndexWidth::W32), None).unwrap();
-        let wide = build_bundle_with_width(&reference, Some(IndexWidth::W64), None).unwrap();
+        let narrow = build_bundle_with_width(&reference, Some(IndexWidth::W32)).unwrap();
+        let wide = build_bundle_with_width(&reference, Some(IndexWidth::W64)).unwrap();
         assert_eq!(parse_toc(&wide).unwrap().sa_width, IndexWidth::W64);
         let (_, idx_n) = load_index(&narrow).unwrap();
         let (_, idx_w) = load_index(&wide).unwrap();
@@ -829,7 +827,9 @@ mod tests {
             ..GenomeSpec::default()
         };
         let reference = genome.generate_reference("chrL");
-        let bytes = build_bundle_with_width(&reference, None, Some(100)).expect("encode");
+        let bytes =
+            build_bundle_with_width(&reference, Some(choose_width(reference.len(), Some(100))))
+                .expect("encode");
         let layout = parse_toc(&bytes).expect("parse");
         assert_eq!(layout.sa_width, IndexWidth::W64);
         let (_, idx) = load_index(&bytes).expect("load");
@@ -851,7 +851,9 @@ mod tests {
             ..GenomeSpec::default()
         };
         let reference = genome.generate_reference("chrBig");
-        assert!(build_bundle_with_width(&reference, None, Some(10)).is_ok());
+        let width = choose_width(reference.len(), Some(10));
+        assert_eq!(width, IndexWidth::W64);
+        assert!(build_bundle_with_width(&reference, Some(width)).is_ok());
         // forcing narrow onto an "oversized" reference is the only
         // remaining TooLarge, and only at the real u32 ceiling
         let err = BundleError::TooLarge(5_000_000_000);
@@ -867,7 +869,7 @@ mod tests {
         let reference = genome.generate_reference("chrM");
         let direct = FmIndex::build(&reference, &BuildOpts::optimized_only());
         for width in [IndexWidth::W32, IndexWidth::W64] {
-            let bytes = build_bundle_with_width(&reference, Some(width), None).unwrap();
+            let bytes = build_bundle_with_width(&reference, Some(width)).unwrap();
             let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(&bytes));
             let (refer, idx, report) =
                 load_index_region(ByteRegion::whole(owner), false).expect("load");

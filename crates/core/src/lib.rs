@@ -40,7 +40,7 @@ pub mod robust;
 pub mod sam;
 pub mod threads;
 
-pub use aligner::{Aligner, Workflow};
+pub use aligner::{load_reference, Aligner, Workflow};
 pub use bundle::{
     build_bundle, build_bundle_with_width, choose_width, flat_sa_fits, load_index, load_index_file,
     load_index_region, save_bundle_v5, write_bundle_atomic, BundleError, LoadMode, LoadReport,

@@ -9,11 +9,11 @@
 //!
 //! The container this repo builds in has no `libc` crate, so the
 //! syscalls are declared directly against the platform C library
-//! (`mmap`/`munmap` are part of every unix libc ABI). The whole module
-//! is gated on the `mmap` cargo feature *and* a unix target; everywhere
-//! else — and whenever mapping fails — loading falls back to a buffered
-//! read into a page-aligned heap buffer ([`read_file_aligned`]), which
-//! serves the identical `ByteRegion` view, just without page sharing.
+//! (`mmap`/`munmap` are part of every unix libc ABI). Mapping is
+//! compiled on unix targets only; everywhere else — and whenever
+//! mapping fails — loading falls back to a buffered read into a
+//! page-aligned heap buffer ([`read_file_aligned`]), which serves the
+//! identical `ByteRegion` view, just without page sharing.
 
 use std::fs::File;
 use std::io::{self, Read};
@@ -31,7 +31,7 @@ pub fn read_file_aligned(path: &std::path::Path) -> io::Result<AlignedBytes> {
     Ok(buf)
 }
 
-#[cfg(all(unix, feature = "mmap"))]
+#[cfg(unix)]
 mod sys {
     use super::*;
     use std::ops::Deref;
@@ -125,19 +125,19 @@ mod sys {
     }
 }
 
-#[cfg(all(unix, feature = "mmap"))]
+#[cfg(unix)]
 pub use sys::MmapFile;
 
 /// True when this build can memory-map index files at all.
 pub const fn mmap_supported() -> bool {
-    cfg!(all(unix, feature = "mmap"))
+    cfg!(unix)
 }
 
 /// Map a file when the platform supports it; `None` signals the caller
 /// to use [`read_file_aligned`] instead. I/O errors other than the
 /// empty-file case are returned, not swallowed — a missing index file
 /// should not silently "fall back".
-#[cfg(all(unix, feature = "mmap"))]
+#[cfg(unix)]
 pub fn try_map_file(path: &std::path::Path) -> io::Result<Option<MmapFile>> {
     match MmapFile::open(path) {
         Ok(m) => Ok(Some(m)),
@@ -146,8 +146,8 @@ pub fn try_map_file(path: &std::path::Path) -> io::Result<Option<MmapFile>> {
     }
 }
 
-/// Non-unix / feature-off stub: mapping is never available.
-#[cfg(not(all(unix, feature = "mmap")))]
+/// Non-unix stub: mapping is never available.
+#[cfg(not(unix))]
 pub fn try_map_file(_path: &std::path::Path) -> io::Result<Option<std::convert::Infallible>> {
     Ok(None)
 }
@@ -169,7 +169,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[cfg(all(unix, feature = "mmap"))]
+    #[cfg(unix)]
     #[test]
     fn mapped_file_matches_buffered_read() {
         let dir = std::env::temp_dir();

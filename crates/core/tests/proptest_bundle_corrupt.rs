@@ -25,7 +25,7 @@ fn fixtures() -> &'static [Vec<u8>; 2] {
         }
         .generate_reference("chrP");
         [IndexWidth::W32, IndexWidth::W64]
-            .map(|w| build_bundle_with_width(&reference, Some(w), None).expect("encode"))
+            .map(|w| build_bundle_with_width(&reference, Some(w)).expect("encode"))
     })
 }
 

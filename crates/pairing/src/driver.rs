@@ -10,7 +10,7 @@
 //!
 //! One window driver serves every entry point — the streaming CLI path,
 //! the in-memory [`align_pairs`] and the daemon's
-//! [`align_pairs_window`] — with the shape of bwa's `mem_process_seqs`:
+//! [`align_pairs_windowed`] — with the shape of bwa's `mem_process_seqs`:
 //! all of a [`Team`]'s workers single-end align the window's pair-aligned
 //! slabs (phase 1), one thread estimates the insert distribution over the
 //! whole window, then all workers rescue, pair and render per slab
@@ -199,48 +199,44 @@ where
     })
 }
 
-/// Align one `batch_pairs` window on `team` and return its SAM records
-/// (read 1 lines then read 2 lines per pair, pairs in input order) — the
-/// resident-daemon entry point: the caller owns the options (which may
-/// be a per-request override) and no [`Aligner`] needs to exist. The
-/// records are a pure function of `(pairs, ctx.opts, pes_override)` —
-/// invariant to the team's size and to whatever other traffic the
-/// server is carrying. `pes_override` pins the insert distribution (the
-/// CLI's `-I`); otherwise it is estimated from this window's confident
-/// pairs à la `mem_pestat`.
-pub fn align_pairs_window(
+/// Align an owned pair list on `team`, windowed into `ctx.opts.batch_pairs`
+/// windows exactly as the streaming driver would, and return its SAM
+/// records (read 1 lines then read 2 lines per pair, pairs in input
+/// order) — the resident daemon's entry point: the caller owns the
+/// options (which may be a per-request override) and no [`Aligner`]
+/// needs to exist. The records are a pure function of `(pairs,
+/// ctx.opts, pes_override)` — invariant to the team's size and to
+/// whatever other traffic the server is carrying. `pes_override` pins
+/// the insert distribution (the CLI's `-I`); otherwise it is estimated
+/// per window from its confident pairs à la `mem_pestat`.
+pub fn align_pairs_windowed(
     ctx: &PipelineContext<'_>,
     team: &mut Team,
     pairs: Vec<ReadPair>,
     pes_override: Option<PeStats>,
 ) -> Vec<SamRecord> {
-    align_pairs_team(ctx, team, pairs, pes_override, &|_| {}, |_, records| {
-        records
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let window = ctx.opts.batch_pairs.max(1);
+    let mut records = Vec::new();
+    let mut pairs = pairs.into_iter();
+    loop {
+        let batch: Vec<ReadPair> = pairs.by_ref().take(window).collect();
+        if batch.is_empty() {
+            return records;
+        }
+        let slabs = align_pairs_team(ctx, team, batch, pes_override, &|_| {}, |_, r| r);
+        records.extend(slabs.into_iter().flatten());
+    }
 }
 
-/// Align pairs in memory on the current thread, windowed into
-/// `batch_pairs` batches exactly as the streaming driver would — the
-/// in-memory and streamed outputs are byte-identical.
+/// Align pairs in memory on the current thread — the in-memory and
+/// streamed outputs are byte-identical.
 pub fn align_pairs(
     aligner: &Aligner,
     pairs: &[ReadPair],
     pes_override: Option<PeStats>,
 ) -> Vec<SamRecord> {
     let mut team = Team::new(&aligner.opts, 1);
-    let mut out = Vec::new();
-    for window in pairs.chunks(aligner.opts.batch_pairs.max(1)) {
-        out.extend(align_pairs_window(
-            &aligner.context(),
-            &mut team,
-            window.to_vec(),
-            pes_override,
-        ));
-    }
-    out
+    align_pairs_windowed(&aligner.context(), &mut team, pairs.to_vec(), pes_override)
 }
 
 /// Align a stream of pair batches with `n_threads` workers, writing SAM

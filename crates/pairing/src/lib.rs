@@ -29,7 +29,7 @@ pub mod rescue;
 pub mod sam_pe;
 
 pub use driver::{
-    align_pairs, align_pairs_stream, align_pairs_stream_flush, align_pairs_window,
+    align_pairs, align_pairs_stream, align_pairs_stream_flush, align_pairs_windowed,
     pairs_from_interleaved,
 };
 pub use pair::{mem_pair, raw_mapq, PairChoice};

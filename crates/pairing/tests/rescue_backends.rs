@@ -6,7 +6,7 @@
 //! `dispatch::force` is process-wide.
 
 use mem2_core::{Aligner, MemOpts, RescueStats, Team};
-use mem2_pairing::align_pairs_window;
+use mem2_pairing::align_pairs_windowed;
 use mem2_seqio::{GenomeSpec, PairSim, PairSimSpec, ReadPair};
 use mem2_simd::{dispatch, Backend};
 
@@ -14,7 +14,7 @@ use mem2_simd::{dispatch, Backend};
 fn align(aligner: &Aligner, pairs: &[ReadPair], backend: Backend) -> (String, RescueStats) {
     dispatch::force(Some(backend));
     let mut team = Team::new(&aligner.opts, 1);
-    let sam: String = align_pairs_window(&aligner.context(), &mut team, pairs.to_vec(), None)
+    let sam: String = align_pairs_windowed(&aligner.context(), &mut team, pairs.to_vec(), None)
         .iter()
         .map(|rec| rec.to_line() + "\n")
         .collect();

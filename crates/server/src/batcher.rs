@@ -31,7 +31,7 @@ use mem2_core::pipeline::{align_to_records, PipelineContext, PreparedRead};
 use mem2_core::profile::STAGE_NAMES;
 use mem2_core::{SamRecord, StageTimes, Team};
 use mem2_obs::Hist;
-use mem2_pairing::{align_pairs_window, PeStats};
+use mem2_pairing::{align_pairs_windowed, PeStats};
 use mem2_seqio::ReadPair;
 
 use crate::faultsim;
@@ -137,7 +137,8 @@ struct Shared {
 pub struct Batcher {
     shared: Arc<Shared>,
     slot: Arc<IndexSlot>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    /// Emptied by the first [`Batcher::drain`].
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Batcher {
@@ -174,7 +175,7 @@ impl Batcher {
         Batcher {
             shared,
             slot,
-            workers,
+            workers: Mutex::new(workers),
         }
     }
 
@@ -239,10 +240,11 @@ impl Batcher {
 
     /// Drain: refuse new submissions, finish everything queued, then
     /// join the worker pool. Idempotent.
-    pub fn drain(&mut self) {
+    pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::Release);
         self.shared.work.notify_all();
-        for w in self.workers.drain(..) {
+        let workers = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
+        for w in workers {
             let _ = w.join();
         }
     }
@@ -401,16 +403,9 @@ fn align_group(
                     .map(|(_, n)| it.by_ref().take(*n).flatten().collect())
                     .collect::<Vec<Vec<SamRecord>>>()
             }
-            Work::Paired(pairs, pes) => {
-                // window into batch_pairs chunks exactly like
-                // `mem2 mem -p` on the same stream — the request is its
-                // own pestat scope
-                let mut records = Vec::new();
-                for window in chunk_pairs(pairs, opts.batch_pairs.max(1)) {
-                    records.extend(align_pairs_window(&ctx, &mut team, window, pes));
-                }
-                vec![records]
-            }
+            // windowed like `mem2 mem -p` on the same stream — the
+            // request is its own pestat scope
+            Work::Paired(pairs, pes) => vec![align_pairs_windowed(&ctx, &mut team, pairs, pes)],
         }
     }));
 
@@ -517,17 +512,4 @@ fn log_slow_slab(
         fields.push((name.as_str(), val));
     }
     mem2_obs::log::warn("serve", "slow slab", &fields);
-}
-
-/// Split a pair list into owned `batch_pairs`-sized windows.
-fn chunk_pairs(pairs: Vec<ReadPair>, window: usize) -> Vec<Vec<ReadPair>> {
-    let mut out = Vec::with_capacity(pairs.len().div_ceil(window.max(1)));
-    let mut it = pairs.into_iter();
-    loop {
-        let chunk: Vec<ReadPair> = it.by_ref().take(window).collect();
-        if chunk.is_empty() {
-            return out;
-        }
-        out.push(chunk);
-    }
 }

@@ -32,7 +32,6 @@ use std::sync::mpsc::{sync_channel, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant, SystemTime};
 
-use mem2_core::bundle::{self, LoadMode, VerifyMode};
 use mem2_core::pipeline::PreparedRead;
 use mem2_core::profile::percentile_fields_us;
 use mem2_core::{Aligner, MemOpts};
@@ -53,7 +52,9 @@ use crate::proto::{self, OptsOverride, RequestMode, CLIENT_MAGIC};
 use crate::swap::IndexSlot;
 
 /// Daemon configuration (execution-shape knobs; per-request scoring
-/// options arrive over the wire instead).
+/// options arrive over the wire instead). The coalescing budget is not
+/// one of them: a cross-connection slab holds up to the served
+/// aligner's `batch_reads` reads, the slab size `mem2 mem` uses.
 pub struct ServeConfig {
     /// Where to listen.
     pub endpoint: Endpoint,
@@ -62,8 +63,6 @@ pub struct ServeConfig {
     /// Admission queue capacity, in requests. Small bounds mean early,
     /// honest backpressure instead of unbounded memory.
     pub queue_cap: usize,
-    /// Coalescing budget: reads per cross-connection alignment slab.
-    pub slab_reads: usize,
     /// Suggested client backoff carried by RETRY frames, milliseconds.
     pub retry_ms: u64,
     /// Pinned insert-size distribution for PE requests (the daemon
@@ -83,22 +82,6 @@ pub struct ServeConfig {
     /// frame must finish it (and keep draining our writes) within this
     /// window or the connection is dropped.
     pub conn_stall: Duration,
-    /// How to load replacement bundles for RELOAD / SIGHUP hot-swaps.
-    /// `None` (e.g. the index was built in-process from a FASTA)
-    /// answers RELOAD with ERR.
-    pub reload: Option<ReloadSpec>,
-}
-
-/// Everything needed to load a replacement index bundle for a hot-swap
-/// exactly like the startup load (same load mode). Every section is
-/// verified before the swap — a swap must never install bytes it has
-/// not checked.
-#[derive(Clone, Copy)]
-pub struct ReloadSpec {
-    /// Base alignment options the new [`Aligner`] is built with.
-    pub opts: MemOpts,
-    /// Buffered read vs. mmap, matching the startup `--load` choice.
-    pub load_mode: LoadMode,
 }
 
 impl Default for ServeConfig {
@@ -110,14 +93,12 @@ impl Default for ServeConfig {
             endpoint: Endpoint::Tcp("127.0.0.1:0".into()),
             threads: 1,
             queue_cap: 64,
-            slab_reads: 512,
             retry_ms: 50,
             pes_override: None,
             metrics_addr: None,
             slow_ms: 0,
             request_timeout: None,
             conn_stall: Duration::from_secs(30),
-            reload: None,
         }
     }
 }
@@ -200,13 +181,13 @@ pub fn serve(aligner: Aligner, config: ServeConfig) -> io::Result<ServerHandle> 
     let base_opts = aligner.opts;
     let slot = Arc::new(IndexSlot::new(Arc::new(aligner)));
     let shutdown = Arc::new(AtomicBool::new(false));
-    let batcher = Arc::new(BatcherCell::new(Batcher::start(
+    let batcher = Arc::new(Batcher::start(
         Arc::clone(&slot),
         config.threads,
         config.queue_cap,
-        config.slab_reads,
+        base_opts.batch_reads,
         config.slow_ms.saturating_mul(1000),
-    )));
+    ));
     let started = Instant::now();
     let ctx = Arc::new(ConnCtx {
         slot,
@@ -219,7 +200,6 @@ pub fn serve(aligner: Aligner, config: ServeConfig) -> io::Result<ServerHandle> 
         started,
         request_timeout: config.request_timeout,
         conn_stall: config.conn_stall,
-        reload: config.reload,
     });
 
     // Optional Prometheus exposition endpoint, sharing the daemon's
@@ -232,7 +212,7 @@ pub fn serve(aligner: Aligner, config: ServeConfig) -> io::Result<ServerHandle> 
             let mb = Arc::clone(&batcher);
             let queue_cap = config.queue_cap;
             registry.collect_with(move |out| {
-                mb.with(|b| render_daemon_metrics(out, b, started.elapsed(), queue_cap));
+                render_daemon_metrics(out, &mb, started.elapsed(), queue_cap);
                 render_process_metrics(out);
             });
             let srv = MetricsServer::start(addr, registry, Arc::clone(&shutdown))?;
@@ -299,11 +279,9 @@ pub fn serve(aligner: Aligner, config: ServeConfig) -> io::Result<ServerHandle> 
 }
 
 /// Load + verify the bundle at `path` and atomically install it as the
-/// new serving epoch. Any failure leaves the old index in service.
+/// new serving epoch, whatever the daemon was started from. Any failure
+/// leaves the old index in service.
 fn reload_index(ctx: &ConnCtx, path: &str) -> Result<u64, String> {
-    let Some(spec) = ctx.reload else {
-        return Err("reload unavailable: daemon was not started from an index bundle".into());
-    };
     if !path.ends_with(".idx") {
         return Err(format!(
             "reload path must be an index bundle (.idx): {path}"
@@ -312,14 +290,8 @@ fn reload_index(ctx: &ConnCtx, path: &str) -> Result<u64, String> {
     let t_load = Instant::now();
     // Every section is CRC-verified before the swap, so a corrupt
     // bundle is rejected here and never serves.
-    let loaded = bundle::load_index_file(
-        std::path::Path::new(path),
-        &Default::default(), // unused build profile
-        spec.load_mode,
-        VerifyMode::Eager,
-    );
-    let (reference, index, _) = match loaded {
-        Ok(parts) => parts,
+    let aligner = match Aligner::open(path, ctx.base_opts) {
+        Ok(aligner) => aligner,
         Err(e) => {
             ctx.slot.record_failure();
             olog::warn(
@@ -327,13 +299,8 @@ fn reload_index(ctx: &ConnCtx, path: &str) -> Result<u64, String> {
                 "reload rejected; keeping current index",
                 &[("path", &path), ("error", &e)],
             );
-            return Err(format!("reload rejected: {path}: {e}"));
+            return Err(format!("reload rejected: {e}"));
         }
-    };
-    let aligner = Aligner {
-        opts: ctx.base_opts,
-        index,
-        reference,
     };
     let epoch = ctx.slot.swap(Arc::new(aligner));
     let ms = format!("{:.0}", t_load.elapsed().as_secs_f64() * 1e3);
@@ -352,7 +319,7 @@ struct ConnCtx {
     /// Server-side base options; per-request OPTS overrides apply on
     /// top of these (they survive hot-swaps unchanged).
     base_opts: MemOpts,
-    batcher: Arc<BatcherCell>,
+    batcher: Arc<Batcher>,
     shutdown: Arc<AtomicBool>,
     retry_ms: u64,
     pes_override: Option<PeStats>,
@@ -360,34 +327,6 @@ struct ConnCtx {
     started: Instant,
     request_timeout: Option<Duration>,
     conn_stall: Duration,
-    reload: Option<ReloadSpec>,
-}
-
-/// The batcher behind a mutex only for `drain` (which needs `&mut`);
-/// the hot submit path takes the lock for nanoseconds.
-struct BatcherCell {
-    inner: std::sync::Mutex<Batcher>,
-}
-
-impl BatcherCell {
-    fn new(b: Batcher) -> Self {
-        BatcherCell {
-            inner: std::sync::Mutex::new(b),
-        }
-    }
-
-    #[allow(clippy::result_large_err)] // mirrors Batcher::try_submit: Err hands the submission back
-    fn try_submit(&self, sub: Submission) -> Result<(), Submission> {
-        self.inner.lock().expect("batcher poisoned").try_submit(sub)
-    }
-
-    fn drain(&self) {
-        self.inner.lock().expect("batcher poisoned").drain();
-    }
-
-    fn with<T>(&self, f: impl FnOnce(&Batcher) -> T) -> T {
-        f(&self.inner.lock().expect("batcher poisoned"))
-    }
 }
 
 /// RAII active-connection gauge.
@@ -395,22 +334,21 @@ struct ConnGauge<'a>(&'a ConnCtx);
 
 impl<'a> ConnGauge<'a> {
     fn new(ctx: &'a ConnCtx) -> Self {
-        ctx.batcher.with(|b| {
-            b.counters()
-                .active_connections
-                .fetch_add(1, Ordering::Relaxed)
-        });
+        ctx.batcher
+            .counters()
+            .active_connections
+            .fetch_add(1, Ordering::Relaxed);
         ConnGauge(ctx)
     }
 }
 
 impl Drop for ConnGauge<'_> {
     fn drop(&mut self) {
-        self.0.batcher.with(|b| {
-            b.counters()
-                .active_connections
-                .fetch_sub(1, Ordering::Relaxed)
-        });
+        self.0
+            .batcher
+            .counters()
+            .active_connections
+            .fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -655,11 +593,10 @@ fn finish_request(
             Err(RecvTimeoutError::Timeout) => {
                 // dropping reply_rx makes the worker's eventual send a
                 // harmless no-op; the slot is freed now
-                ctx.batcher.with(|b| {
-                    b.counters()
-                        .deadlines_expired
-                        .fetch_add(1, Ordering::Relaxed)
-                });
+                ctx.batcher
+                    .counters()
+                    .deadlines_expired
+                    .fetch_add(1, Ordering::Relaxed);
                 olog::warn(
                     "serve",
                     "request deadline exceeded; answering ERR",
@@ -732,51 +669,50 @@ fn finish_request(
 /// p50/p90/p99/max summaries whose fields are `null` when nothing has
 /// been observed — distinct from a true measured 0.
 fn render_stats(ctx: &ConnCtx) -> String {
-    ctx.batcher.with(|b| {
-        let c = b.counters();
-        let times = b.stage_times();
-        let stages: Vec<String> = mem2_core::profile::STAGE_NAMES
-            .iter()
-            .enumerate()
-            .map(|(i, name)| {
-                let snap = times.hists[i].snapshot();
-                format!(
-                    "\"{}\": {{\"total_ms\": {:.3}, \"calls\": {}, {}}}",
-                    name,
-                    times.totals[i].as_secs_f64() * 1e3,
-                    snap.count,
-                    percentile_fields_us(&snap).replace("\":", "\": "),
-                )
-            })
-            .collect();
-        format!(
-            concat!(
-                "{{\"uptime_ms\": {}, \"queue_depth\": {}, \"queue_cap\": {}, ",
-                "\"active_connections\": {}, \"requests_admitted\": {}, ",
-                "\"requests_rejected\": {}, \"reads\": {}, \"records\": {}, ",
-                "\"slabs\": {}, \"slab_panics\": {}, \"deadlines_expired\": {}, ",
-                "\"epoch\": {}, \"swaps\": {}, \"swap_failures\": {}, ",
-                "\"queue_wait\": {}, \"service\": {}, \"stages\": {{{}}}}}"
-            ),
-            ctx.started.elapsed().as_millis(),
-            b.queue_depth(),
-            ctx.queue_cap,
-            c.active_connections.load(Ordering::Relaxed),
-            c.admitted.load(Ordering::Relaxed),
-            c.rejected.load(Ordering::Relaxed),
-            c.reads.load(Ordering::Relaxed),
-            c.records.load(Ordering::Relaxed),
-            c.slabs.load(Ordering::Relaxed),
-            c.slab_panics.load(Ordering::Relaxed),
-            c.deadlines_expired.load(Ordering::Relaxed),
-            b.slot().epoch(),
-            b.slot().swaps(),
-            b.slot().swap_failures(),
-            latency_summary(&c.queue_wait_hist.snapshot()),
-            latency_summary(&c.service_hist.snapshot()),
-            stages.join(", "),
-        )
-    })
+    let b = &ctx.batcher;
+    let c = b.counters();
+    let times = b.stage_times();
+    let stages: Vec<String> = mem2_core::profile::STAGE_NAMES
+        .iter()
+        .enumerate()
+        .map(|(i, name)| {
+            let snap = times.hists[i].snapshot();
+            format!(
+                "\"{}\": {{\"total_ms\": {:.3}, \"calls\": {}, {}}}",
+                name,
+                times.totals[i].as_secs_f64() * 1e3,
+                snap.count,
+                percentile_fields_us(&snap).replace("\":", "\": "),
+            )
+        })
+        .collect();
+    format!(
+        concat!(
+            "{{\"uptime_ms\": {}, \"queue_depth\": {}, \"queue_cap\": {}, ",
+            "\"active_connections\": {}, \"requests_admitted\": {}, ",
+            "\"requests_rejected\": {}, \"reads\": {}, \"records\": {}, ",
+            "\"slabs\": {}, \"slab_panics\": {}, \"deadlines_expired\": {}, ",
+            "\"epoch\": {}, \"swaps\": {}, \"swap_failures\": {}, ",
+            "\"queue_wait\": {}, \"service\": {}, \"stages\": {{{}}}}}"
+        ),
+        ctx.started.elapsed().as_millis(),
+        b.queue_depth(),
+        ctx.queue_cap,
+        c.active_connections.load(Ordering::Relaxed),
+        c.admitted.load(Ordering::Relaxed),
+        c.rejected.load(Ordering::Relaxed),
+        c.reads.load(Ordering::Relaxed),
+        c.records.load(Ordering::Relaxed),
+        c.slabs.load(Ordering::Relaxed),
+        c.slab_panics.load(Ordering::Relaxed),
+        c.deadlines_expired.load(Ordering::Relaxed),
+        b.slot().epoch(),
+        b.slot().swaps(),
+        b.slot().swap_failures(),
+        latency_summary(&c.queue_wait_hist.snapshot()),
+        latency_summary(&c.service_hist.snapshot()),
+        stages.join(", "),
+    )
 }
 
 /// One latency distribution as JSON: mean plus percentile fields, all

@@ -57,7 +57,7 @@ pub mod signal;
 pub mod swap;
 
 pub use client::{Client, Response, MAX_HONORED_BACKOFF};
-pub use daemon::{serve, ReloadSpec, ServeConfig, ServerHandle};
+pub use daemon::{serve, ServeConfig, ServerHandle};
 pub use endpoint::{Conn, Endpoint, Listener};
 pub use proto::{OptsOverride, RequestMode};
 pub use swap::{IndexSlot, PinnedIndex};

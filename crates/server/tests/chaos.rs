@@ -18,9 +18,7 @@ use mem2_core::bundle;
 use mem2_core::{Aligner, MemOpts, SamRecord};
 use mem2_seqio::{write_fastq, FastqRecord, GenomeSpec, ReadSim, ReadSimSpec};
 use mem2_server::proto;
-use mem2_server::{
-    faultsim, serve, Client, Endpoint, ReloadSpec, Response, ServeConfig, ServerHandle,
-};
+use mem2_server::{faultsim, serve, Client, Endpoint, Response, ServeConfig, ServerHandle};
 
 /// Global serialization for fault-arming tests (see module docs).
 static CHAOS: Mutex<()> = Mutex::new(());
@@ -380,13 +378,7 @@ fn hot_swap_serves_both_epochs_byte_identically() {
         "fixtures must disagree or the test proves nothing"
     );
 
-    let (handle, endpoint) = start_server(&ref_a, |c| {
-        c.threads = 2;
-        c.reload = Some(ReloadSpec {
-            opts: MemOpts::default(),
-            load_mode: bundle::LoadMode::Read,
-        });
-    });
+    let (handle, endpoint) = start_server(&ref_a, |_| {});
 
     // background traffic across the swap; every response checked
     // against its own epoch's truth
@@ -473,12 +465,7 @@ fn corrupt_reload_is_rejected_and_old_index_survives() {
     let fastq = write_fastq(&reads);
     let expected_a = records_to_text(&offline_a.align_reads(&reads));
 
-    let (handle, endpoint) = start_server(&ref_a, |c| {
-        c.reload = Some(ReloadSpec {
-            opts: MemOpts::default(),
-            load_mode: bundle::LoadMode::Read,
-        });
-    });
+    let (handle, endpoint) = start_server(&ref_a, |_| {});
 
     let mut control = Client::connect(&endpoint).expect("connect");
     let err = control

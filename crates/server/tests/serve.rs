@@ -114,10 +114,9 @@ fn concurrent_clients_get_offline_identical_sam() {
     let pe_pairs = pairs_from_interleaved(pe_records);
     let pe_expected = records_to_text(&align_pairs(&offline, &pe_pairs, None));
 
-    let (handle, endpoint) = start_test_server(|c| {
-        c.threads = 3;
-        c.slab_reads = 512; // bigger than any one request: forces coalescing
-    });
+    // the coalescing budget (the default `batch_reads`, 512) is bigger
+    // than any one request: requests share slabs
+    let (handle, endpoint) = start_test_server(|c| c.threads = 3);
     let offline_header = offline.sam_header();
 
     let mut joins = Vec::new();
@@ -261,8 +260,10 @@ fn backpressure_rejects_whole_requests_then_recovers() {
 
     let (handle, endpoint) = start_test_server(|c| {
         c.threads = 1;
-        c.queue_cap = 1; // one-in-flight admission: floods must bounce
-        c.slab_reads = 64;
+        // one-in-flight admission: floods must bounce, and a worker
+        // finds the queue empty once it pops a request, so nothing
+        // coalesces
+        c.queue_cap = 1;
         c.retry_ms = 5;
     });
 

@@ -12,8 +12,6 @@
 //!                       fits u32, 64-bit beyond ~2 Gbp; SAM bytes are
 //!                       identical across widths — only footprint
 //!                       differs)
-//!     --width-limit N   test override: doubled-text position count
-//!                       above which 'auto' switches to 64-bit
 //! mem2 mem [opts] <ref.idx|ref.fasta> <R1.fastq[.gz]> [R2.fastq[.gz]]
 //!     -t N              threads (default: all)
 //!     -p                first reads file is interleaved paired-end
@@ -38,10 +36,6 @@
 //!                       spread over all threads
 //!     --batch-pairs N   pairs per paired-end batch / pestat window
 //!                       (default 32768)
-//!     --load MODE       index file loading: auto|read (default auto =
-//!                       mmap when available, the bundle then served
-//!                       zero-copy from the mapping; read = buffered).
-//!                       Every section's CRC32 is verified at load.
 //!     --profile[=json]  end-of-run per-stage latency report on stderr:
 //!                       totals plus p50/p90/p99/max, and the scheduler's
 //!                       worker_busy_share, slabs_per_worker and
@@ -62,24 +56,30 @@
 //!     --tcp ADDR        listen on a TCP address instead
 //!     -t N              alignment worker threads (default: all)
 //!     --queue N         admission queue bound, requests (default 64)
-//!     --slab-reads N    cross-connection coalescing budget (default:
-//!                       the CLI slab size; SAM bytes are identical
-//!                       for every value)
 //!     --retry-ms N      backoff suggested by RETRY frames (default 50)
 //!     --metrics-addr A  serve Prometheus text at http://A/metrics
 //!                       (e.g. 127.0.0.1:9100; off by default)
 //!     --slow-ms N       log slabs serviced in >= N ms with their
 //!                       per-stage breakdown (default off)
 //!     -I MEAN[,STD]     pinned insert distribution for mode=pe requests
-//!     --simd MODE / --load MODE   as for `mem2 mem`
+//!     --simd MODE       as for `mem2 mem`
+//!     --request-timeout MS  answer ERR to a request not replied to
+//!                       within MS (default 0 = wait)
+//!     --conn-timeout MS drop a peer stalled mid-frame for MS
+//!                       (default 30000)
 //! mem2 client [opts] [reads.fastq[.gz]]
 //!     --socket PATH | --tcp ADDR   where the daemon listens
 //!     --opts K=V[,K=V...]          per-request overrides (see README)
 //!     -p                interleaved paired-end request (mode=pe)
 //!     --retries N       RETRY backoff attempts (default 10)
 //!     --stats           print the daemon's JSON stats snapshot
+//!     --reload B.idx    hot-swap the daemon's index to bundle B.idx
 //!     --shutdown        ask the daemon to drain and exit
 //! ```
+//!
+//! `<ref.idx>` is a bundle from `mem2 index`, memory-mapped where the
+//! platform allows and CRC-verified section by section; any other
+//! reference path is read as FASTA and indexed in memory.
 //!
 //! Reads are **streamed** in bounded batches (decode of the next batch
 //! overlaps alignment of the current one on all threads and writing of
@@ -91,11 +91,13 @@
 
 use std::io::Write;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 use mem2::bsw::SimdChoice;
-use mem2::core::bundle::{self, LoadMode, VerifyMode};
+use mem2::core::bundle;
 use mem2::core::checkpoint::{self, Fingerprint, Journal, MarkLog, MarkedBatches};
+use mem2::core::load_reference;
 use mem2::core::robust::{is_broken_pipe, is_no_space, RobustWriter};
 use mem2::core::threads::{align_stream_parallel_flush, FlushHook, StreamError, StreamSummary};
 use mem2::obs::log as olog;
@@ -103,11 +105,40 @@ use mem2::pairing::{align_pairs_stream_flush, orient_name, PeStats};
 use mem2::prelude::*;
 use mem2::seqio::{
     gzip_compress_stored, open_reads_at, write_fasta, write_fastq, BatchReader,
-    InterleavedBatchReader, PairedBatchReader, SeqIoError, StreamPos,
+    InterleavedBatchReader, PairedBatchReader, SeqIoError, StreamOffsets, StreamPos,
 };
 use mem2::server::Endpoint;
 use mem2::simd::{dispatch, Backend};
 use mem2::suffix::IndexWidth;
+
+type AnyError = Box<dyn std::error::Error>;
+
+/// A subcommand's entry point, given the arguments after its name.
+type Run = fn(&[String]) -> Result<(), AnyError>;
+
+/// A subcommand: its name, entry point and usage line.
+type Command = (&'static str, Run, &'static str);
+
+/// Every subcommand; `mem2` without one prints all the usage lines.
+const COMMANDS: [Command; 5] = [
+    ("index", cmd_index, INDEX_USAGE),
+    ("mem", cmd_mem, MEM_USAGE),
+    ("simulate", cmd_simulate, SIMULATE_USAGE),
+    ("serve", cmd_serve, SERVE_USAGE),
+    ("client", cmd_client, CLIENT_USAGE),
+];
+
+const INDEX_USAGE: &str = "mem2 index [--index-width auto|32|64] <ref.fasta> <out.idx>";
+const MEM_USAGE: &str = "mem2 mem [-t N] [-p] [-I MEAN[,STD]] [-o FILE] \
+     [--checkpoint P [--resume]] [--simd MODE] [--seed-batch N] [--batch-bases N] \
+     [--batch-pairs N] [--profile[=json]] <ref.idx|ref.fasta> <R1.fastq[.gz]> [R2.fastq[.gz]]";
+const SIMULATE_USAGE: &str = "mem2 simulate <genome_mb> <n_reads> <read_len> <out_prefix> \
+     [--gz] [--pairs] [--insert MEAN,STD]";
+const SERVE_USAGE: &str = "mem2 serve [--socket PATH|--tcp ADDR] [-t N] [--queue N] \
+     [--retry-ms N] [--metrics-addr ADDR] [--slow-ms N] [-I MEAN[,STD]] [--simd MODE] \
+     [--request-timeout MS] [--conn-timeout MS] <ref.idx|ref.fasta>";
+const CLIENT_USAGE: &str = "mem2 client [--socket PATH|--tcp ADDR] [--opts K=V[,K=V...]] \
+     [-p] [--retries N] [--stats] [--reload BUNDLE.idx] [--shutdown] [reads.fastq[.gz]]";
 
 fn main() -> ExitCode {
     olog::init_from_env();
@@ -116,43 +147,18 @@ fn main() -> ExitCode {
         eprintln!("mem2: {e}");
         return ExitCode::from(2);
     }
-    let result = match args.first().map(|s| s.as_str()) {
-        Some("index") => cmd_index(&args[1..]),
-        Some("mem") => cmd_mem(&args[1..]),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("client") => cmd_client(&args[1..]),
-        _ => {
-            eprintln!("usage: mem2 <index|mem|simulate|serve|client> ...\n");
-            eprintln!(
-                "  mem2 index [--index-width auto|32|64] [--width-limit N] <ref.fasta> <out.idx>"
-            );
-            eprintln!(
-                "  mem2 mem [-t N] [-p] [-I MEAN[,STD]] [-o FILE] [--checkpoint P [--resume]] \
-                 [--simd MODE] [--seed-batch N] \
-                 [--batch-bases N] [--batch-pairs N] [--load MODE] [--profile[=json]] \
-                 <ref.idx|ref.fasta> <R1.fastq[.gz]> [R2.fastq[.gz]]"
-            );
-            eprintln!(
-                "  mem2 simulate <genome_mb> <n_reads> <read_len> <out_prefix> [--gz] [--pairs] \
-                 [--insert MEAN,STD]"
-            );
-            eprintln!(
-                "  mem2 serve [--socket PATH|--tcp ADDR] [-t N] [--queue N] [--slab-reads N] \
-                 [--retry-ms N] [--metrics-addr ADDR] [--slow-ms N] [-I MEAN[,STD]] \
-                 [--simd MODE] [--load MODE] <ref.idx|ref.fasta>"
-            );
-            eprintln!(
-                "  mem2 client [--socket PATH|--tcp ADDR] [--opts K=V[,K=V...]] [-p] [--retries N] \
-                 [--stats] [--shutdown] [reads.fastq[.gz]]"
-            );
-            eprintln!(
-                "  global: --log-level error|warn|info|debug|trace, --log-json (or MEM2_LOG)"
-            );
-            return ExitCode::from(2);
+    let Some((_, run, _)) = COMMANDS
+        .iter()
+        .find(|(name, ..)| args.first().map(String::as_str) == Some(*name))
+    else {
+        eprintln!("usage: mem2 <index|mem|simulate|serve|client> ...\n");
+        for (_, _, usage) in &COMMANDS {
+            eprintln!("  {usage}");
         }
+        eprintln!("  global: --log-level error|warn|info|debug|trace, --log-json (or MEM2_LOG)");
+        return ExitCode::from(2);
     };
-    match result {
+    match run(&args[1..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("mem2: {e}");
@@ -160,8 +166,6 @@ fn main() -> ExitCode {
         }
     }
 }
-
-type AnyError = Box<dyn std::error::Error>;
 
 /// Strip and apply the global logging flags (`--log-level LEVEL`,
 /// `--log-level=LEVEL`, `--log-json`), valid on every subcommand and
@@ -191,38 +195,94 @@ fn apply_log_flags(args: &mut Vec<String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Read a whole file, annotating any I/O error with its path.
-fn read_file(path: &str) -> Result<Vec<u8>, SeqIoError> {
-    std::fs::read(path).map_err(|e| SeqIoError::io("read", &e).in_file(path))
+/// A subcommand's arguments, read left to right. Every error names the
+/// flag it is about, and an unknown option is refused with the usage
+/// line rather than taken for a path.
+struct Args<'a> {
+    it: std::slice::Iter<'a, String>,
+    usage: &'static str,
 }
 
-fn load_reference(path: &str) -> Result<Reference, AnyError> {
-    let bytes = read_file(path)?;
-    let text = String::from_utf8(bytes).map_err(|_| {
-        SeqIoError::Io {
-            context: "read".into(),
-            detail: "FASTA is not valid UTF-8".into(),
+impl<'a> Args<'a> {
+    fn new(args: &'a [String], usage: &'static str) -> Self {
+        Args {
+            it: args.iter(),
+            usage,
         }
-        .in_file(path)
-    })?;
-    let records = parse_fasta(&text).map_err(|e| e.in_file(path))?;
-    if records.is_empty() {
-        return Err(format!("{path}: no FASTA records").into());
     }
-    Ok(Reference::from_fasta(&records, 11)) // fixed seed: deterministic N replacement
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.it.next().map(String::as_str)
+    }
+
+    /// The value after `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, AnyError> {
+        self.next()
+            .ok_or_else(|| format!("{flag} needs a value").into())
+    }
+
+    /// The value after `flag`, parsed.
+    fn parse<T: FromStr>(&mut self, flag: &str) -> Result<T, AnyError> {
+        let v = self.value(flag)?;
+        parse_value(flag, v)
+    }
+
+    /// [`Args::parse`] for a count that must be at least 1.
+    fn count<T: FromStr + PartialEq + From<u8>>(&mut self, flag: &str) -> Result<T, AnyError> {
+        let v = self.value(flag)?;
+        parse_count(flag, v)
+    }
+
+    /// `arg`, which matched no option, as a positional argument.
+    fn positional(&self, arg: &'a str) -> Result<&'a str, AnyError> {
+        if arg.starts_with('-') {
+            return Err(format!("unknown option {arg}\nusage: {}", self.usage).into());
+        }
+        Ok(arg)
+    }
+
+    /// The usage line, as the error for a wrong positional count.
+    fn usage(&self) -> AnyError {
+        format!("usage: {}", self.usage).into()
+    }
+}
+
+/// Parse `v`, the value of `what` (a flag or a positional's name).
+fn parse_value<T: FromStr>(what: &str, v: &str) -> Result<T, AnyError> {
+    v.parse()
+        .map_err(|_| format!("{what} needs a number, got {v:?}").into())
+}
+
+/// [`parse_value`] for a count that must be at least 1.
+fn parse_count<T: FromStr + PartialEq + From<u8>>(flag: &str, v: &str) -> Result<T, AnyError> {
+    let n: T = parse_value(flag, v)?;
+    if n == T::from(0) {
+        return Err(format!("{flag} must be at least 1").into());
+    }
+    Ok(n)
+}
+
+/// Parse `MEAN[,STD]`, the value of `flag`.
+fn parse_mean_std(flag: &str, v: &str) -> Result<(f64, Option<f64>), AnyError> {
+    let (mean, std) = match v.split_once(',') {
+        Some((mean, std)) => (mean, Some(std)),
+        None => (v, None),
+    };
+    let num = |s: &str| -> Result<f64, AnyError> {
+        s.parse()
+            .map_err(|_| format!("{flag} needs MEAN[,STD] (numbers), got {v:?}").into())
+    };
+    Ok((num(mean)?, std.map(num).transpose()?))
 }
 
 fn cmd_index(args: &[String]) -> Result<(), AnyError> {
-    const USAGE: &str =
-        "usage: mem2 index [--index-width auto|32|64] [--width-limit N] <ref.fasta> <out.idx>";
+    let mut args = Args::new(args, INDEX_USAGE);
     let mut width: Option<IndexWidth> = None;
-    let mut narrow_limit: Option<usize> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut positional: Vec<&str> = Vec::new();
+    while let Some(a) = args.next() {
+        match a {
             "--index-width" => {
-                width = match it.next().ok_or("--index-width needs a value")?.as_str() {
+                width = match args.value(a)? {
                     "auto" => None,
                     "32" => Some(IndexWidth::W32),
                     "64" => Some(IndexWidth::W64),
@@ -231,22 +291,14 @@ fn cmd_index(args: &[String]) -> Result<(), AnyError> {
                     }
                 };
             }
-            "--width-limit" => {
-                narrow_limit = Some(
-                    it.next()
-                        .ok_or("--width-limit needs a value")?
-                        .parse()
-                        .map_err(|_| "--width-limit needs an integer")?,
-                );
-            }
-            _ => positional.push(a),
+            _ => positional.push(args.positional(a)?),
         }
     }
     let [fasta, out] = positional[..] else {
-        return Err(USAGE.into());
+        return Err(args.usage());
     };
     let reference = load_reference(fasta)?;
-    let effective = width.unwrap_or_else(|| bundle::choose_width(reference.len(), narrow_limit));
+    let effective = width.unwrap_or_else(|| bundle::choose_width(reference.len(), None));
     olog::info(
         "index",
         &format!(
@@ -259,7 +311,7 @@ fn cmd_index(args: &[String]) -> Result<(), AnyError> {
             ("bp", &reference.len()),
         ],
     );
-    let bytes = bundle::build_bundle_with_width(&reference, width, narrow_limit)?;
+    let bytes = bundle::build_bundle_with_width(&reference, width)?;
     // crash-safe: temp + fsync + atomic rename, so a kill mid-write
     // leaves the previous bundle (or none), never a torn file
     bundle::write_bundle_atomic(std::path::Path::new(out), &bytes)?;
@@ -273,16 +325,8 @@ fn cmd_index(args: &[String]) -> Result<(), AnyError> {
 
 /// Parse `-I MEAN[,STD]` into a pinned insert distribution.
 fn parse_insert_override(arg: &str) -> Result<PeStats, AnyError> {
-    let mut parts = arg.splitn(2, ',');
-    let mean: f64 = parts
-        .next()
-        .unwrap_or("")
-        .parse()
-        .map_err(|_| "-I needs MEAN[,STD] (numbers)")?;
-    let std: f64 = match parts.next() {
-        Some(s) => s.parse().map_err(|_| "-I needs MEAN[,STD] (numbers)")?,
-        None => mean * 0.1,
-    };
+    let (mean, std) = parse_mean_std("-I", arg)?;
+    let std = std.unwrap_or(mean * 0.1);
     if !(mean > 0.0 && std >= 0.0) {
         return Err("-I needs a positive mean and non-negative std".into());
     }
@@ -290,10 +334,7 @@ fn parse_insert_override(arg: &str) -> Result<PeStats, AnyError> {
 }
 
 fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
-    const USAGE: &str =
-        "usage: mem2 mem [-t N] [-p] [-I MEAN[,STD]] [-o FILE] [--checkpoint P [--resume]] \
-         [--simd MODE] [--seed-batch N] [--batch-bases N] [--batch-pairs N] [--load MODE] \
-         [--profile[=json]] <ref.idx|ref.fasta> <R1.fastq[.gz]> [R2.fastq[.gz]]";
+    let mut args = Args::new(args, MEM_USAGE);
     let mut threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
@@ -302,77 +343,46 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
     let mut batch_bases_set = false;
     let mut batch_pairs_set = false;
     let mut pes_override: Option<PeStats> = None;
-    let mut load_mode = LoadMode::Auto;
     let mut profile: Option<ProfileFormat> = None;
-    let mut out_path: Option<String> = None;
-    let mut ckpt_path: Option<String> = None;
+    let mut out_path: Option<&str> = None;
+    let mut ckpt_path: Option<&str> = None;
     let mut resume = false;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "-t" => {
-                threads = it
-                    .next()
-                    .ok_or("-t needs a value")?
-                    .parse()
-                    .map_err(|_| "-t needs an integer")?;
-            }
+    let mut positional: Vec<&str> = Vec::new();
+    while let Some(a) = args.next() {
+        match a {
+            "-t" => threads = args.parse(a)?,
             "--profile" => profile = Some(ProfileFormat::Text),
             "--profile=json" => profile = Some(ProfileFormat::Json),
-            "-o" => out_path = Some(it.next().ok_or("-o needs a file path")?.clone()),
-            "--checkpoint" => {
-                ckpt_path = Some(it.next().ok_or("--checkpoint needs a file path")?.clone());
-            }
+            "-o" => out_path = Some(args.value(a)?),
+            "--checkpoint" => ckpt_path = Some(args.value(a)?),
             "--resume" => resume = true,
             "-p" => interleaved = true,
-            "-I" => {
-                pes_override = Some(parse_insert_override(it.next().ok_or("-I needs a value")?)?);
-            }
+            "-I" => pes_override = Some(parse_insert_override(args.value(a)?)?),
             "--batch-bases" => {
-                opts.batch_bases = it
-                    .next()
-                    .ok_or("--batch-bases needs a value")?
-                    .parse()
-                    .map_err(|_| "--batch-bases needs an integer")?;
+                opts.batch_bases = args.parse(a)?;
                 batch_bases_set = true;
             }
             "--batch-pairs" => {
-                opts.batch_pairs = it
-                    .next()
-                    .ok_or("--batch-pairs needs a value")?
-                    .parse()
-                    .map_err(|_| "--batch-pairs needs an integer")?;
-                if opts.batch_pairs == 0 {
-                    return Err("--batch-pairs must be at least 1".into());
-                }
+                opts.batch_pairs = args.count(a)?;
                 batch_pairs_set = true;
             }
             "--seed-batch" => {
-                let v = it.next().ok_or("--seed-batch needs a value")?;
-                opts.seed_batch = if v == "auto" {
-                    mem2::fmindex::DEFAULT_SEED_BATCH
-                } else {
-                    v.parse()
-                        .map_err(|_| "--seed-batch needs an integer or 'auto'")?
+                opts.seed_batch = match args.value(a)? {
+                    "auto" => mem2::fmindex::DEFAULT_SEED_BATCH,
+                    v => parse_count(a, v)?,
                 };
-                if opts.seed_batch == 0 {
-                    return Err("--seed-batch must be at least 1".into());
-                }
             }
-            "--load" => load_mode = parse_load_mode(it.next().ok_or("--load needs a value")?)?,
             "--simd" => {
-                let v = it.next().ok_or("--simd needs a value")?;
-                opts.simd = SimdChoice::parse(v)
+                opts.simd = SimdChoice::parse(args.value(a)?)
                     .ok_or_else(|| format!("--simd must be one of {}", SimdChoice::VALUES))?;
             }
-            _ => positional.push(positional_arg(a, USAGE)?),
+            _ => positional.push(args.positional(a)?),
         }
     }
     let (ref_path, reads1, reads2) = match positional[..] {
         [r, q1] => (r, q1, None),
         [r, q1, q2] => (r, q1, Some(q2)),
-        _ => return Err(USAGE.into()),
+        _ => return Err(args.usage()),
     };
     if interleaved && reads2.is_some() {
         return Err("-p (interleaved) takes a single reads file".into());
@@ -412,12 +422,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
         &[],
     );
 
-    let (reference, index) = load_ref_index(ref_path, load_mode, "mem")?;
-    let aligner = Aligner {
-        opts,
-        index,
-        reference,
-    };
+    let aligner = Aligner::open(ref_path, opts)?;
 
     // -- checkpoint state: fingerprint, and (on resume) the journal --
     let mut base_batch = 0u64;
@@ -431,19 +436,19 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
             &opts,
             ref_path,
             reads1,
-            reads2.map(|s| s.as_str()),
+            reads2,
             interleaved,
             &pes_override,
         )?),
         None => None,
     };
-    if let (Some(cp), Some(fp)) = (&ckpt_path, &fingerprint) {
+    if let (Some(cp), Some(fp)) = (ckpt_path, &fingerprint) {
         let cp = std::path::Path::new(cp);
         if resume {
             match Journal::load(cp)? {
                 Some(j) => {
                     j.validate(fp)?;
-                    let op = out_path.as_deref().expect("--checkpoint implies -o");
+                    let op = out_path.expect("--checkpoint implies -o");
                     checkpoint::truncate_output(std::path::Path::new(op), j.out_bytes)?;
                     base_batch = j.batch;
                     base_reads = j.reads;
@@ -478,7 +483,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
     }
 
     // -- output sink: stdout, or -o FILE with durable byte accounting --
-    let mut out = match &out_path {
+    let mut out = match out_path {
         None => SamSink::Stdout(std::io::BufWriter::new(std::io::stdout().lock())),
         Some(p) => {
             let file = if resumed {
@@ -497,7 +502,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
     if !resumed {
         // a resumed output already holds the header in its durable prefix
         if let Err(e) = out.write_all(aligner.sam_header().as_bytes()) {
-            return mem_failure(e.into(), out_path.as_deref(), ckpt_path.as_deref());
+            return mem_failure(e.into(), out_path, ckpt_path);
         }
     }
 
@@ -505,7 +510,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
     let mark_log = Arc::new(MarkLog::new());
     let mut hook_fn = {
         let mark_log = Arc::clone(&mark_log);
-        let ck = ckpt_path.as_ref().map(|p| {
+        let ck = ckpt_path.map(|p| {
             (
                 std::path::PathBuf::from(p),
                 fingerprint.clone().unwrap_or_default(),
@@ -575,69 +580,54 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
                     &[("pairs_per_batch", &aligner.opts.batch_pairs)],
                 ),
             }
-            if let Some(reads2) = reads2 {
-                let in1 = open_reads_at(reads1, pos1.bytes)?;
-                let in2 = open_reads_at(reads2, pos2.bytes)?;
-                olog::info(
-                    "mem",
-                    &format!(
-                        "streaming {:?}+{:?} two-file input",
-                        in1.format(),
-                        in2.format()
-                    ),
-                    &[("ref_bp", &aligner.reference.len()), ("threads", &threads)],
-                );
-                let raw = PairedBatchReader::with_positions(
-                    in1,
-                    in2,
-                    reads1,
-                    reads2,
-                    aligner.opts.batch_pairs,
-                    pos1,
-                    pos2,
-                );
-                let batches = MarkedBatches::new(
-                    raw,
-                    |b: &Vec<ReadPair>| 2 * b.len(),
-                    Arc::clone(&mark_log),
-                    base_reads,
-                );
-                Ok(align_pairs_stream_flush(
-                    &aligner,
-                    pes_override,
-                    batches,
-                    threads,
-                    out,
-                    hook,
-                )?)
-            } else {
-                let input = open_reads_at(reads1, pos1.bytes)?;
-                olog::info(
-                    "mem",
-                    &format!("streaming {:?} interleaved input", input.format()),
-                    &[("ref_bp", &aligner.reference.len()), ("threads", &threads)],
-                );
-                let raw = InterleavedBatchReader::with_position(
-                    input,
-                    reads1,
-                    aligner.opts.batch_pairs,
-                    pos1,
-                );
-                let batches = MarkedBatches::new(
-                    raw,
-                    |b: &Vec<ReadPair>| 2 * b.len(),
-                    Arc::clone(&mark_log),
-                    base_reads,
-                );
-                Ok(align_pairs_stream_flush(
-                    &aligner,
-                    pes_override,
-                    batches,
-                    threads,
-                    out,
-                    hook,
-                )?)
-            }
+            // two files or one interleaved file: only the reader differs
+            let in1 = open_reads_at(reads1, pos1.bytes)?;
+            let batch_pairs = aligner.opts.batch_pairs;
+            let (layout, raw): (String, Box<dyn PairBatches>) = match reads2 {
+                Some(reads2) => {
+                    let in2 = open_reads_at(reads2, pos2.bytes)?;
+                    (
+                        format!("{:?}+{:?} two-file", in1.format(), in2.format()),
+                        Box::new(PairedBatchReader::with_positions(
+                            in1,
+                            in2,
+                            reads1,
+                            reads2,
+                            batch_pairs,
+                            pos1,
+                            pos2,
+                        )),
+                    )
+                }
+                None => (
+                    format!("{:?} interleaved", in1.format()),
+                    Box::new(InterleavedBatchReader::with_position(
+                        in1,
+                        reads1,
+                        batch_pairs,
+                        pos1,
+                    )),
+                ),
+            };
+            olog::info(
+                "mem",
+                &format!("streaming {layout} input"),
+                &[("ref_bp", &aligner.reference.len()), ("threads", &threads)],
+            );
+            let batches = MarkedBatches::new(
+                raw,
+                |b: &Vec<ReadPair>| 2 * b.len(),
+                Arc::clone(&mark_log),
+                base_reads,
+            );
+            Ok(align_pairs_stream_flush(
+                &aligner,
+                pes_override,
+                batches,
+                threads,
+                out,
+                hook,
+            )?)
         } else {
             // stream the reads: gzip by magic bytes, batches bounded in bases
             let input = open_reads_at(reads1, pos1.bytes)?;
@@ -666,10 +656,10 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
     };
     let (summary, times) = match run(&mut out, hook_opt) {
         Ok(v) => v,
-        Err(e) => return mem_failure(e, out_path.as_deref(), ckpt_path.as_deref()),
+        Err(e) => return mem_failure(e, out_path, ckpt_path),
     };
     if let Err(e) = out.flush() {
-        return mem_failure(e.into(), out_path.as_deref(), ckpt_path.as_deref());
+        return mem_failure(e.into(), out_path, ckpt_path);
     }
     let wall = t.elapsed();
     olog::info(
@@ -763,6 +753,22 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
         None => {}
     }
     Ok(())
+}
+
+/// A paired-end batch source for `mem`: two files or one interleaved
+/// file, behind one type so one `align_pairs_stream_flush` call streams
+/// either.
+trait PairBatches: Iterator<Item = Result<Vec<ReadPair>, SeqIoError>> + StreamOffsets + Send {}
+
+impl<T> PairBatches for T where
+    T: Iterator<Item = Result<Vec<ReadPair>, SeqIoError>> + StreamOffsets + Send
+{
+}
+
+impl StreamOffsets for Box<dyn PairBatches> {
+    fn offsets(&self) -> (StreamPos, Option<StreamPos>) {
+        (**self).offsets()
+    }
 }
 
 /// Output format for `mem --profile[=json]`.
@@ -883,65 +889,6 @@ fn mem_failure(e: AnyError, out_path: Option<&str>, ckpt: Option<&str>) -> Resul
     Err(e)
 }
 
-/// Load (or build) the reference + FM-index behind `<ref.idx|ref.fasta>`
-/// — shared by `mem` and `serve`.
-fn load_ref_index(
-    ref_path: &str,
-    load_mode: LoadMode,
-    tag: &str,
-) -> Result<(Reference, FmIndex), AnyError> {
-    if ref_path.ends_with(".idx") {
-        let t_load = std::time::Instant::now();
-        let (reference, index, report) = bundle::load_index_file(
-            std::path::Path::new(ref_path),
-            &BuildOpts::optimized_only(),
-            load_mode,
-            VerifyMode::Eager,
-        )
-        .map_err(|e| format!("{ref_path}: {e}"))?;
-        olog::info(
-            tag,
-            &format!(
-                "index: bundle v{}, {}-bit positions, {} MB, {} load{} (verified) in {:.0} ms",
-                bundle::BUNDLE_VERSION,
-                report.sa_width,
-                report.bytes / (1 << 20),
-                if report.file_mapped {
-                    "mmap"
-                } else {
-                    "buffered"
-                },
-                if report.zero_copy { " (zero-copy)" } else { "" },
-                t_load.elapsed().as_secs_f64() * 1e3
-            ),
-            &[],
-        );
-        Ok((reference, index))
-    } else {
-        let reference = load_reference(ref_path)?;
-        let index = FmIndex::build(&reference, &BuildOpts::optimized_only());
-        Ok((reference, index))
-    }
-}
-
-/// A positional argument of `mem` or `serve`; an unrecognized option is
-/// refused with the subcommand's usage rather than taken for a path.
-fn positional_arg<'a>(arg: &'a String, usage: &str) -> Result<&'a String, AnyError> {
-    if arg.starts_with('-') {
-        return Err(format!("unknown option {arg}\n{usage}").into());
-    }
-    Ok(arg)
-}
-
-/// Parse `--load auto|read` (shared by `mem` and `serve`).
-fn parse_load_mode(s: &str) -> Result<LoadMode, AnyError> {
-    match s {
-        "auto" => Ok(LoadMode::Auto),
-        "read" => Ok(LoadMode::Read),
-        other => Err(format!("--load must be auto|read, got {other}").into()),
-    }
-}
-
 /// Resolve the process-wide SIMD backend from `--simd` (shared by `mem`
 /// and `serve`); returns a human-readable description of the BSW,
 /// CIGAR and mate-rescue kernels' backends.
@@ -968,10 +915,10 @@ fn resolve_simd(choice: SimdChoice) -> String {
 }
 
 /// Parse `--socket PATH` / `--tcp ADDR` into an [`Endpoint`].
-fn parse_endpoint(socket: Option<&String>, tcp: Option<&String>) -> Result<Endpoint, AnyError> {
+fn parse_endpoint(socket: Option<&str>, tcp: Option<&str>) -> Result<Endpoint, AnyError> {
     match (socket, tcp) {
         (Some(_), Some(_)) => Err("--socket and --tcp are mutually exclusive".into()),
-        (None, Some(addr)) => Ok(Endpoint::Tcp(addr.clone())),
+        (None, Some(addr)) => Ok(Endpoint::Tcp(addr.to_string())),
         #[cfg(unix)]
         (Some(path), None) => Ok(Endpoint::Unix(std::path::PathBuf::from(path))),
         #[cfg(unix)]
@@ -984,107 +931,42 @@ fn parse_endpoint(socket: Option<&String>, tcp: Option<&String>) -> Result<Endpo
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
-    const USAGE: &str = "usage: mem2 serve [--socket PATH|--tcp ADDR] [-t N] [--queue N] \
-         [--slab-reads N] [--retry-ms N] [--metrics-addr ADDR] [--slow-ms N] [-I MEAN[,STD]] \
-         [--simd MODE] [--load MODE] [--request-timeout MS] \
-         [--conn-timeout MS] <ref.idx|ref.fasta>";
+    let mut args = Args::new(args, SERVE_USAGE);
     let mut threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let mut opts = MemOpts::default();
-    let mut load_mode = LoadMode::Auto;
-    let mut socket: Option<&String> = None;
-    let mut tcp: Option<&String> = None;
+    let mut socket: Option<&str> = None;
+    let mut tcp: Option<&str> = None;
     let mut queue_cap = 64usize;
-    let mut slab_reads: Option<usize> = None;
     let mut retry_ms = 50u64;
     let mut metrics_addr: Option<String> = None;
     let mut slow_ms = 0u64;
     let mut request_timeout_ms = 0u64;
     let mut conn_timeout_ms = 30_000u64;
     let mut pes_override: Option<PeStats> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = Some(it.next().ok_or("--socket needs a path")?),
-            "--tcp" => tcp = Some(it.next().ok_or("--tcp needs an address")?),
-            "--metrics-addr" => {
-                metrics_addr = Some(it.next().ok_or("--metrics-addr needs an address")?.clone());
-            }
-            "--slow-ms" => {
-                slow_ms = it
-                    .next()
-                    .ok_or("--slow-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "--slow-ms needs an integer")?;
-            }
-            "-t" => {
-                threads = it
-                    .next()
-                    .ok_or("-t needs a value")?
-                    .parse()
-                    .map_err(|_| "-t needs an integer")?;
-            }
-            "--queue" => {
-                queue_cap = it
-                    .next()
-                    .ok_or("--queue needs a value")?
-                    .parse()
-                    .map_err(|_| "--queue needs an integer")?;
-                if queue_cap == 0 {
-                    return Err("--queue must be at least 1".into());
-                }
-            }
-            "--slab-reads" => {
-                let v: usize = it
-                    .next()
-                    .ok_or("--slab-reads needs a value")?
-                    .parse()
-                    .map_err(|_| "--slab-reads needs an integer")?;
-                if v == 0 {
-                    return Err("--slab-reads must be at least 1".into());
-                }
-                slab_reads = Some(v);
-            }
-            "--retry-ms" => {
-                retry_ms = it
-                    .next()
-                    .ok_or("--retry-ms needs a value")?
-                    .parse()
-                    .map_err(|_| "--retry-ms needs an integer")?;
-            }
-            "--request-timeout" => {
-                request_timeout_ms = it
-                    .next()
-                    .ok_or("--request-timeout needs a value")?
-                    .parse()
-                    .map_err(|_| "--request-timeout needs an integer (ms; 0 disables)")?;
-            }
-            "--conn-timeout" => {
-                conn_timeout_ms = it
-                    .next()
-                    .ok_or("--conn-timeout needs a value")?
-                    .parse()
-                    .map_err(|_| "--conn-timeout needs an integer (ms)")?;
-                if conn_timeout_ms == 0 {
-                    return Err("--conn-timeout must be at least 1 ms".into());
-                }
-            }
-            "-I" => {
-                pes_override = Some(parse_insert_override(it.next().ok_or("-I needs a value")?)?);
-            }
-            "--load" => load_mode = parse_load_mode(it.next().ok_or("--load needs a value")?)?,
+    let mut positional: Vec<&str> = Vec::new();
+    while let Some(a) = args.next() {
+        match a {
+            "--socket" => socket = Some(args.value(a)?),
+            "--tcp" => tcp = Some(args.value(a)?),
+            "--metrics-addr" => metrics_addr = Some(args.value(a)?.to_string()),
+            "--slow-ms" => slow_ms = args.parse(a)?,
+            "-t" => threads = args.parse(a)?,
+            "--queue" => queue_cap = args.count(a)?,
+            "--retry-ms" => retry_ms = args.parse(a)?,
+            "--request-timeout" => request_timeout_ms = args.parse(a)?,
+            "--conn-timeout" => conn_timeout_ms = args.count(a)?,
+            "-I" => pes_override = Some(parse_insert_override(args.value(a)?)?),
             "--simd" => {
-                let v = it.next().ok_or("--simd needs a value")?;
-                opts.simd = SimdChoice::parse(v)
+                opts.simd = SimdChoice::parse(args.value(a)?)
                     .ok_or_else(|| format!("--simd must be one of {}", SimdChoice::VALUES))?;
             }
-            _ => positional.push(positional_arg(a, USAGE)?),
+            _ => positional.push(args.positional(a)?),
         }
     }
     let [ref_path] = positional[..] else {
-        return Err(USAGE.into());
+        return Err(args.usage());
     };
     let endpoint = parse_endpoint(socket, tcp)?;
 
@@ -1093,18 +975,7 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
         &format!("SIMD: --simd {} -> {}", opts.simd, resolve_simd(opts.simd)),
         &[],
     );
-    let (reference, index) = load_ref_index(ref_path, load_mode, "serve")?;
-    let aligner = Aligner {
-        opts,
-        index,
-        reference,
-    };
-
-    // hot-swap (RELOAD / SIGHUP) only makes sense when the daemon was
-    // started from a bundle: swaps reuse the same load mode
-    let reload = ref_path
-        .ends_with(".idx")
-        .then_some(mem2::server::ReloadSpec { opts, load_mode });
+    let aligner = Aligner::open(ref_path, opts)?;
 
     mem2::server::signal::install_termination_handler();
     let handle = mem2::server::serve(
@@ -1113,7 +984,6 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
             endpoint,
             threads,
             queue_cap,
-            slab_reads: slab_reads.unwrap_or(opts.batch_reads),
             retry_ms,
             pes_override,
             metrics_addr,
@@ -1121,7 +991,6 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
             request_timeout: (request_timeout_ms > 0)
                 .then(|| std::time::Duration::from_millis(request_timeout_ms)),
             conn_stall: std::time::Duration::from_millis(conn_timeout_ms),
-            reload,
         },
     )?;
     olog::info(
@@ -1131,13 +1000,14 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
             ("endpoint", &handle.endpoint()),
             ("workers", &threads),
             ("queue", &queue_cap),
-            ("slab_reads", &slab_reads.unwrap_or(opts.batch_reads)),
+            ("slab_reads", &opts.batch_reads),
         ],
     );
     // (the daemon itself logs the resolved metrics address, if any)
     // main thread: wait for SIGTERM/SIGINT or a client SHUTDOWN frame,
     // then drain gracefully (finish admitted requests, refuse new ones);
-    // SIGHUP hot-swaps the index from the same bundle path in place
+    // SIGHUP hot-swaps the index from the same bundle path in place (a
+    // daemon started from FASTA refuses: RELOAD takes `.idx` paths only)
     while !handle.draining() {
         if mem2::server::signal::termination_requested() {
             olog::info("serve", "termination signal received; draining", &[]);
@@ -1162,47 +1032,39 @@ fn cmd_serve(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_client(args: &[String]) -> Result<(), AnyError> {
-    const USAGE: &str = "usage: mem2 client [--socket PATH|--tcp ADDR] [--opts K=V[,K=V...]] \
-         [-p] [--retries N] [--stats] [--reload BUNDLE.idx] [--shutdown] [reads.fastq[.gz]]";
-    let mut socket: Option<&String> = None;
-    let mut tcp: Option<&String> = None;
+    let mut args = Args::new(args, CLIENT_USAGE);
+    let mut socket: Option<&str> = None;
+    let mut tcp: Option<&str> = None;
     let mut override_lines: Vec<String> = Vec::new();
     let mut paired = false;
     let mut retries = 10usize;
     let mut want_stats = false;
     let mut want_shutdown = false;
-    let mut reload_path: Option<&String> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--socket" => socket = Some(it.next().ok_or("--socket needs a path")?),
-            "--tcp" => tcp = Some(it.next().ok_or("--tcp needs an address")?),
+    let mut reload_path: Option<&str> = None;
+    let mut positional: Vec<&str> = Vec::new();
+    while let Some(a) = args.next() {
+        match a {
+            "--socket" => socket = Some(args.value(a)?),
+            "--tcp" => tcp = Some(args.value(a)?),
             "--opts" => {
-                let v = it.next().ok_or("--opts needs K=V[,K=V...]")?;
+                let v = args.value(a)?;
                 override_lines.extend(v.split([',', ';']).map(|s| s.trim().to_string()));
             }
             "-p" => paired = true,
-            "--retries" => {
-                retries = it
-                    .next()
-                    .ok_or("--retries needs a value")?
-                    .parse()
-                    .map_err(|_| "--retries needs an integer")?;
-            }
+            "--retries" => retries = args.parse(a)?,
             "--stats" => want_stats = true,
             "--shutdown" => want_shutdown = true,
-            "--reload" => reload_path = Some(it.next().ok_or("--reload needs a bundle path")?),
-            _ => positional.push(a),
+            "--reload" => reload_path = Some(args.value(a)?),
+            _ => positional.push(args.positional(a)?),
         }
     }
     let reads = match positional[..] {
         [] => None,
         [r] => Some(r),
-        _ => return Err(USAGE.into()),
+        _ => return Err(args.usage()),
     };
     if reads.is_none() && !want_stats && !want_shutdown && reload_path.is_none() {
-        return Err(format!("nothing to do\n{USAGE}").into());
+        return Err(format!("nothing to do\nusage: {CLIENT_USAGE}").into());
     }
     if paired {
         override_lines.push("mode=pe".into());
@@ -1273,46 +1135,31 @@ fn cmd_client(args: &[String]) -> Result<(), AnyError> {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), AnyError> {
+    let mut args = Args::new(args, SIMULATE_USAGE);
     let mut gz = false;
     let mut pairs = false;
     let mut insert: Option<(f64, f64)> = None;
-    let mut positional: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
+    let mut positional: Vec<&str> = Vec::new();
+    while let Some(a) = args.next() {
+        match a {
             "--gz" => gz = true,
             "--pairs" => pairs = true,
             "--insert" => {
-                let v = it.next().ok_or("--insert needs MEAN,STD")?;
-                let mut p = v.splitn(2, ',');
-                let mean: f64 = p
-                    .next()
-                    .unwrap_or("")
-                    .parse()
-                    .map_err(|_| "--insert needs MEAN,STD (numbers)")?;
-                let std: f64 = p
-                    .next()
-                    .ok_or("--insert needs MEAN,STD")?
-                    .parse()
-                    .map_err(|_| "--insert needs MEAN,STD (numbers)")?;
-                insert = Some((mean, std));
+                let (mean, std) = parse_mean_std(a, args.value(a)?)?;
+                insert = Some((mean, std.ok_or("--insert needs MEAN,STD")?));
             }
-            _ => positional.push(a),
+            _ => positional.push(args.positional(a)?),
         }
     }
     let [mb, n, len, prefix] = positional[..] else {
-        return Err(
-            "usage: mem2 simulate <genome_mb> <n_reads> <read_len> <out_prefix> [--gz] [--pairs] \
-             [--insert MEAN,STD]"
-                .into(),
-        );
+        return Err(args.usage());
     };
     if insert.is_some() && !pairs {
         return Err("--insert needs --pairs".into());
     }
-    let genome_len = (mb.parse::<f64>()? * 1e6) as usize;
-    let n_reads: usize = n.parse()?;
-    let read_len: usize = len.parse()?;
+    let genome_len = (parse_value::<f64>("<genome_mb>", mb)? * 1e6) as usize;
+    let n_reads: usize = parse_value("<n_reads>", n)?;
+    let read_len: usize = parse_value("<read_len>", len)?;
     let genome = GenomeSpec {
         len: genome_len,
         seed: 42,

@@ -556,33 +556,14 @@ fn index_width_matrix_is_byte_identical() {
     let n64 = std::fs::metadata(&idx64).expect("idx64").len();
     assert!(n64 > n32, "wide bundle must be larger: {n64} vs {n32}");
 
-    // single-end: byte identity across widths and load modes (the
-    // default, auto, is the base run)
+    // single-end: byte identity across widths
     let base = mem2_ok(&["mem", "-t", "2", &idx32, &fastq]);
-    for (idx, load) in [(&idx32, "read"), (&idx64, "auto"), (&idx64, "read")] {
-        let got = mem2_ok(&["mem", "-t", "2", "--load", load, idx, &fastq]);
-        assert_eq!(
-            base.stdout, got.stdout,
-            "SE SAM differs for {idx} --load {load}"
-        );
-        let stderr = String::from_utf8_lossy(&got.stderr);
-        assert!(
-            stderr.contains("bundle v5"),
-            "load report names the version: {stderr}"
-        );
-    }
-
-    // the width-limit override flips auto to 64-bit on a tiny fixture
-    let idx_lim = dir.path("wlim.idx");
-    let lim = mem2_ok(&["index", "--width-limit", "1000", &fasta, &idx_lim]);
+    let got = mem2_ok(&["mem", "-t", "2", &idx64, &fastq]);
+    assert_eq!(base.stdout, got.stdout, "SE SAM differs for {idx64}");
+    let stderr = String::from_utf8_lossy(&got.stderr);
     assert!(
-        String::from_utf8_lossy(&lim.stderr).contains("64-bit positions (auto)"),
-        "width-limit override switches auto to wide"
-    );
-    let from_lim = mem2_ok(&["mem", "-t", "2", &idx_lim, &fastq]);
-    assert_eq!(
-        base.stdout, from_lim.stdout,
-        "width-limit index SAM differs"
+        stderr.contains("bundle v5, 64-bit positions"),
+        "load report names the version and width: {stderr}"
     );
 
     // paired-end through the full PE stack against the forced-64 index
@@ -601,31 +582,47 @@ fn index_width_matrix_is_byte_identical() {
     let r1 = format!("{pe}_R1.fastq");
     let r2 = format!("{pe}_R2.fastq");
     let pe_base = mem2_ok(&["mem", "-t", "2", &pe32, &r1, &r2]);
-    for load in ["auto", "read"] {
-        let got = mem2_ok(&["mem", "-t", "2", "--load", load, &pe64, &r1, &r2]);
-        assert_eq!(
-            pe_base.stdout, got.stdout,
-            "PE SAM differs for 64-bit index --load {load}"
-        );
-    }
+    let got = mem2_ok(&["mem", "-t", "2", &pe64, &r1, &r2]);
+    assert_eq!(pe_base.stdout, got.stdout, "PE SAM differs for {pe64}");
     // invalid values are rejected with the accepted ones
     let out = mem2(&["index", "--index-width", "48", &fasta, &dir.path("x.idx")]);
     assert!(!out.status.success(), "bad --index-width must fail");
     assert!(String::from_utf8_lossy(&out.stderr).contains("auto|32|64"));
-    let out = mem2(&["mem", "--load", "mmap", &idx32, &fastq]);
-    assert!(!out.status.success(), "--load mmap is gone (auto maps)");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("auto|read"));
-    // --verify is gone too: there is one verification policy; and
-    // --classic: the per-read organization is a test oracle, not a mode
-    for verb in [
-        &["mem", "--verify", "eager", &idx32, &fastq][..],
-        &["serve", "--verify", "eager", &idx32][..],
-        &["mem", "--classic", &idx32, &fastq][..],
-        &["serve", "--classic", &idx32][..],
+    // unknown options are refused by name on every subcommand, before
+    // any work: the removed knobs (--verify, --classic, --load,
+    // --slab-reads, --width-limit) and plain typos alike
+    for (verb, option) in [
+        (
+            &["mem", "--verify", "eager", &idx32, &fastq][..],
+            "--verify",
+        ),
+        (&["serve", "--verify", "eager", &idx32][..], "--verify"),
+        (&["mem", "--classic", &idx32, &fastq][..], "--classic"),
+        (&["serve", "--classic", &idx32][..], "--classic"),
+        (&["mem", "--load", "read", &idx32, &fastq][..], "--load"),
+        (&["serve", "--load", "read", &idx32][..], "--load"),
+        (&["serve", "--slab-reads", "8", &idx32][..], "--slab-reads"),
+        (
+            &["index", "--width-limit", "1000", &fasta, &dir.path("y.idx")][..],
+            "--width-limit",
+        ),
+        (
+            &["index", "--bogus", &fasta, &dir.path("z.idx")][..],
+            "--bogus",
+        ),
+        (
+            &["simulate", "0.01", "5", "50", &dir.path("s"), "--bogus"][..],
+            "--bogus",
+        ),
+        (&["client", "--bogus"][..], "--bogus"),
     ] {
         let out = mem2(verb);
         assert!(!out.status.success(), "{verb:?} must fail");
-        assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown option {option}")) && stderr.contains("usage"),
+            "{verb:?} must name {option}: {stderr}"
+        );
     }
 }
 
@@ -714,7 +711,12 @@ fn cli_reports_usage_errors() {
         Some(2),
         "bare invocation exits 2 with usage"
     );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+    let usage = String::from_utf8_lossy(&out.stderr);
+    assert!(usage.contains("usage"));
+    // one usage text: the no-argument listing is each subcommand's own
+    for flag in ["--request-timeout", "--conn-timeout", "--reload"] {
+        assert!(usage.contains(flag), "usage lists {flag}: {usage}");
+    }
 
     let out = mem2(&["mem", "/nonexistent.idx"]);
     assert!(!out.status.success(), "missing reads argument must fail");
