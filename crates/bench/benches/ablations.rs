@@ -3,7 +3,8 @@
 //! * length sorting on/off (paper §5.3.1, Table 6);
 //! * forced 16-bit vs mixed precision (paper §5.4.1);
 //! * SMEM software prefetch on/off (paper §4.3);
-//! * occurrence-table bucket layout η=128 (2-bit) vs η=32 (byte) (paper §4.4).
+//! * occurrence-table bucket layout η=128 (2-bit) vs η=64 one-hot (paper
+//!   §4.4 used η=32 bytes; this is bwa-mem2's later layout).
 
 use std::sync::OnceLock;
 
@@ -96,7 +97,7 @@ fn bench_occ_layout_and_prefetch(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("eta32_byte", |b| {
+    group.bench_function("eta64_onehot", |b| {
         b.iter(|| {
             for q in &f.queries {
                 collect_intv(
@@ -111,7 +112,7 @@ fn bench_occ_layout_and_prefetch(c: &mut Criterion) {
             }
         })
     });
-    group.bench_function("eta32_byte_prefetch", |b| {
+    group.bench_function("eta64_onehot_prefetch", |b| {
         b.iter(|| {
             for q in &f.queries {
                 collect_intv(

@@ -19,8 +19,9 @@ use crate::sam::SamRecord;
 /// per-read organization is the test oracle in [`crate::classic`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workflow {
-    /// Stage-batched processing, η=32 cache-line occurrence table with
-    /// software prefetch, flat suffix array, inter-task SIMD BSW.
+    /// Stage-batched processing, 64-row one-hot cache-line occurrence
+    /// table with software prefetch, flat suffix array, inter-task SIMD
+    /// BSW.
     Batched,
 }
 
@@ -35,7 +36,7 @@ pub struct Aligner {
 }
 
 impl Aligner {
-    /// Build an aligner with the production index components (η=32
+    /// Build an aligner with the production index components (one-hot
     /// occurrence table, flat suffix array).
     pub fn build(reference: Reference, opts: MemOpts) -> Aligner {
         let index = FmIndex::build(&reference, &BuildOpts::optimized_only());
@@ -88,7 +89,7 @@ impl Aligner {
         })
     }
 
-    /// Wrap an existing index. It must hold the η=32 occurrence table
+    /// Wrap an existing index. It must hold the one-hot occurrence table
     /// and the flat suffix array; a [`BuildOpts::default`] index also
     /// serves the [`crate::classic`] oracle.
     pub fn with_index(

@@ -1,9 +1,9 @@
 //! Index persistence: binary bundles holding the packed reference,
-//! contig table, suffix array and CP-OCC occurrence blocks, the same
+//! contig table, suffix array and occurrence blocks, the same
 //! way `bwa-mem2 mem` reads its `.bwt.2bit.64` files rather than
 //! re-indexing.
 //!
-//! One on-disk layout exists, version 5 (little-endian): a table of
+//! One on-disk layout exists, version 6 (little-endian): a table of
 //! contents followed by *page-aligned sections*, generalized over the
 //! position width, with integrity checksums. Each TOC entry carries its
 //! section's CRC32 (the same IEEE polynomial gzip uses,
@@ -16,16 +16,17 @@
 //! `mem2 index`.
 //!
 //! ```text
-//! magic "MEM2IDX" + version byte (5)
-//! u8 sa_width_bytes (4|8) | u8 occ_width_bytes (4|8)
+//! magic "MEM2IDX" + version byte (6)
+//! u8 sa_width_bytes (4|8) | u8 reserved (0)
 //! u32 header_crc32 | 2 reserved bytes
 //! u32 n_sections | per section: u32 id, u32 crc32, u64 offset, u64 len
 //! META  (id 1, unaligned): u64 l_pac, contigs, holes, BwtMeta,
 //!                          u64 sa_len, u64 n_blocks
 //! PAC   (id 2, 4096-aligned): packed reference bytes
 //! SA    (id 3, 4096-aligned): sa_len entries, 4 or 8 bytes each
-//! OCC   (id 4, 4096-aligned): n_blocks × 64-byte CP-OCC records
-//!                             (narrow CpBlock or wide CpBlockWide)
+//! OCC   (id 4, 4096-aligned): n_blocks × 64-byte CpBlock records, one
+//!                             per 64 BWT rows: four u64 cumulative
+//!                             counts, four u64 one-hot bitmaps
 //! ```
 //!
 //! Page-aligned sections are the point: a loader can `mmap` the file
@@ -34,6 +35,9 @@
 //! paging, cross-process page sharing. The buffered fallback reads the
 //! file into one page-aligned heap buffer and serves the identical
 //! views.
+//!
+//! The OCC records are the same at both widths, so the byte after the
+//! SA width is reserved and must be zero.
 //!
 //! The suffix-array entry width is chosen at index time: 4-byte entries
 //! while the doubled text fits `u32` (see [`flat_sa_fits`]), 8-byte
@@ -44,7 +48,7 @@
 
 use std::sync::Arc;
 
-use mem2_fmindex::{BuildOpts, BwtMeta, CpBlock, CpBlockWide, FlatSa, FmIndex, OccOpt, OccTable};
+use mem2_fmindex::{BuildOpts, BwtMeta, FlatSa, FmIndex, OccOpt, OccTable};
 use mem2_seqio::gzip::crc32;
 use mem2_seqio::refseq::{AmbHole, ContigAnn, ContigSet};
 use mem2_seqio::{AlignedBytes, ByteRegion, PackedSeq, Reference, RegionOwner, PAGE_ALIGN};
@@ -52,7 +56,7 @@ use mem2_suffix::{IndexWidth, SaVec};
 
 const MAGIC_PREFIX: &[u8; 7] = b"MEM2IDX";
 /// The format version this build writes and reads.
-pub const BUNDLE_VERSION: u8 = 5;
+pub const BUNDLE_VERSION: u8 = 6;
 /// Byte offset of the header CRC32 field (zeroed while computing it).
 const HEADER_CRC_OFF: usize = 10;
 /// Fixed header length: magic+version, widths+reserved, count, TOC.
@@ -190,9 +194,11 @@ fn pad_to_page(out: &mut Vec<u8>) {
     }
 }
 
-/// Serialize a bundle: checksummed TOC header, then META, then the
-/// PAC / SA / OCC sections at page-aligned offsets. The suffix array
-/// and occurrence table keep whatever width they were built with.
+/// Serialize a bundle in the current format ([`BUNDLE_VERSION`]):
+/// checksummed TOC header, then META, then the PAC / SA / OCC sections
+/// at page-aligned offsets. The suffix array keeps whatever width it
+/// was built with. The name is pinned by the benchmark package, which
+/// calls this function; it writes the current version, not version 5.
 pub fn save_bundle_v5(
     reference: &Reference,
     sa: &SaVec,
@@ -222,7 +228,7 @@ pub fn save_bundle_v5(
     let mut out = Vec::with_capacity(occ_off + occ_bytes.len());
     out.extend_from_slice(MAGIC_PREFIX);
     out.push(BUNDLE_VERSION);
-    out.extend_from_slice(&[sa.width().bytes() as u8, occ.width().bytes() as u8]);
+    out.extend_from_slice(&[sa.width().bytes() as u8, 0]);
     out.extend_from_slice(&[0u8; 6]);
     put_u32(&mut out, 4);
     for (id, off, len) in sections {
@@ -419,7 +425,6 @@ fn verify_section(
 /// [`TocLayout::verify_sections`] before any of them is served.
 struct TocLayout {
     sa_width: IndexWidth,
-    occ_width: IndexWidth,
     l_pac: usize,
     contigs: ContigSet,
     meta: BwtMeta,
@@ -470,8 +475,9 @@ fn parse_toc(full: &[u8]) -> Result<TocLayout, BundleError> {
     }
     let sa_width =
         IndexWidth::from_bytes(full[8]).ok_or(BundleError::Truncated("sa width byte"))?;
-    let occ_width =
-        IndexWidth::from_bytes(full[9]).ok_or(BundleError::Truncated("occ width byte"))?;
+    if full[9] != 0 {
+        return Err(BundleError::Truncated("reserved header byte"));
+    }
     let mut toc = Reader(&full[16..TOC_HEADER_LEN]);
     if toc.u32("section count")? != 4 {
         return Err(BundleError::Truncated("section count"));
@@ -521,7 +527,6 @@ fn parse_toc(full: &[u8]) -> Result<TocLayout, BundleError> {
     }
     Ok(TocLayout {
         sa_width,
-        occ_width,
         l_pac,
         contigs,
         meta,
@@ -580,35 +585,6 @@ fn decode_sa_owned(bytes: &[u8], width: IndexWidth) -> SaVec {
     }
 }
 
-/// Decode an OCC section's 64-byte records into an owned table.
-fn decode_occ_owned(bytes: &[u8], width: IndexWidth, meta: BwtMeta) -> OccOpt {
-    match width {
-        IndexWidth::W32 => {
-            let blocks = bytes
-                .chunks_exact(64)
-                .map(|rec| {
-                    let counts =
-                        std::array::from_fn(|i| u32::from_le_bytes(le_array(&rec[4 * i..][..4])));
-                    CpBlock::new(counts, le_array(&rec[16..48]))
-                })
-                .collect();
-            OccOpt::from_parts(meta, blocks)
-        }
-        IndexWidth::W64 => {
-            let blocks = bytes
-                .chunks_exact(64)
-                .map(|rec| CpBlockWide {
-                    counts: std::array::from_fn(|i| {
-                        u64::from_le_bytes(le_array(&rec[8 * i..][..8]))
-                    }),
-                    bases: le_array(&rec[32..]),
-                })
-                .collect();
-            OccOpt::from_wide_parts(meta, blocks)
-        }
-    }
-}
-
 /// The bundle checksum policy. Every section is verified before the
 /// index is assembled, whatever the load mode; `Eager` is the only
 /// policy. The type remains because the benchmark package's pinned call
@@ -636,8 +612,8 @@ pub struct LoadReport {
 }
 
 /// Assemble the index from a loaded bundle region, after verifying
-/// every section's checksum. The η=32 occurrence table and the flat
-/// suffix array are adopted from the region *in place*.
+/// every section's checksum. The occurrence table and the flat suffix
+/// array are adopted from the region *in place*.
 pub fn load_index_region(
     region: ByteRegion,
     file_mapped: bool,
@@ -662,8 +638,7 @@ pub fn load_index_region(
     let occ_region = region.slice(layout.occ.0, layout.occ.1);
     let flat = FlatSa::from_region(sa_region.clone(), layout.sa_width)
         .unwrap_or_else(|_| FlatSa::build(decode_sa_owned(sa_region.as_slice(), layout.sa_width)));
-    let occ = OccOpt::from_region(layout.meta, occ_region.clone(), layout.occ_width)
-        .unwrap_or_else(|_| decode_occ_owned(occ_region.as_slice(), layout.occ_width, layout.meta));
+    let occ = OccOpt::from_region(layout.meta, occ_region).map_err(BundleError::Truncated)?;
     report.zero_copy = flat.is_mapped() && occ.is_mapped();
     let index = FmIndex::from_mapped_parts(&reference, flat, occ);
     Ok((reference, index, report))
@@ -756,7 +731,7 @@ mod tests {
         let (loaded_ref, loaded) = load_index(&bytes).expect("load");
         assert_eq!(loaded_ref.pac, reference.pac);
         assert_eq!(loaded_ref.contigs, reference.contigs);
-        // the persisted CP-OCC table equals a from-scratch build
+        // the persisted occurrence table equals a from-scratch build
         assert_eq!(loaded.opt().meta(), direct.opt().meta());
         let mut sink = mem2_memsim::NoopSink;
         for r in (-1..=2 * direct.l_pac).step_by(97) {
@@ -787,7 +762,7 @@ mod tests {
             assert_eq!(off % PAGE_ALIGN, 0, "section offset {off} not page-aligned");
         }
         assert_eq!(layout.sa_width, IndexWidth::W32);
-        assert_eq!(layout.occ_width, IndexWidth::W32);
+        assert_eq!(bytes[9], 0, "reserved byte");
     }
 
     #[test]
@@ -879,14 +854,14 @@ mod tests {
             assert_eq!(refer.pac, reference.pac);
             assert!(idx.sa_flat.as_ref().unwrap().is_mapped());
             assert!(idx.opt().is_mapped());
-            // the owned decode big-endian hosts fall back to serves the
-            // same occurrence table
+            // the owned decode big-endian hosts fall back to (here
+            // forced by a misaligned copy) serves the same table
             let layout = parse_toc(&bytes).expect("parse");
-            let owned = decode_occ_owned(
-                &bytes[layout.occ.0..][..layout.occ.1],
-                layout.occ_width,
-                layout.meta,
-            );
+            let mut shifted = vec![0u8; 8];
+            shifted.extend_from_slice(&bytes[layout.occ.0..][..layout.occ.1]);
+            let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(&shifted));
+            let occ_region = ByteRegion::whole(owner).slice(8, layout.occ.1);
+            let owned = OccOpt::from_region(layout.meta, occ_region).expect("sized");
             assert!(!owned.is_mapped());
             let mut sink = mem2_memsim::NoopSink;
             for r in 0..=2 * idx.l_pac {
@@ -1110,9 +1085,10 @@ mod tests {
         }
         .generate_reference("c");
         let bytes = build_bundle(&reference).expect("encode");
-        // every retired layout (v1–v4) and a hypothetical future v6
-        // refuse to parse, with an error naming the version and the fix
-        for v in [1u8, 2, 3, 4, 6] {
+        // every retired layout (v1–v5; v5 held η = 32 byte-per-base occ
+        // buckets) and a hypothetical future v7 refuse to parse, with an
+        // error naming the version and the fix
+        for v in [1u8, 2, 3, 4, 5, 7] {
             let mut other = bytes.clone();
             other[7] = v;
             let err = load_index(&other).expect_err("version must be rejected");
@@ -1121,6 +1097,26 @@ mod tests {
             assert!(msg.contains(&format!("version {v}")), "{msg}");
             assert!(msg.contains("re-run `mem2 index`"), "{msg}");
         }
+    }
+
+    #[test]
+    fn reserved_header_byte_must_be_zero() {
+        // the byte after the SA width is refused when set, even under a
+        // consistent header CRC
+        let reference = GenomeSpec {
+            len: 300,
+            ..GenomeSpec::default()
+        }
+        .generate_reference("c");
+        let mut bad = build_bundle(&reference).expect("encode");
+        bad[9] = 8;
+        bad[HEADER_CRC_OFF..HEADER_CRC_OFF + 4].fill(0);
+        let h = crc32(&bad[..TOC_HEADER_LEN]).to_le_bytes();
+        bad[HEADER_CRC_OFF..HEADER_CRC_OFF + 4].copy_from_slice(&h);
+        assert_eq!(
+            load_index(&bad).map(|_| ()),
+            Err(BundleError::Truncated("reserved header byte"))
+        );
     }
 
     #[test]

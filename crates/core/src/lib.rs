@@ -5,8 +5,9 @@
 //! paper's re-organization ([`pipeline`]): a chunk of reads is divided
 //! into batches and **every stage runs over the whole batch** before the
 //! next stage starts, enabling inter-task SIMD for BSW; optimized index
-//! layout (η=32, flat SA), software prefetch, contiguous reusable
-//! buffers.
+//! layout (64-row one-hot occurrence buckets — bwa-mem2's later
+//! `CP_OCC`, not the paper's η=32 byte buckets — and a flat SA),
+//! software prefetch, contiguous reusable buffers.
 //!
 //! The original BWA-MEM organization — each read runs SMEM → SAL → CHAIN
 //! → BSW to completion before the next read, over the η=128 occurrence
@@ -51,7 +52,7 @@ pub use checkpoint::{
 };
 pub use mapq::approx_mapq_se;
 pub use opts::MemOpts;
-pub use profile::{CigarStats, ExtendStats, RescueStats, Stage, StageTimes};
+pub use profile::{CigarStats, ExtendStats, RescueStats, SeedStats, Stage, StageTimes};
 pub use region::AlnReg;
 pub use robust::{is_broken_pipe, is_no_space, RobustWriter};
 pub use sam::SamRecord;

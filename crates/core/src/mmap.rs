@@ -1,8 +1,9 @@
 //! Memory-mapped index loading.
 //!
-//! A v4 bundle keeps its big arrays at page-aligned file offsets so the
+//! A bundle keeps its big arrays at page-aligned file offsets so the
 //! whole file can be `mmap`ed read-only and consumed in place: the
-//! packed reference, flat suffix array and CP-OCC blocks are then
+//! packed reference, flat suffix array and one-hot occurrence blocks
+//! (bwa-mem2's `CP_OCC` layout) are then
 //! demand-paged by the kernel and *shared between processes* mapping
 //! the same file — the paper-scale deployment story (a human-genome
 //! index is tens of GB; per-process heap copies don't multiply).

@@ -197,7 +197,10 @@ pub fn align_batch(
     let width = opts.seed_batch.max(1);
     {
         let Worker {
-            smem_sched, states, ..
+            smem_sched,
+            states,
+            times,
+            ..
         } = worker;
         let mut queries: Vec<&[u8]> = Vec::with_capacity(width.min(reads.len()));
         for (slab_idx, slab) in reads.chunks(width).enumerate() {
@@ -216,6 +219,7 @@ pub fn align_batch(
                 },
             );
         }
+        times.seed.merge(&smem_sched.take_stats());
     }
     worker.times.add(Stage::Smem, t.elapsed());
 

@@ -13,6 +13,11 @@ use std::time::Duration;
 
 use mem2_obs::{Hist, HistSnapshot};
 
+/// The SMEM stage's occurrence-query counters, carried in
+/// [`StageTimes::seed`]: SMEM seconds over `queries()` is the time per
+/// occurrence query.
+pub use mem2_fmindex::SeedStats;
+
 /// Pipeline stages as profiled in Table 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
@@ -54,6 +59,8 @@ pub struct StageTimes {
     pub totals: [Duration; 7],
     /// Per-observation latency histogram per stage (values in us).
     pub hists: [Hist; 7],
+    /// The SMEM stage's occurrence queries, counted where they run.
+    pub seed: SeedStats,
     /// The SAM-FORM stage's CIGAR work, counted where it runs (every
     /// SAM formatter is handed its worker's `StageTimes`).
     pub cigar: CigarStats,
@@ -79,6 +86,7 @@ impl StageTimes {
         for (a, b) in self.hists.iter().zip(&other.hists) {
             a.merge_from(b);
         }
+        self.seed.merge(&other.seed);
         self.cigar.merge(&other.cigar);
         self.rescue.merge(&other.rescue);
     }

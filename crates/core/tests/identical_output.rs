@@ -1,6 +1,6 @@
 //! The paper's central requirement (§6.1.3): the optimized implementation
 //! must produce output identical to the original. Here: the batched
-//! workflow (η=32 occurrence table + prefetch + flat SA + vectorized BSW)
+//! workflow (one-hot occurrence table + prefetch + flat SA + vectorized BSW)
 //! must emit byte-identical SAM to the classic oracle (η=128 + sampled
 //! SA + scalar BSW), across thread counts.
 

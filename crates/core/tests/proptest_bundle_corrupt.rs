@@ -63,7 +63,7 @@ proptest! {
     /// Byte flips anywhere: structured error or load, never a panic —
     /// and never a silent load of a covered (checksummed) byte.
     #[test]
-    fn flipped_byte_never_panics_and_v5_never_loads_silently(
+    fn flipped_byte_never_panics_and_never_loads_silently(
         which in 0usize..2,
         frac in 0.0f64..1.0,
         mask in 1u8..=255,
@@ -101,7 +101,7 @@ proptest! {
 /// Directed check riding along: a flip inside each individual section
 /// is rejected with an error *naming* that section, at either width.
 #[test]
-fn v5_flip_names_the_failing_section() {
+fn flip_names_the_failing_section() {
     for clean in fixtures() {
         let extents = toc_extents(clean);
         for (i, name) in ["META", "PAC", "SA", "OCC"].iter().enumerate() {

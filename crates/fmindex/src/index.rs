@@ -15,7 +15,7 @@ use crate::sal::{FlatSa, SampledSa};
 pub struct BuildOpts {
     /// Build the original η=128 occurrence table.
     pub orig_occ: bool,
-    /// Build the optimized η=32 occurrence table.
+    /// Build the optimized 64-row one-hot occurrence table.
     pub opt_occ: bool,
     /// Keep the uncompressed suffix array.
     pub flat_sa: bool,
@@ -111,15 +111,13 @@ impl FmIndex {
             l_pac: l as i64,
             meta,
             occ_orig: opts.orig_occ.then(|| OccOrig::build(&bwt)),
-            occ_opt: opts
-                .opt_occ
-                .then(|| OccOpt::build_with_width(&bwt, sa.width())),
+            occ_opt: opts.opt_occ.then(|| OccOpt::build(&bwt)),
             sa_sampled: opts.sampled_sa.map(|q| SampledSa::build(&sa, q)),
             sa_flat: opts.flat_sa.then(|| FlatSa::build(sa)),
         }
     }
 
-    /// Assemble the production index (η=32 occurrence table + flat
+    /// Assemble the production index (one-hot occurrence table + flat
     /// suffix array) from components that *borrow* a mapped bundle —
     /// zero copies, zero rebuild work.
     pub fn from_mapped_parts(reference: &Reference, flat: FlatSa, occ: OccOpt) -> FmIndex {

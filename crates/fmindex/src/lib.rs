@@ -6,10 +6,13 @@
 //!   η=128 and 2-bit packed BWT counted with the classic bit-trick
 //!   (`bwt_occ_aux`), plus a sampled suffix array resolved by LF-walking —
 //!   in [`occ_orig`] and [`sal::SampledSa`];
-//! * the **optimized** layout of the paper — η=32, one byte per BWT base,
-//!   one 64-byte cache-line-aligned bucket, vector byte-compare + popcount,
-//!   software prefetching, and a flat uncompressed suffix array — in
-//!   [`occ_opt`] and [`sal::FlatSa`].
+//! * the **optimized** layout — one 64-byte cache-line-aligned bucket of
+//!   64 rows holding four cumulative counts and four one-hot `u64`
+//!   bitmaps, counted with `popcnt`; software prefetching; and a flat
+//!   uncompressed suffix array — in [`occ_opt`] and [`sal::FlatSa`]. The
+//!   bucket departs from the paper's η=32 byte-per-base layout (§4.4)
+//!   and follows bwa-mem2's later `CP_OCC`: the same one line per query
+//!   at half the table size, with no byte compare or backend dispatch.
 //!
 //! The SMEM search ([`smem`]) is a faithful port of bwa's `bwt_smem1a` /
 //! `mem_collect_intv` / `bwt_seed_strategy1`, generic over the occurrence
@@ -43,8 +46,8 @@ pub use ext::{backward_ext4, backward_ext_rows, forward_ext4, forward_ext_rows};
 pub use index::{BuildOpts, FmIndex};
 pub use interval::BiInterval;
 pub use occ::{BwtMeta, OccTable};
-pub use occ_opt::{CpBlock, CpBlockWide, OccOpt};
+pub use occ_opt::{CpBlock, OccOpt};
 pub use occ_orig::OccOrig;
 pub use sal::{FlatSa, SampledSa, SAL_PREFETCH_DIST};
 pub use smem::{collect_intv, seed_strategy1, smem1a, SmemAux, SmemOpts};
-pub use smem_batch::{SeedTask, SmemScheduler, DEFAULT_SEED_BATCH};
+pub use smem_batch::{SeedStats, SeedTask, SmemScheduler, DEFAULT_SEED_BATCH};

@@ -76,7 +76,7 @@ pub trait OccTable {
     /// is advisory and the algorithm issues such rows freely.
     fn prefetch_row<P: PerfSink>(&self, r: i64, sink: &mut P);
 
-    /// Bucket size η (32 for the optimized layout, 128 for the original).
+    /// Rows per bucket η (64 for the optimized layout, 128 for the original).
     fn bucket_size(&self) -> usize;
 
     /// Total bytes of the table (used to scale the modeled cache).

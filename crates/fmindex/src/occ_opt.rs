@@ -1,398 +1,209 @@
-//! The paper's optimized occurrence layout (§4.4): η = 32, one byte per
-//! base, one bucket per 64-byte cache line.
+//! The production occurrence layout: 64 rows per bucket, one bucket per
+//! 64-byte cache line, four cumulative counts plus four one-hot bitmaps.
 //!
-//! Each bucket stores four cumulative counts, 32 bases at one byte each,
-//! and (in the narrow layout) padding so buckets stay cache-line
-//! aligned. In-bucket counting is [`mem2_simd::counts4_in_prefix`] — a
-//! byte compare + popcount that dispatches to the widest available
-//! vector backend (on AVX2 literally the paper's `vpcmpeqb` +
-//! `vpmovmskb` + `popcnt` sequence, with an SSE2/NEON/SWAR fallback),
-//! replacing the original's multi-word bit manipulation.
+//! This departs from the paper's η = 32 byte-per-base bucket (§4.4) and
+//! follows the layout bwa-mem2's later releases adopted (`CP_OCC`): a
+//! [`CpBlock`] holds, for each base `c`, the count of `c` among all
+//! stored rows before the bucket and a `u64` whose bit `j` is set when
+//! the bucket's row `j` is `c`. Counting the first `y` rows of a bucket
+//! is then `popcnt(onehot[c] & ((1 << y) − 1))` per base — no byte
+//! compare, no backend dispatch — and a bucket covers twice the rows in
+//! the same line, so the table is half the paper's size.
 //!
-//! Two bucket layouts exist, chosen by the index width:
-//!
-//! * [`CpBlock`] — 4-byte counts (16 B) + 32 bases + 16 B padding.
-//!   Counts saturate at `u32::MAX`, so this layout is only valid while
-//!   the doubled text has fewer than 4 G rows (&approx; 2 Gbp forward
-//!   reference). This is the paper's exact struct.
-//! * [`CpBlockWide`] — 8-byte counts (32 B) + 32 bases, still exactly
-//!   one 64-byte cache line with zero padding. Used past the narrow
-//!   ceiling (human-genome-scale references); the per-query access
-//!   pattern (one line per bucket) is unchanged.
-//!
-//! Either layout can live in owned memory or borrow a `mmap`ed bundle
-//! section (v4 and later) in place ([`OccOpt::from_region`]) — blocks are stored
-//! on disk as raw 64-byte records at a page-aligned offset precisely so
-//! the mapped bytes *are* the runtime table.
+//! One block type serves both index widths (the counts are `u64`), and
+//! one storage representation serves both the built table and a mapped
+//! bundle: a [`ByteRegion`] owner plus a `&[CpBlock]` view checked once
+//! at construction, which [`OccTable::occ4`], [`OccTable::occ2x4`] and
+//! [`OccTable::prefetch_row`] index directly. Blocks are stored on disk
+//! as raw little-endian 64-byte records at a page-aligned offset, so the
+//! mapped bytes *are* the runtime table ([`OccOpt::from_region`]); only
+//! this module knows the record format, including the owned decode a
+//! big-endian host falls back to.
+
+use std::ops::Deref;
+use std::sync::Arc;
 
 use mem2_memsim::PerfSink;
-use mem2_seqio::ByteRegion;
-use mem2_simd::counts4_in_prefix;
+use mem2_seqio::{ByteRegion, Pod};
 use mem2_suffix::{Bwt, IndexWidth};
 
 use crate::occ::{BwtMeta, OccTable};
 
-/// Bucket size (rows per block).
-const ETA: i64 = 32;
+/// Rows per bucket: one bit of each one-hot bitmap.
+const ROWS: usize = 64;
 
-/// One 64-byte occurrence bucket, narrow (4-byte-count) layout.
-#[derive(Clone, Copy, Debug)]
+/// One 64-byte occurrence bucket covering 64 stored rows.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[repr(C, align(64))]
 pub struct CpBlock {
     /// Cumulative per-base counts of all stored rows before this bucket.
-    pub counts: [u32; 4],
-    /// The bucket's 32 BWT bases, one byte each; padding rows are 0xFF.
-    pub bases: [u8; 32],
-    _pad: [u8; 16],
+    pub counts: [u64; 4],
+    /// Per base, bit `j` is set when the bucket's row `j` holds that
+    /// base. Rows past the end of the text set no bit.
+    pub onehot: [u64; 4],
 }
 
-impl Default for CpBlock {
-    fn default() -> Self {
-        CpBlock::new([0; 4], [0xFF; 32])
-    }
-}
+// SAFETY: repr(C), two u64 arrays, no padding and no invariants — any
+// byte pattern is a valid block, which is what lets a mapped bundle
+// section be viewed as blocks in place.
+unsafe impl Pod for CpBlock {}
 
 impl CpBlock {
-    /// Assemble a block from its persisted payload (counts + bases; the
-    /// padding carries no information).
-    pub fn new(counts: [u32; 4], bases: [u8; 32]) -> Self {
+    /// Decode one little-endian on-disk record.
+    fn from_le_bytes(rec: &[u8]) -> CpBlock {
+        let word = |i: usize| u64::from_le_bytes(rec[8 * i..][..8].try_into().expect("8 bytes"));
         CpBlock {
-            counts,
-            bases,
-            _pad: [0; 16],
+            counts: std::array::from_fn(word),
+            onehot: std::array::from_fn(|c| word(4 + c)),
+        }
+    }
+
+    /// Per-base counts of all stored rows before row `y` of this bucket.
+    #[inline(always)]
+    fn counts_before(&self, y: usize) -> [i64; 4] {
+        debug_assert!(y < ROWS);
+        let mask = (1u64 << y) - 1;
+        std::array::from_fn(|c| self.counts[c] as i64 + (self.onehot[c] & mask).count_ones() as i64)
+    }
+}
+
+/// A built table's blocks, lent to a [`ByteRegion`] as its owner so the
+/// built and the mapped table share one representation.
+struct OwnedBlocks(Vec<CpBlock>);
+
+impl Deref for OwnedBlocks {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        // SAFETY: CpBlock is Pod without padding, so every byte of the
+        // initialized blocks is readable, and the Vec is never mutated.
+        unsafe {
+            std::slice::from_raw_parts(
+                self.0.as_ptr() as *const u8,
+                std::mem::size_of_val(&self.0[..]),
+            )
         }
     }
 }
 
-/// One 64-byte occurrence bucket, wide (8-byte-count) layout: four
-/// `u64` cumulative counts fill the half-line the narrow layout pads,
-/// so the wide table costs no extra cache lines per query.
-#[derive(Clone, Copy, Debug)]
-#[repr(C, align(64))]
-pub struct CpBlockWide {
-    /// Cumulative per-base counts of all stored rows before this bucket.
-    pub counts: [u64; 4],
-    /// The bucket's 32 BWT bases, one byte each; padding rows are 0xFF.
-    pub bases: [u8; 32],
-}
-
-impl Default for CpBlockWide {
-    fn default() -> Self {
-        CpBlockWide {
-            counts: [0; 4],
-            bases: [0xFF; 32],
-        }
-    }
-}
-
-// Safety: repr(C), fully initialized fields (the narrow layout's `_pad`
-// is a real zero-filled field, not compiler padding), no invariants —
-// any byte pattern is a valid block, which is what lets a mapped v4
-// section be viewed as blocks in place.
-unsafe impl mem2_seqio::Pod for CpBlock {}
-unsafe impl mem2_seqio::Pod for CpBlockWide {}
-
-/// Width- and ownership-dispatched bucket storage for [`OccOpt`].
-#[derive(Clone, Debug)]
-enum BlockStore {
-    Narrow(Vec<CpBlock>),
-    Wide(Vec<CpBlockWide>),
-    /// Validated at construction: 64-byte aligned, length % 64 == 0.
-    MappedNarrow(ByteRegion),
-    MappedWide(ByteRegion),
-}
-
-/// Optimized-layout occurrence table.
+/// The optimized occurrence table.
 #[derive(Clone, Debug)]
 pub struct OccOpt {
-    blocks: BlockStore,
+    /// Keeps the blocks alive: the built table or the mapped section.
+    region: ByteRegion,
+    /// `region` viewed as blocks, checked once at construction.
+    blocks: *const CpBlock,
+    n_blocks: usize,
+    /// The blocks are a loaded bundle's bytes, not a built table.
+    mapped: bool,
     meta: BwtMeta,
 }
 
-#[inline]
-fn mapped_narrow(region: &ByteRegion) -> &[CpBlock] {
-    region
-        .typed::<CpBlock>()
-        .expect("validated at construction")
-}
-
-#[inline]
-fn mapped_wide(region: &ByteRegion) -> &[CpBlockWide] {
-    region
-        .typed::<CpBlockWide>()
-        .expect("validated at construction")
-}
+// SAFETY: `region` is Send + Sync; `blocks` points into it, whose
+// bytes are immutable and kept alive (and never moved) by its shared
+// owner; `n_blocks`, `mapped` and `meta` are plain values.
+unsafe impl Send for OccOpt {}
+unsafe impl Sync for OccOpt {}
 
 impl OccOpt {
-    /// Build from a BWT, choosing the count width automatically: 4-byte
-    /// counts while the row count fits `u32`, 8-byte counts beyond.
+    /// Build from a BWT.
     pub fn build(bwt: &Bwt) -> Self {
-        let width = if bwt.data.len() < u32::MAX as usize {
-            IndexWidth::W32
-        } else {
-            IndexWidth::W64
-        };
-        Self::build_with_width(bwt, width)
-    }
-
-    /// Build with an explicit count width. The narrow layout asserts
-    /// the row count fits its 4-byte counts; the wide layout works for
-    /// any size (tests use it on tiny texts to exercise the 64-bit
-    /// path without a 2 Gbp fixture).
-    pub fn build_with_width(bwt: &Bwt, width: IndexWidth) -> Self {
-        let meta = BwtMeta::from_bwt(bwt);
         let n = bwt.data.len();
-        let n_blocks = n / ETA as usize + 1;
-        let blocks = match width {
-            IndexWidth::W32 => {
-                assert!(
-                    n < u32::MAX as usize,
-                    "narrow occurrence table requires < 4G rows (4-byte counts)"
-                );
-                let mut blocks = vec![CpBlock::default(); n_blocks];
-                let mut running = [0u32; 4];
-                for (b, block) in blocks.iter_mut().enumerate() {
-                    block.counts = running;
-                    for j in 0..ETA as usize {
-                        let i = b * ETA as usize + j;
-                        if i >= n {
-                            break;
-                        }
-                        let c = bwt.data[i];
-                        block.bases[j] = c;
-                        running[c as usize] += 1;
-                    }
-                }
-                BlockStore::Narrow(blocks)
+        let mut blocks = vec![CpBlock::default(); n / ROWS + 1];
+        let mut running = [0u64; 4];
+        for (b, block) in blocks.iter_mut().enumerate() {
+            block.counts = running;
+            let start = b * ROWS;
+            for (j, &c) in bwt.data[start..n.min(start + ROWS)].iter().enumerate() {
+                block.onehot[c as usize] |= 1 << j;
+                running[c as usize] += 1;
             }
-            IndexWidth::W64 => {
-                let mut blocks = vec![CpBlockWide::default(); n_blocks];
-                let mut running = [0u64; 4];
-                for (b, block) in blocks.iter_mut().enumerate() {
-                    block.counts = running;
-                    for j in 0..ETA as usize {
-                        let i = b * ETA as usize + j;
-                        if i >= n {
-                            break;
-                        }
-                        let c = bwt.data[i];
-                        block.bases[j] = c;
-                        running[c as usize] += 1;
-                    }
-                }
-                BlockStore::Wide(blocks)
-            }
-        };
-        OccOpt { blocks, meta }
+        }
+        Self::from_blocks(BwtMeta::from_bwt(bwt), blocks)
     }
 
-    /// Reassemble a table from persisted narrow parts (the index
-    /// bundle's v3 CP-OCC section). The caller must supply blocks
-    /// consistent with `meta` — `n_stored / 32 + 1` of them, with
-    /// cumulative counts — as written by the bundle encoder.
-    pub fn from_parts(meta: BwtMeta, blocks: Vec<CpBlock>) -> Self {
-        debug_assert_eq!(blocks.len() as i64, meta.n_stored / ETA + 1);
+    /// [`OccOpt::build`]: the blocks are the same at both index widths,
+    /// so `_width` is unused. The name and signature stay because the
+    /// benchmark package calls this function.
+    pub fn build_with_width(bwt: &Bwt, _width: IndexWidth) -> Self {
+        Self::build(bwt)
+    }
+
+    fn from_blocks(meta: BwtMeta, blocks: Vec<CpBlock>) -> Self {
+        debug_assert_eq!(blocks.len(), meta.n_stored as usize / ROWS + 1);
+        let (ptr, n_blocks) = (blocks.as_ptr(), blocks.len());
         OccOpt {
-            blocks: BlockStore::Narrow(blocks),
+            region: ByteRegion::whole(Arc::new(OwnedBlocks(blocks))),
+            blocks: ptr,
+            n_blocks,
+            mapped: false,
             meta,
         }
     }
 
-    /// Reassemble a table from persisted wide parts (a 64-bit v4
-    /// bundle decoded into owned storage).
-    pub fn from_wide_parts(meta: BwtMeta, blocks: Vec<CpBlockWide>) -> Self {
-        debug_assert_eq!(blocks.len() as i64, meta.n_stored / ETA + 1);
-        OccOpt {
-            blocks: BlockStore::Wide(blocks),
-            meta,
+    /// Serve the blocks from a loaded bundle section: in place when the
+    /// region can be viewed as blocks (the `mmap` zero-copy path), else
+    /// decoded into owned storage (a misaligned buffer or a big-endian
+    /// host). Fails when the section's size disagrees with `meta`.
+    pub fn from_region(meta: BwtMeta, region: ByteRegion) -> Result<Self, &'static str> {
+        let n_blocks = meta.n_stored as usize / ROWS + 1;
+        if region.len() != n_blocks * std::mem::size_of::<CpBlock>() {
+            return Err("occurrence section size disagrees with metadata");
         }
-    }
-
-    /// Borrow the blocks from a shared loaded region (the `mmap`
-    /// zero-copy path): the mapped bytes are used as the block array in
-    /// place. Fails when the region cannot be viewed as blocks
-    /// (misaligned, wrong size, a big-endian host, or a block count
-    /// inconsistent with `meta`) — callers fall back to an owned decode.
-    pub fn from_region(
-        meta: BwtMeta,
-        region: ByteRegion,
-        width: IndexWidth,
-    ) -> Result<Self, &'static str> {
-        let expect_blocks = (meta.n_stored / ETA + 1) as usize;
-        let blocks = match width {
-            IndexWidth::W32 => {
-                let view = region
-                    .typed::<CpBlock>()
-                    .ok_or("CP-OCC region not viewable as narrow blocks in place")?;
-                if view.len() != expect_blocks {
-                    return Err("CP-OCC region block count disagrees with metadata");
-                }
-                BlockStore::MappedNarrow(region)
-            }
-            IndexWidth::W64 => {
-                let view = region
-                    .typed::<CpBlockWide>()
-                    .ok_or("CP-OCC region not viewable as wide blocks in place")?;
-                if view.len() != expect_blocks {
-                    return Err("CP-OCC region block count disagrees with metadata");
-                }
-                BlockStore::MappedWide(region)
-            }
+        let Some(view) = region.typed::<CpBlock>() else {
+            let blocks = region
+                .as_slice()
+                .chunks_exact(64)
+                .map(CpBlock::from_le_bytes);
+            return Ok(Self::from_blocks(meta, blocks.collect()));
         };
-        Ok(OccOpt { blocks, meta })
+        let blocks = view.as_ptr();
+        Ok(OccOpt {
+            region,
+            blocks,
+            n_blocks,
+            mapped: true,
+            meta,
+        })
     }
 
-    /// Count width of this table's blocks.
-    pub fn width(&self) -> IndexWidth {
-        match &self.blocks {
-            BlockStore::Narrow(_) | BlockStore::MappedNarrow(_) => IndexWidth::W32,
-            BlockStore::Wide(_) | BlockStore::MappedWide(_) => IndexWidth::W64,
-        }
-    }
-
-    /// True when the blocks borrow a mapped region instead of owning
+    /// True when the blocks borrow a loaded region instead of owning
     /// their memory.
     pub fn is_mapped(&self) -> bool {
-        matches!(
-            &self.blocks,
-            BlockStore::MappedNarrow(_) | BlockStore::MappedWide(_)
-        )
+        self.mapped
+    }
+
+    /// The checkpoint blocks.
+    #[inline(always)]
+    fn blocks(&self) -> &[CpBlock] {
+        // SAFETY: checked at construction to be `n_blocks` aligned
+        // blocks inside `region`, which `self` keeps alive.
+        unsafe { std::slice::from_raw_parts(self.blocks, self.n_blocks) }
     }
 
     /// Number of checkpoint blocks.
     pub fn n_blocks(&self) -> usize {
-        match &self.blocks {
-            BlockStore::Narrow(v) => v.len(),
-            BlockStore::Wide(v) => v.len(),
-            BlockStore::MappedNarrow(m) => mapped_narrow(m).len(),
-            BlockStore::MappedWide(m) => mapped_wide(m).len(),
-        }
+        self.n_blocks
     }
 
-    /// The narrow checkpoint blocks, when this is the 4-byte-count
-    /// layout (v3 persistence writes these).
-    pub fn narrow_blocks(&self) -> Option<&[CpBlock]> {
-        match &self.blocks {
-            BlockStore::Narrow(v) => Some(v),
-            BlockStore::MappedNarrow(m) => Some(mapped_narrow(m)),
-            _ => None,
-        }
-    }
-
-    /// The wide checkpoint blocks, when this is the 8-byte-count layout.
-    pub fn wide_blocks(&self) -> Option<&[CpBlockWide]> {
-        match &self.blocks {
-            BlockStore::Wide(v) => Some(v),
-            BlockStore::MappedWide(m) => Some(mapped_wide(m)),
-            _ => None,
-        }
-    }
-
-    /// The blocks as raw 64-byte little-endian records — exactly the v4
-    /// bundle's on-disk CP-OCC section payload.
+    /// The blocks as raw 64-byte little-endian records — exactly the
+    /// bundle's on-disk OCC section payload.
     pub fn blocks_bytes(&self) -> &[u8] {
-        match &self.blocks {
-            // Safety: CpBlock/CpBlockWide are Pod (repr(C), all fields
-            // initialized including the narrow `_pad`), so their bytes
-            // are readable; lengths are exact multiples of 64.
-            BlockStore::Narrow(v) => unsafe {
-                std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(&v[..]))
-            },
-            BlockStore::Wide(v) => unsafe {
-                std::slice::from_raw_parts(v.as_ptr() as *const u8, std::mem::size_of_val(&v[..]))
-            },
-            BlockStore::MappedNarrow(m) => m.as_slice(),
-            BlockStore::MappedWide(m) => m.as_slice(),
-        }
+        self.region.as_slice()
     }
 
     /// Rows per block (the persistence layer's consistency check).
     pub const fn rows_per_block() -> usize {
-        ETA as usize
+        ROWS
     }
 
-    /// Count of each base among the first `m` stored rows.
-    #[inline]
-    fn stored_counts<P: PerfSink>(&self, m: i64, sink: &mut P) -> [i64; 4] {
-        debug_assert!(m >= 0 && m <= self.meta.n_stored);
-        let b = (m / ETA) as usize;
-        let y = (m % ETA) as usize;
-        // instruction proxy: 4 header adds + per-base compare/popcnt (~3)
-        sink.ops(4 + 4 * 3);
-        let mut out = [0i64; 4];
-        match &self.blocks {
-            BlockStore::Narrow(v) => {
-                let block = &v[b];
-                sink.load(block as *const CpBlock as usize, 64);
-                let inb = counts4_in_prefix(&block.bases, y);
-                for c in 0..4 {
-                    out[c] = block.counts[c] as i64 + inb[c] as i64;
-                }
-            }
-            BlockStore::MappedNarrow(mr) => {
-                let block = &mapped_narrow(mr)[b];
-                sink.load(block as *const CpBlock as usize, 64);
-                let inb = counts4_in_prefix(&block.bases, y);
-                for c in 0..4 {
-                    out[c] = block.counts[c] as i64 + inb[c] as i64;
-                }
-            }
-            BlockStore::Wide(v) => {
-                let block = &v[b];
-                sink.load(block as *const CpBlockWide as usize, 64);
-                let inb = counts4_in_prefix(&block.bases, y);
-                for c in 0..4 {
-                    out[c] = block.counts[c] as i64 + inb[c] as i64;
-                }
-            }
-            BlockStore::MappedWide(mr) => {
-                let block = &mapped_wide(mr)[b];
-                sink.load(block as *const CpBlockWide as usize, 64);
-                let inb = counts4_in_prefix(&block.bases, y);
-                for c in 0..4 {
-                    out[c] = block.counts[c] as i64 + inb[c] as i64;
-                }
-            }
-        }
-        out
-    }
-
-    /// The bucket's bases at block `b`.
-    #[inline]
-    fn bases_of(&self, b: usize) -> &[u8; 32] {
-        match &self.blocks {
-            BlockStore::Narrow(v) => &v[b].bases,
-            BlockStore::Wide(v) => &v[b].bases,
-            BlockStore::MappedNarrow(m) => &mapped_narrow(m)[b].bases,
-            BlockStore::MappedWide(m) => &mapped_wide(m)[b].bases,
-        }
-    }
-
-    /// Address of block `b` (prefetch target).
-    #[inline]
-    fn block_addr(&self, b: usize) -> usize {
-        match &self.blocks {
-            BlockStore::Narrow(v) => {
-                let block = &v[b];
-                mem2_simd::prefetch_read(block);
-                block as *const CpBlock as usize
-            }
-            BlockStore::Wide(v) => {
-                let block = &v[b];
-                mem2_simd::prefetch_read(block);
-                block as *const CpBlockWide as usize
-            }
-            BlockStore::MappedNarrow(m) => {
-                let block = &mapped_narrow(m)[b];
-                mem2_simd::prefetch_read(block);
-                block as *const CpBlock as usize
-            }
-            BlockStore::MappedWide(m) => {
-                let block = &mapped_wide(m)[b];
-                mem2_simd::prefetch_read(block);
-                block as *const CpBlockWide as usize
-            }
-        }
+    /// The block holding stored row `m`, reported to the sink as one
+    /// cache-line load.
+    #[inline(always)]
+    fn block<P: PerfSink>(&self, m: usize, sink: &mut P) -> &CpBlock {
+        let block = &self.blocks()[m / ROWS];
+        sink.load(block as *const CpBlock as usize, 64);
+        block
     }
 }
 
@@ -401,43 +212,52 @@ impl OccTable for OccOpt {
         &self.meta
     }
 
+    #[inline]
     fn occ4<P: PerfSink>(&self, r: i64, sink: &mut P) -> [i64; 4] {
-        self.stored_counts(self.meta.stored_prefix(r), sink)
+        let m = self.meta.stored_prefix(r) as usize;
+        // instruction proxy: mask build + per-base and/popcnt/add
+        sink.ops(1 + 4 * 3);
+        self.block(m, sink).counts_before(m % ROWS)
     }
 
+    #[inline]
     fn occ2x4<P: PerfSink>(&self, r1: i64, r2: i64, sink: &mut P) -> ([i64; 4], [i64; 4]) {
         debug_assert!(r1 <= r2);
-        let m1 = self.meta.stored_prefix(r1);
-        let m2 = self.meta.stored_prefix(r2);
-        if m1 / ETA == m2 / ETA {
-            let a = self.stored_counts(m1, sink);
-            let b = self.stored_counts(m2, &mut mem2_memsim::NoopSink);
-            sink.ops(4 * 3);
-            (a, b)
+        let m1 = self.meta.stored_prefix(r1) as usize;
+        let m2 = self.meta.stored_prefix(r2) as usize;
+        sink.ops(2 * (1 + 4 * 3));
+        let b1 = self.block(m1, sink);
+        let b2 = if m1 / ROWS == m2 / ROWS {
+            b1
         } else {
-            (self.stored_counts(m1, sink), self.stored_counts(m2, sink))
-        }
+            self.block(m2, sink)
+        };
+        (b1.counts_before(m1 % ROWS), b2.counts_before(m2 % ROWS))
     }
 
     fn bwt_char(&self, r: i64) -> u8 {
-        let i = self.meta.stored_index(r);
-        self.bases_of((i / ETA) as usize)[(i % ETA) as usize]
+        let i = self.meta.stored_index(r) as usize;
+        let block = &self.blocks()[i / ROWS];
+        let bit = |c: usize| (block.onehot[c] >> (i % ROWS)) & 1;
+        ((bit(2) | bit(3)) << 1 | (bit(1) | bit(3))) as u8
     }
 
+    #[inline]
     fn prefetch_row<P: PerfSink>(&self, r: i64, sink: &mut P) {
         if r < 0 || r > self.meta.n_stored {
             return;
         }
-        let m = self.meta.stored_prefix(r);
-        sink.prefetch(self.block_addr((m / ETA) as usize));
+        let block = &self.blocks()[self.meta.stored_prefix(r) as usize / ROWS];
+        mem2_simd::prefetch_read(block);
+        sink.prefetch(block as *const CpBlock as usize);
     }
 
     fn bucket_size(&self) -> usize {
-        ETA as usize
+        ROWS
     }
 
     fn table_bytes(&self) -> usize {
-        self.n_blocks() * 64
+        self.n_blocks * std::mem::size_of::<CpBlock>()
     }
 }
 
@@ -447,34 +267,37 @@ mod tests {
     use mem2_memsim::{CacheConfig, CountingSink, NoopSink};
     use mem2_seqio::{AlignedBytes, RegionOwner};
     use mem2_suffix::build_bwt;
-    use std::sync::Arc;
+
+    fn random_bwt(seed: u64, len: usize) -> Bwt {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let text: Vec<u8> = (0..len).map(|_| rng.random_range(0..4u8)).collect();
+        build_bwt(&text).0
+    }
+
+    fn region_of(bytes: &[u8]) -> ByteRegion {
+        let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(bytes));
+        ByteRegion::whole(owner)
+    }
 
     #[test]
     fn blocks_are_one_cache_line() {
         assert_eq!(std::mem::size_of::<CpBlock>(), 64);
         assert_eq!(std::mem::align_of::<CpBlock>(), 64);
-        assert_eq!(std::mem::size_of::<CpBlockWide>(), 64);
-        assert_eq!(std::mem::align_of::<CpBlockWide>(), 64);
+        assert_eq!(OccOpt::rows_per_block(), 64);
     }
 
     #[test]
     fn occ4_matches_naive() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        let text: Vec<u8> = (0..777).map(|_| rng.random_range(0..4u8)).collect();
-        let (bwt, _) = build_bwt(&text);
+        let bwt = random_bwt(7, 777);
         let occ = OccOpt::build(&bwt);
-        assert_eq!(occ.width(), IndexWidth::W32);
         let mut sink = NoopSink;
-        for r in -1..=text.len() as i64 {
-            let mut naive = [0i64; 4];
-            for row in 0..=r {
-                if row >= 0 {
-                    if let Some(c) = bwt.get(row as usize) {
-                        naive[c as usize] += 1;
-                    }
-                }
+        let mut naive = [0i64; 4];
+        assert_eq!(occ.occ4(-1, &mut sink), naive);
+        for r in 0..=bwt.data.len() as i64 {
+            if let Some(c) = bwt.get(r as usize) {
+                naive[c as usize] += 1;
             }
             assert_eq!(occ.occ4(r, &mut sink), naive, "r={r}");
         }
@@ -482,74 +305,60 @@ mod tests {
 
     #[test]
     fn wide_table_matches_narrow_everywhere() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(11);
-        let text: Vec<u8> = (0..1500).map(|_| rng.random_range(0..4u8)).collect();
-        let (bwt, _) = build_bwt(&text);
+        // one block type serves both widths: the builds are identical
+        let bwt = random_bwt(11, 1500);
         let narrow = OccOpt::build_with_width(&bwt, IndexWidth::W32);
         let wide = OccOpt::build_with_width(&bwt, IndexWidth::W64);
-        assert_eq!(wide.width(), IndexWidth::W64);
-        assert!(narrow.wide_blocks().is_none());
-        assert!(wide.narrow_blocks().is_none());
-        assert_eq!(narrow.n_blocks(), wide.n_blocks());
-        assert_eq!(narrow.table_bytes(), wide.table_bytes());
-        let mut sink = NoopSink;
-        for r in -1..=text.len() as i64 {
-            assert_eq!(narrow.occ4(r, &mut sink), wide.occ4(r, &mut sink), "r={r}");
-        }
-        for r in 0..=text.len() as i64 {
-            if r != bwt.sentinel_row as i64 {
-                assert_eq!(narrow.bwt_char(r), wide.bwt_char(r), "r={r}");
-            }
-        }
+        assert_eq!(narrow.blocks_bytes(), wide.blocks_bytes());
+        assert_eq!(narrow.table_bytes(), wide.n_blocks() * 64);
     }
 
     #[test]
     fn mapped_blocks_match_owned_in_both_widths() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(12);
-        let text: Vec<u8> = (0..900).map(|_| rng.random_range(0..4u8)).collect();
-        let (bwt, _) = build_bwt(&text);
+        let bwt = random_bwt(12, 900);
         for width in [IndexWidth::W32, IndexWidth::W64] {
             let owned = OccOpt::build_with_width(&bwt, width);
+            assert!(!owned.is_mapped());
             let bytes = owned.blocks_bytes().to_vec();
             assert_eq!(bytes.len(), owned.n_blocks() * 64);
-            let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(&bytes));
-            let mapped = OccOpt::from_region(*owned.meta(), ByteRegion::whole(owner), width)
-                .expect("aligned");
+            let mapped = OccOpt::from_region(*owned.meta(), region_of(&bytes)).expect("sized");
             assert!(mapped.is_mapped());
-            assert_eq!(mapped.width(), width);
             assert_eq!(mapped.blocks_bytes(), &bytes[..]);
+            // a misaligned copy is decoded into owned storage instead
+            let mut shifted = vec![0u8; 8];
+            shifted.extend_from_slice(&bytes);
+            let region = region_of(&shifted).slice(8, bytes.len());
+            let decoded = OccOpt::from_region(*owned.meta(), region).expect("sized");
+            assert!(!decoded.is_mapped());
+            assert_eq!(decoded.blocks(), owned.blocks());
             let mut sink = NoopSink;
-            for r in (-1..=text.len() as i64).step_by(3) {
+            for r in (-1..=bwt.data.len() as i64).step_by(3) {
                 assert_eq!(owned.occ4(r, &mut sink), mapped.occ4(r, &mut sink));
             }
-            for r in 0..=text.len() as i64 {
+            for r in 0..=bwt.data.len() as i64 {
                 if r != bwt.sentinel_row as i64 {
                     assert_eq!(owned.bwt_char(r), mapped.bwt_char(r));
                 }
             }
             mapped.prefetch_row(5, &mut sink);
         }
-        // a truncated region is rejected, not misread
-        let owned = OccOpt::build(&bwt);
-        let bytes = owned.blocks_bytes()[..owned.blocks_bytes().len() - 64].to_vec();
-        let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(&bytes));
-        assert!(
-            OccOpt::from_region(*owned.meta(), ByteRegion::whole(owner), IndexWidth::W32).is_err()
-        );
+    }
+
+    #[test]
+    fn truncated_or_padded_regions_are_rejected() {
+        let owned = OccOpt::build(&random_bwt(13, 900));
+        let bytes = owned.blocks_bytes();
+        for len in [bytes.len() - 64, bytes.len() - 1, bytes.len() + 64] {
+            let mut copy = bytes.to_vec();
+            copy.resize(len, 0);
+            assert!(OccOpt::from_region(*owned.meta(), region_of(&copy)).is_err());
+        }
     }
 
     #[test]
     fn opt_and_orig_agree() {
         use crate::occ_orig::OccOrig;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(8);
-        let text: Vec<u8> = (0..2000).map(|_| rng.random_range(0..4u8)).collect();
-        let (bwt, _) = build_bwt(&text);
+        let bwt = random_bwt(8, 2000);
         let opt = OccOpt::build(&bwt);
         let orig = OccOrig::build(&bwt);
         let mut sink = NoopSink;
@@ -565,18 +374,20 @@ mod tests {
 
     #[test]
     fn same_bucket_pair_touches_one_line() {
-        let text: Vec<u8> = (0..256).map(|i| (i % 4) as u8).collect();
+        let text: Vec<u8> = (0..512).map(|i| (i % 4) as u8).collect();
         let (bwt, _) = build_bwt(&text);
-        for width in [IndexWidth::W32, IndexWidth::W64] {
-            let occ = OccOpt::build_with_width(&bwt, width);
-            let mut sink = CountingSink::new(CacheConfig::scaled_to(1 << 20));
-            // rows 40 and 50 map into the same η=32 bucket only if their
-            // stored prefixes share block 1; pick adjacent rows to be sure
-            let (_, _) = occ.occ2x4(40, 41, &mut sink);
-            assert_eq!(sink.counters.loads, 1);
-            let (_, _) = occ.occ2x4(10, 200, &mut sink);
-            assert_eq!(sink.counters.loads, 3);
-        }
+        let occ = OccOpt::build(&bwt);
+        let mut sink = CountingSink::new(CacheConfig::scaled_to(1 << 20));
+        // stored prefixes 131 and 191 share bucket 2 wherever the
+        // sentinel row falls
+        let (a, b) = occ.occ2x4(130, 190, &mut sink);
+        assert_eq!(sink.counters.loads, 1);
+        assert_eq!(
+            (a, b),
+            (occ.occ4(130, &mut NoopSink), occ.occ4(190, &mut NoopSink))
+        );
+        let (_, _) = occ.occ2x4(10, 400, &mut sink);
+        assert_eq!(sink.counters.loads, 3);
     }
 
     #[test]

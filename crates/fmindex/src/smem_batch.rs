@@ -38,6 +38,85 @@ use crate::smem::SmemOpts;
 /// state.
 pub const DEFAULT_SEED_BATCH: usize = 16;
 
+/// Occurrence-query counters of the seeding stage, split by pass, as
+/// [`SmemScheduler`] fills them: with SMEM seconds they give the time
+/// per query, the quantity an occurrence-layout change moves. One query
+/// is one `forward_ext4` / `backward_ext4` call (an `occ2x4` pair).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SeedStats {
+    /// Reads seeded.
+    pub reads: u64,
+    /// Pass 1 (SMEM search) forward extensions.
+    pub smem_fwd: u64,
+    /// Pass 1 backward extensions.
+    pub smem_back: u64,
+    /// Pass 2 (re-seeding) extensions, forward and backward.
+    pub reseed: u64,
+    /// Pass 3 (`seed_strategy1`, the third round) forward extensions.
+    pub third: u64,
+}
+
+impl SeedStats {
+    /// Queries over all passes.
+    pub fn queries(&self) -> u64 {
+        self.smem_fwd + self.smem_back + self.reseed + self.third
+    }
+
+    /// Queries per read (0 when no read was seeded).
+    pub fn queries_per_read(&self) -> f64 {
+        self.queries() as f64 / self.reads.max(1) as f64
+    }
+
+    /// Count one seeded read's queries: SMEM forward, SMEM backward,
+    /// re-seed, third round.
+    pub fn add_read(&mut self, queries: [u32; 4]) {
+        self.reads += 1;
+        self.smem_fwd += queries[0] as u64;
+        self.smem_back += queries[1] as u64;
+        self.reseed += queries[2] as u64;
+        self.third += queries[3] as u64;
+    }
+
+    /// Add another worker's counters.
+    pub fn merge(&mut self, other: &SeedStats) {
+        self.reads += other.reads;
+        self.smem_fwd += other.smem_fwd;
+        self.smem_back += other.smem_back;
+        self.reseed += other.reseed;
+        self.third += other.third;
+    }
+
+    /// One-line text form for the `--profile` report.
+    pub fn render(&self) -> String {
+        format!(
+            "occ queries {} over {} reads = {:.1} queries/read \
+             (SMEM forward {}, SMEM backward {}, re-seed {}, third round {})",
+            self.queries(),
+            self.reads,
+            self.queries_per_read(),
+            self.smem_fwd,
+            self.smem_back,
+            self.reseed,
+            self.third,
+        )
+    }
+
+    /// JSON object form for `--profile=json`.
+    pub fn render_json(&self) -> String {
+        format!(
+            "{{\"reads\":{},\"queries\":{},\"queries_per_read\":{:.2},\"smem_fwd\":{},\
+             \"smem_back\":{},\"reseed\":{},\"third\":{}}}",
+            self.reads,
+            self.queries(),
+            self.queries_per_read(),
+            self.smem_fwd,
+            self.smem_back,
+            self.reseed,
+            self.third,
+        )
+    }
+}
+
 /// Micro-state of a [`SeedTask`] — the explicit program counter of
 /// `collect_intv`. Query-point states (`FwdQuery`, `BackQuery`,
 /// `StratQuery`) are where the machine parks between steps, with the
@@ -109,6 +188,9 @@ pub struct SeedTask {
     back_c: u8,
     /// `seed_strategy1` cursor.
     strat_i: usize,
+    /// This read's occurrence queries so far, indexed like
+    /// [`SeedStats::add_read`]'s argument.
+    queries: [u32; 4],
 }
 
 impl SeedTask {
@@ -120,6 +202,7 @@ impl SeedTask {
         self.prev.clear();
         self.st = St::P1Scan;
         self.x = 0;
+        self.queries = [0; 4];
     }
 
     /// Is the machine in its terminal state?
@@ -241,6 +324,7 @@ impl SeedTask {
                     }
                     let o = forward_ext4(occ, &self.ik, sink)[query[self.fwd_i] as usize];
                     did_query = true;
+                    self.queries[2 * self.from_reseed as usize] += 1;
                     sink.ops(4);
                     if o.s != self.ik.s {
                         self.curr.push(self.ik);
@@ -296,6 +380,7 @@ impl SeedTask {
                     let p = self.prev[self.back_j];
                     let ok = backward_ext4(occ, &p, sink)[self.back_c as usize];
                     did_query = true;
+                    self.queries[1 + self.from_reseed as usize] += 1;
                     sink.ops(6);
                     if ok.s < self.min_intv {
                         self.back_keep(p);
@@ -386,6 +471,7 @@ impl SeedTask {
                     }
                     let o = forward_ext4(occ, &self.ik, sink)[query[self.strat_i] as usize];
                     did_query = true;
+                    self.queries[3] += 1;
                     sink.ops(4);
                     if o.s < opts.max_mem_intv
                         && (self.strat_i - self.sx) as i64 >= opts.min_seed_len as i64
@@ -420,6 +506,7 @@ impl SeedTask {
 #[derive(Debug, Default)]
 pub struct SmemScheduler {
     tasks: Vec<SeedTask>,
+    stats: SeedStats,
 }
 
 impl SmemScheduler {
@@ -427,6 +514,12 @@ impl SmemScheduler {
     /// slab seen).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The occurrence queries of every read seeded since the last call,
+    /// resetting the counters.
+    pub fn take_stats(&mut self) -> SeedStats {
+        std::mem::take(&mut self.stats)
     }
 
     /// Seed every read of a slab, interleaving up to `width` state
@@ -468,6 +561,7 @@ impl SmemScheduler {
                 }
                 let task = &mut self.tasks[s];
                 if task.step(occ, queries[r], opts, prefetch, sink) {
+                    self.stats.add_read(task.queries);
                     emit(r, &mut task.out);
                     if next < queries.len() {
                         task.reset();
@@ -617,5 +711,57 @@ mod tests {
         }
         assert_eq!(outs, expected);
         assert_eq!(sched.tasks.len(), 4, "pool sized to the widest slab");
+    }
+
+    #[test]
+    fn query_counts_are_per_pass_and_width_independent() {
+        use mem2_memsim::{CacheConfig, CountingSink};
+        let (idx, reads) = reference_and_reads(0xC0DE, 24);
+        let opts = SmemOpts::default();
+        let queries: Vec<&[u8]> = reads.iter().map(|q| q.as_slice()).collect();
+        let mut per_width = Vec::new();
+        for width in [1usize, 5, 16] {
+            let mut sched = SmemScheduler::new();
+            let mut sink = CountingSink::new(CacheConfig::scaled_to(1 << 20));
+            sched.seed_slab(
+                idx.opt(),
+                &opts,
+                &queries,
+                width,
+                true,
+                &mut sink,
+                |_, _| {},
+            );
+            let stats = sched.take_stats();
+            assert_eq!(stats.reads, reads.len() as u64);
+            assert!(stats.smem_fwd > 0 && stats.smem_back > 0, "{stats:?}");
+            // every query is one occ2x4 pair: one or two bucket loads
+            assert!(sink.counters.loads >= stats.queries(), "{stats:?}");
+            assert!(sink.counters.loads <= 2 * stats.queries(), "{stats:?}");
+            assert_eq!(sched.take_stats(), SeedStats::default(), "taken");
+            per_width.push(stats);
+        }
+        assert!(per_width.windows(2).all(|w| w[0] == w[1]), "{per_width:?}");
+        // the third round only runs when enabled
+        let mut sched = SmemScheduler::new();
+        let no_third = SmemOpts {
+            max_mem_intv: 0,
+            ..SmemOpts::default()
+        };
+        sched.seed_slab(
+            idx.opt(),
+            &no_third,
+            &queries,
+            4,
+            true,
+            &mut NoopSink,
+            |_, _| {},
+        );
+        let stats = sched.take_stats();
+        assert_eq!(stats.third, 0);
+        assert_eq!(stats.smem_fwd, per_width[0].smem_fwd);
+        let json = stats.render_json();
+        assert!(json.contains("\"third\":0"), "{json}");
+        assert!(stats.render().contains("third round 0"));
     }
 }

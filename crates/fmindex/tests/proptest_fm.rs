@@ -3,10 +3,13 @@
 
 use proptest::prelude::*;
 
+use std::sync::Arc;
+
 use mem2_fmindex::ext::backward_search;
-use mem2_fmindex::{BuildOpts, FmIndex, OccTable};
+use mem2_fmindex::{BuildOpts, FmIndex, OccOpt, OccOrig, OccTable};
 use mem2_memsim::NoopSink;
-use mem2_seqio::Reference;
+use mem2_seqio::{AlignedBytes, ByteRegion, Reference, RegionOwner};
+use mem2_suffix::{build_bwt, IndexWidth};
 
 fn count_occurrences(hay: &[u8], pat: &[u8]) -> usize {
     if pat.is_empty() || pat.len() > hay.len() {
@@ -27,20 +30,57 @@ fn doubled(reference: &Reference) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// The one-hot table — built at either width, or viewed in place
+    /// over its own bytes — against the original η=128 table on every
+    /// row: `occ4`, `bwt_char`, and `occ2x4` on random pairs, half of
+    /// them inside one 64-row bucket. The sentinel row sits where the
+    /// BWT puts it and, in a second pass, at a bucket edge (the tables
+    /// only count stored rows, so moving it yields a valid table).
     #[test]
-    fn occ_layouts_agree_everywhere(text in prop::collection::vec(0u8..4, 1..500)) {
-        let reference = Reference::from_codes("p", &text);
-        let idx = FmIndex::build(&reference, &BuildOpts::default());
-        let orig = idx.orig();
-        let opt = idx.opt();
-        let mut sink = NoopSink;
-        let rows = 2 * text.len() as i64;
-        for r in -1..=rows {
-            prop_assert_eq!(orig.occ4(r, &mut sink), opt.occ4(r, &mut sink), "r={}", r);
-        }
-        for r in 0..=rows {
-            if r != orig.meta().sentinel_row {
-                prop_assert_eq!(orig.bwt_char(r), opt.bwt_char(r));
+    fn occ_layouts_agree_everywhere(
+        text in prop::collection::vec(0u8..4, 1..600),
+        edge in 0usize..10,
+        nudge in 0usize..3,
+        pairs in prop::collection::vec((any::<u32>(), any::<u32>(), 0u32..64), 1..48),
+    ) {
+        let (mut bwt, _) = build_bwt(&text);
+        let rows = bwt.data.len() as i64; // conceptual rows 0..=rows
+        let at_edge = (64 * edge.min(bwt.data.len() / 64) + nudge)
+            .saturating_sub(1)
+            .min(bwt.data.len());
+        for sentinel in [bwt.sentinel_row, at_edge] {
+            bwt.sentinel_row = sentinel;
+            let orig = OccOrig::build(&bwt);
+            let narrow = OccOpt::build(&bwt);
+            let wide = OccOpt::build_with_width(&bwt, IndexWidth::W64);
+            let owner: RegionOwner = Arc::new(AlignedBytes::from_slice(narrow.blocks_bytes()));
+            let mapped = OccOpt::from_region(*narrow.meta(), ByteRegion::whole(owner))
+                .expect("sized");
+            prop_assert!(mapped.is_mapped());
+            let mut sink = NoopSink;
+            for opt in [&narrow, &wide, &mapped] {
+                for r in -1..=rows {
+                    prop_assert_eq!(orig.occ4(r, &mut sink), opt.occ4(r, &mut sink), "r={}", r);
+                }
+                for r in 0..=rows {
+                    if r != sentinel as i64 {
+                        prop_assert_eq!(orig.bwt_char(r), opt.bwt_char(r), "r={}", r);
+                    }
+                }
+                for &(a, b, span) in &pairs {
+                    let r1 = (a as i64 % (rows + 2)) - 1;
+                    let r2 = if b % 2 == 0 {
+                        (r1 + span as i64).min(rows)
+                    } else {
+                        (b as i64 % (rows + 2)) - 1
+                    };
+                    let (r1, r2) = (r1.min(r2), r1.max(r2));
+                    prop_assert_eq!(
+                        opt.occ2x4(r1, r2, &mut sink),
+                        (orig.occ4(r1, &mut sink), orig.occ4(r2, &mut sink)),
+                        "r1={} r2={}", r1, r2
+                    );
+                }
             }
         }
     }

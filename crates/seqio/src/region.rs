@@ -1,14 +1,14 @@
 //! Shared byte regions: the substrate for zero-copy index loading.
 //!
-//! A v4 index bundle stores its big arrays (packed reference, flat
-//! suffix array, CP-OCC blocks) page-aligned, so a loader can `mmap` the
+//! An index bundle stores its big arrays (packed reference, flat
+//! suffix array, occurrence blocks) page-aligned, so a loader can `mmap` the
 //! file once and hand each consumer a [`ByteRegion`] — a window into the
 //! mapping that keeps it alive via a shared owner. The same type wraps
 //! the buffered-read fallback ([`AlignedBytes`], a 4096-byte-aligned
 //! heap buffer), so consumers never know which loader ran.
 //!
 //! Typed reinterpretation ([`ByteRegion::typed`]) is how `FlatSa` and
-//! the CP-OCC table view their mapped arrays without copying. It is
+//! the occurrence table view their mapped arrays without copying. It is
 //! gated on a little-endian target (x86-64 and aarch64 both are; the
 //! on-disk format is little-endian) and on the region's alignment —
 //! callers fall back to an owned decode when it returns `None`.

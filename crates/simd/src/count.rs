@@ -1,14 +1,19 @@
-//! Byte-equality population counts used by the optimized occurrence table
-//! (paper §4.4): "We perform a byte level compare using AVX2 to get a 32-bit
-//! mask containing 1 for match and 0 for mismatch. Consequently, we use a
-//! 32-bit popcnt instruction on the mask to get the count."
+//! The paper's in-bucket byte count (§4.4): "We perform a byte level
+//! compare using AVX2 to get a 32-bit mask containing 1 for match and 0
+//! for mismatch. Consequently, we use a 32-bit popcnt instruction on the
+//! mask to get the count."
 //!
-//! Every public function dispatches through [`crate::dispatch::selected`]:
+//! The aligner does not call it: its occurrence table counts 64-row
+//! one-hot buckets with a plain `popcnt` (`mem2_fmindex::occ_opt`).
+//! [`counts4_in_prefix`] and its portable twin stay only because the
+//! benchmark package's `simd.counts4.ns_per_bucket` metric calls them.
+//!
+//! [`counts4_in_prefix`] dispatches through [`crate::dispatch::selected`]:
 //! on x86_64 the AVX2 path is literally the paper's sequence
 //! (`vpcmpeqb` + `vpmovmskb` + `popcnt`), SSE2 does the same over two
-//! 128-bit halves, NEON counts mask lanes with `vaddv`. The `_portable`
-//! variants are the dispatch-free scalar/SWAR ground truth — byte tests
-//! pin every native path against them.
+//! 128-bit halves, NEON counts mask lanes with `vaddv`.
+//! [`counts4_in_prefix_portable`] is the dispatch-free SWAR ground
+//! truth the tests pin every native path against.
 
 #[allow(unused_imports)] // Backend is only matched on SIMD-capable arches
 use crate::dispatch::{selected, Backend};
@@ -28,30 +33,10 @@ fn keep_mask(prefix_len: usize) -> u32 {
 // portable ground truth
 // ---------------------------------------------------------------------
 
-/// Portable [`count_eq_prefix`]: bit-mask build + `count_ones`.
-#[inline(always)]
-pub fn count_eq_prefix_portable(bucket: &[u8; 32], needle: u8, prefix_len: usize) -> u32 {
-    let mut mask = 0u32;
-    for (i, &b) in bucket.iter().enumerate() {
-        mask |= ((b == needle) as u32) << i;
-    }
-    (mask & keep_mask(prefix_len)).count_ones()
-}
-
-/// Portable [`count_eq`]: plain scalar loop.
-#[inline(always)]
-pub fn count_eq_portable(hay: &[u8], needle: u8) -> u64 {
-    let mut n = 0u64;
-    for &b in hay {
-        n += (b == needle) as u64;
-    }
-    n
-}
-
 /// Portable [`counts4_in_prefix`]: each base code is 0..3, so bit0/bit1
 /// of every byte identify it, and a SWAR mask + popcount counts eight
 /// lanes per 64-bit word. Padding bytes (0xFF) are never inside the
-/// prefix.
+/// prefix. Kept for the benchmark package's `simd.counts4` metric.
 #[inline(always)]
 pub fn counts4_in_prefix_portable(bases: &[u8; 32], y: usize) -> [u32; 4] {
     const ONES: u64 = 0x0101_0101_0101_0101;
@@ -116,40 +101,6 @@ fn eq_mask32_avx2(bucket: &[u8; 32], needle: u8) -> u32 {
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn count_eq_sse2(hay: &[u8], needle: u8) -> u64 {
-    // SAFETY: see the backend safety contract in the module docs.
-    unsafe {
-        use core::arch::x86_64::*;
-        let n = _mm_set1_epi8(needle as i8);
-        let mut total = 0u64;
-        let mut chunks = hay.chunks_exact(16);
-        for c in &mut chunks {
-            let v = _mm_loadu_si128(c.as_ptr() as *const __m128i);
-            total += _mm_movemask_epi8(_mm_cmpeq_epi8(v, n)).count_ones() as u64;
-        }
-        total + count_eq_portable(chunks.remainder(), needle)
-    }
-}
-
-#[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-#[inline(always)]
-fn count_eq_avx2(hay: &[u8], needle: u8) -> u64 {
-    // SAFETY: see the backend safety contract in the module docs.
-    unsafe {
-        use core::arch::x86_64::*;
-        let n = _mm256_set1_epi8(needle as i8);
-        let mut total = 0u64;
-        let mut chunks = hay.chunks_exact(32);
-        for c in &mut chunks {
-            let v = _mm256_loadu_si256(c.as_ptr() as *const __m256i);
-            total += _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, n)).count_ones() as u64;
-        }
-        total + count_eq_portable(chunks.remainder(), needle)
-    }
-}
-
 // ---------------------------------------------------------------------
 // aarch64 backend
 // ---------------------------------------------------------------------
@@ -158,7 +109,7 @@ fn count_eq_avx2(hay: &[u8], needle: u8) -> u64 {
 /// mask lanes below the prefix limit, reduce with `vaddv`.
 #[cfg(target_arch = "aarch64")]
 #[inline(always)]
-fn count_eq_prefix_neon(bucket: &[u8; 32], needle: u8, prefix_len: usize) -> u32 {
+fn prefix_count_neon(bucket: &[u8; 32], needle: u8, prefix_len: usize) -> u32 {
     // SAFETY: see the backend safety contract in the module docs.
     unsafe {
         use core::arch::aarch64::*;
@@ -178,67 +129,15 @@ fn count_eq_prefix_neon(bucket: &[u8; 32], needle: u8, prefix_len: usize) -> u32
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-#[inline(always)]
-fn count_eq_neon(hay: &[u8], needle: u8) -> u64 {
-    // SAFETY: see the backend safety contract in the module docs.
-    unsafe {
-        use core::arch::aarch64::*;
-        let n = vdupq_n_u8(needle);
-        let one = vdupq_n_u8(1);
-        let mut total = 0u64;
-        let mut chunks = hay.chunks_exact(16);
-        for c in &mut chunks {
-            let v = vld1q_u8(c.as_ptr());
-            total += vaddvq_u8(vandq_u8(vceqq_u8(v, n), one)) as u64;
-        }
-        total + count_eq_portable(chunks.remainder(), needle)
-    }
-}
-
 // ---------------------------------------------------------------------
 // dispatched entry points
 // ---------------------------------------------------------------------
 
-/// Count occurrences of `needle` in the first `prefix_len` bytes of a
-/// fixed 32-byte bucket. `prefix_len` may be 0..=32.
-#[inline]
-pub fn count_eq_prefix(bucket: &[u8; 32], needle: u8, prefix_len: usize) -> u32 {
-    debug_assert!(prefix_len <= 32);
-    match selected() {
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-        Backend::Avx2 => {
-            return (eq_mask32_avx2(bucket, needle) & keep_mask(prefix_len)).count_ones()
-        }
-        #[cfg(target_arch = "x86_64")]
-        b if b.is_native() => {
-            return (eq_mask32_sse2(bucket, needle) & keep_mask(prefix_len)).count_ones()
-        }
-        #[cfg(target_arch = "aarch64")]
-        b if b.is_native() => return count_eq_prefix_neon(bucket, needle, prefix_len),
-        _ => {}
-    }
-    count_eq_prefix_portable(bucket, needle, prefix_len)
-}
-
-/// Count occurrences of `needle` in an arbitrary byte slice.
-#[inline]
-pub fn count_eq(hay: &[u8], needle: u8) -> u64 {
-    match selected() {
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-        Backend::Avx2 => return count_eq_avx2(hay, needle),
-        #[cfg(target_arch = "x86_64")]
-        b if b.is_native() => return count_eq_sse2(hay, needle),
-        #[cfg(target_arch = "aarch64")]
-        b if b.is_native() => return count_eq_neon(hay, needle),
-        _ => {}
-    }
-    count_eq_portable(hay, needle)
-}
-
 /// Count each base code (0..=3) among the first `y` bytes of a 32-byte
-/// occurrence bucket in one pass — the paper's in-bucket popcount,
-/// done once per base with a shared vector load.
+/// η = 32 bucket in one pass — the paper's in-bucket popcount, done once
+/// per base with a shared vector load. Kept only for the benchmark
+/// package's `simd.counts4.ns_per_bucket` metric; the aligner no longer
+/// calls it.
 #[inline]
 pub fn counts4_in_prefix(bases: &[u8; 32], y: usize) -> [u32; 4] {
     debug_assert!(y <= 32);
@@ -266,10 +165,10 @@ pub fn counts4_in_prefix(bases: &[u8; 32], y: usize) -> [u32; 4] {
         #[cfg(target_arch = "aarch64")]
         b if b.is_native() => {
             return [
-                count_eq_prefix_neon(bases, 0, y),
-                count_eq_prefix_neon(bases, 1, y),
-                count_eq_prefix_neon(bases, 2, y),
-                count_eq_prefix_neon(bases, 3, y),
+                prefix_count_neon(bases, 0, y),
+                prefix_count_neon(bases, 1, y),
+                prefix_count_neon(bases, 2, y),
+                prefix_count_neon(bases, 3, y),
             ];
         }
         _ => {}
@@ -287,48 +186,22 @@ mod tests {
         b[0] = 2;
         b[5] = 2;
         b[31] = 2;
-        assert_eq!(count_eq_prefix(&b, 2, 0), 0);
-        assert_eq!(count_eq_prefix(&b, 2, 1), 1);
-        assert_eq!(count_eq_prefix(&b, 2, 6), 2);
-        assert_eq!(count_eq_prefix(&b, 2, 31), 2);
-        assert_eq!(count_eq_prefix(&b, 2, 32), 3);
-        assert_eq!(count_eq_prefix(&b, 0, 32), 29);
-    }
-
-    #[test]
-    fn slice_counts() {
-        assert_eq!(count_eq(&[], 1), 0);
-        assert_eq!(count_eq(&[1, 1, 2, 1], 1), 3);
-        // long enough to exercise the vector chunks plus the tail
-        let hay: Vec<u8> = (0..137u32).map(|i| (i % 5) as u8).collect();
-        assert_eq!(count_eq(&hay, 3), count_eq_portable(&hay, 3));
+        assert_eq!(counts4_in_prefix(&b, 0), [0, 0, 0, 0]);
+        assert_eq!(counts4_in_prefix(&b, 1), [0, 0, 1, 0]);
+        assert_eq!(counts4_in_prefix(&b, 6), [4, 0, 2, 0]);
+        assert_eq!(counts4_in_prefix(&b, 31), [29, 0, 2, 0]);
+        assert_eq!(counts4_in_prefix(&b, 32), [29, 0, 3, 0]);
     }
 
     #[test]
     fn dispatched_counts_match_portable_on_patterned_buckets() {
         for seed in 0..8u32 {
-            let mut bucket = [0u8; 32];
             let mut codes = [0u8; 32]; // counts4's domain: base codes only
-            for i in 0..32 {
-                // mix of base codes and 0xFF padding-like bytes
+            for (i, c) in codes.iter_mut().enumerate() {
                 let v = (i as u32).wrapping_mul(2654435761).wrapping_add(seed * 97) >> 13;
-                bucket[i] = if v.is_multiple_of(7) {
-                    0xFF
-                } else {
-                    (v % 4) as u8
-                };
-                codes[i] = (v % 4) as u8;
+                *c = (v % 4) as u8;
             }
             for y in 0..=32 {
-                for needle in 0..4u8 {
-                    assert_eq!(
-                        count_eq_prefix(&bucket, needle, y),
-                        count_eq_prefix_portable(&bucket, needle, y),
-                        "seed={seed} y={y} needle={needle}"
-                    );
-                }
-                // counts4's precondition: padding (0xFF) never sits inside
-                // the prefix — the SWAR form classifies by bit0/bit1 only
                 assert_eq!(
                     counts4_in_prefix(&codes, y),
                     counts4_in_prefix_portable(&codes, y),

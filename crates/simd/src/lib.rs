@@ -44,10 +44,7 @@ pub mod vec_u8;
 #[cfg(target_arch = "x86_64")]
 pub mod x86;
 
-pub use count::{
-    count_eq, count_eq_portable, count_eq_prefix, count_eq_prefix_portable, counts4_in_prefix,
-    counts4_in_prefix_portable,
-};
+pub use count::{counts4_in_prefix, counts4_in_prefix_portable};
 pub use dispatch::Backend;
 pub use lanes::{SimdI16, SimdU8, MAX_LANES};
 pub use prefetch::prefetch_read;

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use mem2_simd::{count_eq_prefix, VecI16, VecU8};
+use mem2_simd::{VecI16, VecU8};
 
 fn arr32(v: Vec<u8>) -> [u8; 32] {
     let mut a = [0u8; 32];
@@ -76,16 +76,5 @@ proptest! {
             prop_assert_eq!(va.cmpgt(vb).0[i], if a[i] > b[i] { -1 } else { 0 });
         }
         prop_assert_eq!(va.reduce_max(), a.iter().copied().max().expect("non-empty"));
-    }
-
-    #[test]
-    fn count_eq_prefix_matches_filter(
-        bucket in prop::collection::vec(any::<u8>(), 32),
-        needle in any::<u8>(),
-        y in 0usize..=32,
-    ) {
-        let arr = arr32(bucket.clone());
-        let expect = bucket[..y].iter().filter(|&&b| b == needle).count() as u32;
-        prop_assert_eq!(count_eq_prefix(&arr, needle, y), expect);
     }
 }

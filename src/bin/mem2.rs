@@ -738,14 +738,16 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
                 times.render_percentiles("[mem] stage latency profile")
             );
             eprintln!("[mem] scheduler: {}", sched.render());
+            eprintln!("[mem] seeding: {}", times.seed.render());
             eprintln!("[mem] extension: {}", ext.render());
             eprintln!("[mem] cigar: {}", cigar.render());
             eprintln!("[mem] rescue: {}", rescue.render());
         }
         Some(ProfileFormat::Json) => eprintln!(
-            "{{{},\"scheduler\":{},\"extension\":{},\"cigar\":{},\"rescue\":{}}}",
+            "{{{},\"scheduler\":{},\"seeding\":{},\"extension\":{},\"cigar\":{},\"rescue\":{}}}",
             times.render_json_fields(),
             sched.render_json(),
+            times.seed.render_json(),
             ext.render_json(),
             cigar.render_json(),
             rescue.render_json()

@@ -515,8 +515,9 @@ fn old_index_bundles_are_rejected_with_version_error() {
     mem2_ok(&["index", &format!("{prefix}.fasta"), &idx]);
     let clean = std::fs::read(&idx).expect("read idx");
     assert_eq!(&clean[..7], b"MEM2IDX");
-    // the retired v1 layout, and v4 (the last one before checksums)
-    for v in [1u8, 4] {
+    // the retired v1 layout, v4 (the last one before checksums) and v5
+    // (the last one with η = 32 byte-per-base occurrence buckets)
+    for v in [1u8, 4, 5] {
         let mut bytes = clean.clone();
         bytes[7] = v;
         std::fs::write(&idx, &bytes).expect("rewrite idx");
@@ -562,7 +563,7 @@ fn index_width_matrix_is_byte_identical() {
     assert_eq!(base.stdout, got.stdout, "SE SAM differs for {idx64}");
     let stderr = String::from_utf8_lossy(&got.stderr);
     assert!(
-        stderr.contains("bundle v5, 64-bit positions"),
+        stderr.contains("bundle v6, 64-bit positions"),
         "load report names the version and width: {stderr}"
     );
 
