@@ -10,7 +10,6 @@ use mem2_seqio::{parse_fasta, FastqRecord, Reference, SeqIoError};
 use crate::bundle::{self, LoadMode, VerifyMode};
 use crate::opts::MemOpts;
 use crate::pipeline::{align_to_records, PipelineContext, PreparedRead, Worker};
-use crate::profile::StageTimes;
 use crate::sam::SamRecord;
 
 /// The pipeline organization: always the paper's stage-batched one.
@@ -133,24 +132,6 @@ impl Aligner {
             .into_iter()
             .flatten()
             .collect()
-    }
-
-    /// Align a stream of read batches with `n_threads` workers, writing
-    /// SAM records (no header) to `out` in input order — the streaming
-    /// front end behind `mem2 mem`. See
-    /// [`crate::threads::align_stream_parallel`].
-    pub fn align_fastq_stream<I, W>(
-        &self,
-        batches: I,
-        n_threads: usize,
-        out: &mut W,
-    ) -> Result<(crate::threads::StreamSummary, StageTimes), crate::threads::StreamError>
-    where
-        I: IntoIterator<Item = Result<Vec<FastqRecord>, mem2_seqio::SeqIoError>>,
-        I::IntoIter: Send,
-        W: std::io::Write,
-    {
-        crate::threads::align_stream_parallel(self, batches, n_threads, out)
     }
 }
 

@@ -57,7 +57,6 @@ pub use region::AlnReg;
 pub use robust::{is_broken_pipe, is_no_space, RobustWriter};
 pub use sam::SamRecord;
 pub use threads::{
-    align_reads_parallel, align_stream_parallel, align_stream_parallel_flush,
-    stream_batches_parallel, stream_batches_parallel_flush, FlushHook, SchedStats, SlabOut,
-    StreamError, StreamSummary, Team,
+    align_reads_parallel, align_stream_parallel, stream_batches_parallel, FlushHook, SchedStats,
+    SlabOut, StreamError, StreamSummary, Team,
 };

@@ -1,14 +1,16 @@
 //! Multithreaded drivers: bwa's `kt_pipeline` × `kt_for` shape.
 //!
 //! Every batch is aligned by **all** workers. A [`Team`] is the `kt_for`
-//! half: its `n_threads` workers claim `opts.batch_reads`-sized slabs of
-//! the resident batch off an atomic cursor and deposit each result in the
-//! slot indexed by its slab number, so the assembled output is a pure
-//! function of the input — thread count and scheduling order never reach
-//! the SAM byte stream. [`Team::par_map`] returns once every slab of the
-//! batch is done (a plain per-batch barrier).
+//! half: its `n_threads` workers claim slabs of the resident batch off an
+//! atomic cursor and deposit each result in the slot indexed by its slab
+//! number, so the assembled output is a pure function of the input —
+//! thread count and scheduling order never reach the SAM byte stream.
+//! [`Team::par_map`] returns once every slab of the batch is done (a
+//! plain per-batch barrier), and it is the only slab executor: `mem2
+//! mem`, the paired-end window driver and the `mem2 serve` daemon all run
+//! on it. Every caller cuts slabs by one rule, [`Team::slab_len`].
 //!
-//! [`stream_batches_parallel_flush`] is the `kt_pipeline` half, three
+//! [`stream_batches_parallel`] is the `kt_pipeline` half, three
 //! steps joined by rendezvous channels: the producer decodes batch N+1
 //! (gzip inflate + FASTQ parse) ‖ the team aligns batch N ‖ the calling
 //! thread writes batch N−1. At most three batches are resident whatever
@@ -166,6 +168,23 @@ impl Team {
         }
     }
 
+    /// Add existing arenas as helpers — how the `mem2 serve` batcher
+    /// grows a worker's team with idle workers' arenas for one large
+    /// request. [`Team::take_helpers`] hands them back.
+    pub fn extend(&mut self, workers: Vec<Worker>) {
+        self.members
+            .extend(workers.into_iter().map(|worker| Member {
+                worker,
+                busy: Duration::ZERO,
+                slabs: 0,
+            }));
+    }
+
+    /// Remove every member but the lead and return their arenas.
+    pub fn take_helpers(&mut self) -> Vec<Worker> {
+        self.members.drain(1..).map(|m| m.worker).collect()
+    }
+
     /// Run `body(worker, k)` for every slab `k` in `0..n_slabs` on all
     /// workers and return the results in slab order.
     ///
@@ -202,10 +221,18 @@ impl Team {
             .expect("a team has at least one worker");
         let n_helpers = helpers.len().min(n_slabs.saturating_sub(1));
         std::thread::scope(|scope| {
-            for m in &mut helpers[..n_helpers] {
-                scope.spawn(|| run(m));
-            }
+            let handles: Vec<_> = helpers[..n_helpers]
+                .iter_mut()
+                .map(|m| scope.spawn(|| run(m)))
+                .collect();
             run(lead);
+            // join explicitly: a helper left to the scope's implicit join
+            // re-panics as "a scoped thread panicked", losing the message
+            for h in handles {
+                if let Err(payload) = h.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
         });
         slots
             .into_iter()
@@ -217,24 +244,45 @@ impl Team {
             .collect()
     }
 
+    /// Slab length for `items` items on this team: `min(cap, ⌈items ÷
+    /// members⌉)`, at least 1. A batch of at least `members × cap` items
+    /// is cut into full `cap` slabs; a smaller one is still spread over
+    /// every member. `cap` is `batch_reads` (`batch_reads / 2` for pairs).
+    pub fn slab_len(&self, items: usize, cap: usize) -> usize {
+        cap.min(items.div_ceil(self.members.len())).max(1)
+    }
+
     /// Worker 0's arena, for the serial sections between two
     /// [`Team::par_map`] phases (their time belongs in its stage times).
     pub fn lead(&mut self) -> &mut Worker {
         &mut self.members[0].worker
     }
 
+    /// Stage times summed over all members since the last take, leaving
+    /// every member's times empty.
+    pub fn take_times(&mut self) -> StageTimes {
+        let (lead, helpers) = self
+            .members
+            .split_first_mut()
+            .expect("a team has at least one worker");
+        let mut times = std::mem::take(&mut lead.worker.times);
+        for m in helpers {
+            times.merge(&std::mem::take(&mut m.worker.times));
+        }
+        times
+    }
+
     /// Disband: stage times and extension counters summed over workers,
     /// plus the scheduling counters (`batches_resident_max` is the
     /// pipeline's to fill in).
-    fn finish(self) -> (StageTimes, ExtendStats, SchedStats) {
-        let mut times = StageTimes::default();
+    fn finish(mut self) -> (StageTimes, ExtendStats, SchedStats) {
+        let times = self.take_times();
         let mut extension = ExtendStats::default();
         let mut sched = SchedStats {
             align_wall: self.align_wall,
             ..SchedStats::default()
         };
         for m in &self.members {
-            times.merge(&m.worker.times);
             extension.merge(&m.worker.extension);
             sched.worker_busy.push(m.busy);
             sched.slabs_per_worker.push(m.slabs);
@@ -309,8 +357,9 @@ pub(crate) fn align_reads_with<F>(
 where
     F: Fn(&PipelineContext<'_>, &mut Worker, &[PreparedRead]) -> Vec<Vec<AlnReg>> + Sync,
 {
-    let slabs: Vec<&[FastqRecord]> = reads.chunks(aligner.opts.batch_reads.max(1)).collect();
     let mut team = Team::new(&aligner.opts, n_threads);
+    let slab_len = team.slab_len(reads.len(), aligner.opts.batch_reads);
+    let slabs: Vec<&[FastqRecord]> = reads.chunks(slab_len).collect();
     let per_slab = team.par_map(slabs.len(), |worker, k| {
         let ctx = aligner.context();
         let prepared: Vec<PreparedRead> = slabs[k].iter().map(PreparedRead::from_fastq).collect();
@@ -373,11 +422,12 @@ pub struct StreamSummary {
 pub type FlushHook<'a, W> = &'a mut dyn FnMut(&mut W, &StreamSummary) -> std::io::Result<()>;
 
 /// Align a stream of read batches with `n_threads` workers, writing SAM
-/// records to `out` in input order.
+/// records to `out` in input order, running `on_flush` (the `--checkpoint`
+/// path of `mem2 mem`) after each batch.
 ///
 /// `batches` is typically a [`mem2_seqio::BatchReader`]; any iterator of
-/// batch results works. Every batch is split into `opts.batch_reads`
-/// slabs shared by all workers, so batch size sets resident memory and
+/// batch results works. Every batch is cut into [`Team::slab_len`] slabs
+/// shared by all workers, so batch size sets resident memory and
 /// checkpoint granularity while slabs set load balance. The producer runs
 /// on its own thread: with gzipped input, inflate+parse of the next batch
 /// overlaps alignment of the current one.
@@ -391,22 +441,6 @@ pub fn align_stream_parallel<I, W>(
     batches: I,
     n_threads: usize,
     out: &mut W,
-) -> Result<(StreamSummary, StageTimes), StreamError>
-where
-    I: IntoIterator<Item = Result<Vec<FastqRecord>, SeqIoError>>,
-    I::IntoIter: Send,
-    W: Write,
-{
-    align_stream_parallel_flush(aligner, batches, n_threads, out, None)
-}
-
-/// [`align_stream_parallel`] with a checkpoint [`FlushHook`] (the
-/// `--checkpoint` path of `mem2 mem`).
-pub fn align_stream_parallel_flush<I, W>(
-    aligner: &Aligner,
-    batches: I,
-    n_threads: usize,
-    out: &mut W,
     on_flush: Option<FlushHook<'_, W>>,
 ) -> Result<(StreamSummary, StageTimes), StreamError>
 where
@@ -414,7 +448,7 @@ where
     I::IntoIter: Send,
     W: Write,
 {
-    stream_batches_parallel_flush(
+    stream_batches_parallel(
         &aligner.opts,
         batches,
         n_threads,
@@ -422,7 +456,8 @@ where
         on_flush,
         |batch: &Vec<FastqRecord>| batch.len(),
         |team, batch| {
-            let slabs = split_slabs(batch, aligner.opts.batch_reads);
+            let slab_len = team.slab_len(batch.len(), aligner.opts.batch_reads);
+            let slabs = split_slabs(batch, slab_len);
             team.par_map(slabs.len(), |worker, k| {
                 align_slab_to_text(aligner, worker, take_slab(&slabs, k))
             })
@@ -434,40 +469,20 @@ where
 /// (and the paired-end driver in `mem2-pairing`): a producer thread pulls
 /// batches of any type `T` off the input iterator, the align step turns
 /// each batch into slab-ordered SAM text with `process`, and the calling
-/// thread writes batches in input order.
+/// thread writes batches in input order, then runs the optional
+/// [`FlushHook`] — the checkpoint journal's attachment point. The writer
+/// is the calling thread, so the sink and the hook may hold non-`Send`
+/// state (a locked stdout).
 ///
 /// `count_reads` reports how many reads a batch holds (for the summary);
 /// `process` runs on the align thread with the run's [`Team`] and spreads
 /// the batch over all workers with [`Team::par_map`].
-pub fn stream_batches_parallel<T, I, W, C, P>(
-    opts: &MemOpts,
-    batches: I,
-    n_threads: usize,
-    out: &mut W,
-    count_reads: C,
-    process: P,
-) -> Result<(StreamSummary, StageTimes), StreamError>
-where
-    T: Send,
-    I: IntoIterator<Item = Result<T, SeqIoError>>,
-    I::IntoIter: Send,
-    W: Write,
-    C: Fn(&T) -> usize + Sync,
-    P: Fn(&mut Team, T) -> Vec<SlabOut> + Sync,
-{
-    stream_batches_parallel_flush(opts, batches, n_threads, out, None, count_reads, process)
-}
-
-/// [`stream_batches_parallel`] with an optional [`FlushHook`] invoked on
-/// the writer thread after each batch is written — the checkpoint
-/// journal's attachment point. The writer is the calling thread, so the
-/// sink and the hook may hold non-`Send` state (a locked stdout).
 ///
 /// The steps hand batches over rendezvous channels: the producer may
 /// finish decoding batch N+1 but not start N+2 until the align step has
 /// taken N+1, and the align step may finish N but not start N+1 until
 /// the writer has taken N. At most three batches are resident.
-pub fn stream_batches_parallel_flush<T, I, W, C, P>(
+pub fn stream_batches_parallel<T, I, W, C, P>(
     opts: &MemOpts,
     batches: I,
     n_threads: usize,
@@ -625,6 +640,7 @@ mod tests {
             vec![Ok(4usize)],
             2,
             &mut out,
+            None,
             |n: &usize| *n,
             |team, n_slabs| {
                 team.par_map(n_slabs, |_, k| {
@@ -670,6 +686,86 @@ mod tests {
             assert_eq!(sched.slabs_per_worker.len(), threads);
             assert_eq!(sched.slabs_per_worker.iter().sum::<usize>(), 1 + 2 + 7 + 33);
         }
+    }
+
+    /// A panic on a helper thread reaches the caller with its own
+    /// payload, not the scope's "a scoped thread panicked".
+    #[test]
+    fn par_map_carries_a_helper_panic_message() {
+        let caller = std::thread::current().id();
+        let (tx, rx) = channel::<()>();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let mut team = Team::new(&MemOpts::default(), 2);
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            team.par_map(2, |_, _| {
+                if std::thread::current().id() == caller {
+                    // hold this slab until the helper has claimed the other
+                    rx.lock()
+                        .unwrap()
+                        .recv_timeout(Duration::from_secs(60))
+                        .expect("the helper claimed a slab");
+                } else {
+                    tx.lock().unwrap().send(()).expect("receiver lives");
+                    panic!("helper slab failed");
+                }
+            })
+        }))
+        .expect_err("the helper's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"helper slab failed"));
+    }
+
+    #[test]
+    fn slab_len_fills_members_then_caps() {
+        let team = |members| Team::new(&MemOpts::default(), members);
+        let (one, three) = (team(1), team(3));
+        assert_eq!(three.slab_len(0, 512), 1);
+        assert_eq!(three.slab_len(2, 512), 1, "fewer items than members");
+        assert_eq!(three.slab_len(100, 512), 34);
+        assert_eq!(three.slab_len(3 * 512, 512), 512);
+        assert_eq!(three.slab_len(3 * 512 + 1, 512), 512);
+        assert_eq!(three.slab_len(1100, 512), 367);
+        assert_eq!(three.slab_len(7, 0), 1, "a zero cap is one item per slab");
+        // one member: a single slab whenever the items fit under the cap
+        for items in [1, 32, 511, 512] {
+            assert_eq!(one.slab_len(items, 512), items);
+        }
+        assert_eq!(one.slab_len(513, 512), 512);
+    }
+
+    #[test]
+    fn take_times_sums_members_and_resets() {
+        let mut team = Team::new(&MemOpts::default(), 2);
+        team.par_map(2, |worker, _| {
+            worker.times.add(Stage::Misc, Duration::from_millis(5));
+        });
+        let times = team.take_times();
+        assert_eq!(
+            times.totals[Stage::Misc as usize],
+            Duration::from_millis(10)
+        );
+        let again = team.take_times();
+        assert_eq!(again.totals[Stage::Misc as usize], Duration::ZERO);
+    }
+
+    /// Lent arenas work as members and leave with what they accumulated.
+    #[test]
+    fn helpers_join_a_team_and_leave_it() {
+        let opts = MemOpts::default();
+        let mut team = Team::new(&opts, 1);
+        team.extend(vec![Worker::new(&opts), Worker::new(&opts)]);
+        assert_eq!(team.slab_len(3, 512), 1, "three members");
+        team.par_map(3, |worker, _| {
+            worker.times.add(Stage::Misc, Duration::from_millis(5));
+        });
+        let mut helpers = team.take_helpers();
+        assert_eq!(helpers.len(), 2);
+        assert_eq!(team.slab_len(3, 512), 3, "the lead alone");
+        let lent: Duration = helpers
+            .iter_mut()
+            .map(|w| std::mem::take(&mut w.times).totals[Stage::Misc as usize])
+            .sum();
+        let lead = team.take_times().totals[Stage::Misc as usize];
+        assert_eq!(lent + lead, Duration::from_millis(15));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use mem2_core::{align_reads_parallel, classic, Aligner, MemOpts, StreamError, Workflow};
+use mem2_core::{
+    align_reads_parallel, align_stream_parallel, classic, Aligner, MemOpts, StreamError, Workflow,
+};
 use mem2_fmindex::{BuildOpts, FmIndex};
 use mem2_seqio::{
     gzip_compress_stored, write_fastq, AutoReader, BatchReader, FastqRecord, GenomeSpec, ReadSim,
@@ -66,9 +68,8 @@ fn sam_bytes_streamed(
 ) -> Vec<u8> {
     let mut out = Vec::new();
     let batches = BatchReader::new(fastq, batch_bases);
-    let (summary, _) = aligner
-        .align_fastq_stream(batches, threads, &mut out)
-        .expect("stream align");
+    let (summary, _) =
+        align_stream_parallel(aligner, batches, threads, &mut out, None).expect("stream align");
     assert!(summary.reads > 0);
     out
 }
@@ -216,9 +217,8 @@ fn at_most_three_batches_are_resident_at_eight_threads() {
         max_in_flight: 0,
     };
     let batches = BatchReader::new(input, BATCH_READS * READ_LEN);
-    let (summary, _) = aligner
-        .align_fastq_stream(batches, 8, &mut sink)
-        .expect("stream align");
+    let (summary, _) =
+        align_stream_parallel(&aligner, batches, 8, &mut sink, None).expect("stream align");
     assert_eq!(summary.batches, N_BATCHES);
     assert_eq!(summary.reads, N_BATCHES * BATCH_READS);
     assert_eq!(sink.written, summary.records);
@@ -254,8 +254,7 @@ fn streamed_gzip_input_is_identical() {
 
     let auto = AutoReader::new(&gz[..]).expect("sniff");
     let mut out = Vec::new();
-    aligner
-        .align_fastq_stream(BatchReader::new(auto, 2048), 2, &mut out)
+    align_stream_parallel(&aligner, BatchReader::new(auto, 2048), 2, &mut out, None)
         .expect("stream align");
     assert_eq!(out, expected, "gz streamed SAM must match in-memory SAM");
 }
@@ -287,9 +286,14 @@ fn write_errors_tear_down_without_hanging() {
     let (aligner, reads) = fixture();
     let fastq = write_fastq(&reads);
     let mut sink = FailingSink { writes: 0 };
-    let err = aligner
-        .align_fastq_stream(BatchReader::new(fastq.as_bytes(), 0), 4, &mut sink)
-        .expect_err("broken pipe must surface");
+    let err = align_stream_parallel(
+        &aligner,
+        BatchReader::new(fastq.as_bytes(), 0),
+        4,
+        &mut sink,
+        None,
+    )
+    .expect_err("broken pipe must surface");
     assert!(
         matches!(err, StreamError::Output(ref e) if e.kind() == std::io::ErrorKind::BrokenPipe),
         "got {err}"
@@ -302,8 +306,7 @@ fn input_errors_surface_with_context() {
     // valid record followed by a truncated one
     let bad = b"@ok\nACGTACGTACGTACGTACGTACGT\n+\nIIIIIIIIIIIIIIIIIIIIIIII\n@broken\nACGT\n+\n";
     let mut out = Vec::new();
-    let err = aligner
-        .align_fastq_stream(BatchReader::new(&bad[..], 0), 2, &mut out)
+    let err = align_stream_parallel(&aligner, BatchReader::new(&bad[..], 0), 2, &mut out, None)
         .expect_err("truncated input must fail");
     match err {
         StreamError::Input(SeqIoError::TruncatedRecord { name, .. }) => {

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use mem2_core::pipeline::{align_prepared, PipelineContext, PreparedRead};
 use mem2_core::sam::{ReadInfo, SamRecord};
 use mem2_core::threads::{
-    split_slabs, stream_batches_parallel_flush, take_slab, FlushHook, SlabOut, StreamError,
+    split_slabs, stream_batches_parallel, take_slab, FlushHook, SlabOut, StreamError,
     StreamSummary, Team,
 };
 use mem2_core::{profile::Stage, region::mark_primary};
@@ -153,7 +153,7 @@ where
     R: Send,
     F: Fn(&[PreparedRead], Vec<SamRecord>) -> R + Sync,
 {
-    let slab_pairs = (ctx.opts.batch_reads / 2).max(1);
+    let slab_pairs = team.slab_len(pairs.len(), ctx.opts.batch_reads / 2);
     let pair_slabs = split_slabs(pairs, slab_pairs);
     let aligned = team.par_map(pair_slabs.len(), |worker, k| {
         let prepared = prepare_pairs(take_slab(&pair_slabs, k));
@@ -245,27 +245,11 @@ pub fn align_pairs(
 /// pipeline with every window spread over all workers. `batches` is
 /// typically a [`mem2_seqio::PairedBatchReader`] or
 /// [`mem2_seqio::InterleavedBatchReader`] configured with
-/// `opts.batch_pairs`.
-pub fn align_pairs_stream<I, W>(
-    aligner: &Aligner,
-    pes_override: Option<PeStats>,
-    batches: I,
-    n_threads: usize,
-    out: &mut W,
-) -> Result<(StreamSummary, StageTimes), StreamError>
-where
-    I: IntoIterator<Item = Result<Vec<ReadPair>, SeqIoError>>,
-    I::IntoIter: Send,
-    W: Write,
-{
-    align_pairs_stream_flush(aligner, pes_override, batches, n_threads, out, None)
-}
-
-/// [`align_pairs_stream`] with a checkpoint [`FlushHook`] (the
+/// `opts.batch_pairs`. `on_flush` is the checkpoint [`FlushHook`] (the
 /// `--checkpoint` path of `mem2 mem -p` / two-file PE). Checkpoints land
 /// on `batch_pairs` boundaries, so a resumed run re-estimates insert
 /// sizes over exactly the same windows — the PE byte stream is preserved.
-pub fn align_pairs_stream_flush<I, W>(
+pub fn align_pairs_stream<I, W>(
     aligner: &Aligner,
     pes_override: Option<PeStats>,
     batches: I,
@@ -303,7 +287,7 @@ where
     I::IntoIter: Send,
     W: Write,
 {
-    stream_batches_parallel_flush(
+    stream_batches_parallel(
         &aligner.opts,
         batches,
         n_threads,

@@ -28,10 +28,7 @@ pub mod pestat;
 pub mod rescue;
 pub mod sam_pe;
 
-pub use driver::{
-    align_pairs, align_pairs_stream, align_pairs_stream_flush, align_pairs_windowed,
-    pairs_from_interleaved,
-};
+pub use driver::{align_pairs, align_pairs_stream, align_pairs_windowed, pairs_from_interleaved};
 pub use pair::{mem_pair, raw_mapq, PairChoice};
 pub use pestat::{estimate_pe_stats, infer_dir, orient_name, OrientStats, PeStats};
 pub use rescue::mate_rescue;

@@ -173,8 +173,8 @@ fn output_is_invariant_to_threads_and_streaming() {
             // the partition equal to opts.batch_pairs must reproduce the
             // baseline; a different partition must still be
             // thread-count-invariant
-            let (summary, _) =
-                align_pairs_stream(&aligner, None, batches, threads, &mut out).expect("stream");
+            let (summary, _) = align_pairs_stream(&aligner, None, batches, threads, &mut out, None)
+                .expect("stream");
             assert_eq!(summary.reads, 2 * pairs.len());
             let text = String::from_utf8(out).expect("utf8");
             if batch_pairs == copt(&aligner) {
@@ -186,7 +186,7 @@ fn output_is_invariant_to_threads_and_streaming() {
                 // fixed partition, varying threads: compare across threads
                 let mut out1 = Vec::new();
                 let batches1 = pairs.chunks(batch_pairs).map(|c| Ok(c.to_vec()));
-                align_pairs_stream(&aligner, None, batches1, 1, &mut out1).expect("stream");
+                align_pairs_stream(&aligner, None, batches1, 1, &mut out1, None).expect("stream");
                 assert_eq!(text, String::from_utf8(out1).expect("utf8"));
             }
         }
@@ -198,7 +198,7 @@ fn output_is_invariant_to_threads_and_streaming() {
     let with_override = render(&align_pairs(&aligner, &pairs, pes));
     let mut out = Vec::new();
     let batches = pairs.chunks(41).map(|c| Ok(c.to_vec()));
-    align_pairs_stream(&aligner, pes, batches, 3, &mut out).expect("stream");
+    align_pairs_stream(&aligner, pes, batches, 3, &mut out, None).expect("stream");
     assert_eq!(with_override, String::from_utf8(out).expect("utf8"));
 }
 
@@ -281,9 +281,15 @@ fn slab_scheduling_matrix_is_byte_identical_to_one_thread() {
 
     let stream = |files: &PeFiles, il: bool, window: usize, threads: usize| {
         let mut out = Vec::new();
-        let (summary, _) =
-            align_pairs_stream(&aligner, None, files.batches(il, window), threads, &mut out)
-                .expect("stream");
+        let (summary, _) = align_pairs_stream(
+            &aligner,
+            None,
+            files.batches(il, window),
+            threads,
+            &mut out,
+            None,
+        )
+        .expect("stream");
         assert_eq!(summary.reads, 2 * pairs.len());
         assert_eq!(summary.batches, pairs.len().div_ceil(window));
         String::from_utf8(out).expect("utf8")

@@ -12,6 +12,17 @@
 //! invariant the whole repo pins (batch size, thread count);
 //! the daemon's integration tests pin it again end to end.
 //!
+//! A worker aligns its slab on a [`Team`] it leads — the executor `mem2
+//! mem` uses. A slab within the budget is one part on the worker alone;
+//! a larger one (a single large request) claims one more member per
+//! further budget's worth of reads from the workers idle right now
+//! (never waiting for one), lends them pooled arenas, and is cut by
+//! [`Team::slab_len`] and spread over them with [`Team::par_map`]. So
+//! one large request on an idle daemon uses every worker, while small
+//! slabs run side by side and never queue behind a large one. A worker
+//! whose core is lent to a large slab still takes the next request, so
+//! at most `2N − 1` threads align at once.
+//!
 //! Backpressure is explicit: [`Batcher::try_submit`] never blocks —
 //! when the queue is at capacity the caller gets the submission back
 //! and answers its client with a RETRY frame (suggested backoff
@@ -19,7 +30,7 @@
 //! or not at all. Paired-end submissions ride the same queue but are
 //! never coalesced across requests — each PE request is its own
 //! insert-size estimation window sequence, which keeps its bytes
-//! independent of other traffic.
+//! independent of other traffic; its windows run on its own team.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -27,9 +38,10 @@ use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use mem2_core::pipeline::{align_to_records, PipelineContext, PreparedRead};
+use mem2_core::pipeline::{align_to_records, PipelineContext, PreparedRead, Worker};
 use mem2_core::profile::STAGE_NAMES;
-use mem2_core::{SamRecord, StageTimes, Team};
+use mem2_core::threads::{split_slabs, take_slab};
+use mem2_core::{MemOpts, SamRecord, StageTimes, Team};
 use mem2_obs::Hist;
 use mem2_pairing::{align_pairs_windowed, PeStats};
 use mem2_seqio::ReadPair;
@@ -76,7 +88,7 @@ pub struct Submission {
     /// only equal fingerprints may share a slab.
     pub fingerprint: String,
     /// Effective options (base + overrides).
-    pub opts: mem2_core::MemOpts,
+    pub opts: MemOpts,
     /// Pinned insert distribution for PE requests (server `-I`), if any.
     pub pes_override: Option<PeStats>,
     /// The reads.
@@ -122,8 +134,16 @@ struct Shared {
     /// Signals workers that the queue gained work (or drain started).
     work: Condvar,
     capacity: usize,
-    /// Reads per coalesced slab (the `align_batch` feed target).
+    /// Reads per coalesced slab (the `align_batch` feed target), and the
+    /// share of one team member when a larger request is spread.
     slab_reads: usize,
+    /// Workers in the pool: the most members a team may claim.
+    n_workers: usize,
+    /// Threads aligning right now: every running team's members.
+    busy: AtomicUsize,
+    /// Idle helper arenas per options fingerprint, lent to the team of a
+    /// request larger than `slab_reads`.
+    helpers: Mutex<HashMap<String, Vec<Worker>>>,
     draining: AtomicBool,
     pub counters: Counters,
     /// Per-stage CPU time across all workers (STATS latencies).
@@ -145,9 +165,9 @@ impl Batcher {
     /// Start `n_workers` alignment workers over the hot-swappable index
     /// `slot` (each slab pins the slot's current epoch before it runs).
     /// `capacity` bounds the admission queue in requests; `slab_reads`
-    /// is the coalescing budget per alignment slab; slabs serviced in
-    /// `slow_us` µs or more are logged with their per-stage breakdown
-    /// (0 disables).
+    /// is the coalescing budget per alignment slab and one team member's
+    /// share of a larger request; slabs serviced in `slow_us` µs or more
+    /// are logged with their per-stage breakdown (0 disables).
     pub fn start(
         slot: Arc<IndexSlot>,
         n_workers: usize,
@@ -160,6 +180,9 @@ impl Batcher {
             work: Condvar::new(),
             capacity: capacity.max(1),
             slab_reads: slab_reads.max(1),
+            n_workers: n_workers.max(1),
+            busy: AtomicUsize::new(0),
+            helpers: Mutex::new(HashMap::new()),
             draining: AtomicBool::new(false),
             counters: Counters::default(),
             times: Mutex::new(StageTimes::default()),
@@ -327,9 +350,11 @@ enum Work {
 }
 
 /// Align one coalesced group and distribute replies. Alignment runs
-/// under `catch_unwind`: a panic answers every request in the slab with
-/// an error reply (relayed as ERR) and drops the fingerprint's team —
-/// other slabs, connections, and the daemon itself are unaffected.
+/// under `catch_unwind`: a panic on any team member answers every
+/// request in the slab with an error reply carrying the panic's message
+/// (relayed as ERR) and drops the fingerprint's team with any lent
+/// arenas — other slabs, connections, and the daemon itself are
+/// unaffected.
 fn align_group(
     shared: &Shared,
     pinned: &PinnedIndex,
@@ -353,12 +378,16 @@ fn align_group(
         shared.counters.queue_wait_hist.record(waited_us);
     }
     let fingerprint = group[0].fingerprint.clone();
-    // Take the team *out* of the map: if the slab panics its arena may
-    // hold torn state, so it must not be reused — it is reinserted only
-    // on the success path.
+    // Take the team *out* of the map: if the slab panics its arenas may
+    // hold torn state, so they must not be reused — they go back only on
+    // the success path.
     let mut team = teams
         .remove(&fingerprint)
         .unwrap_or_else(|| Team::new(&opts, 1));
+    let members = claim_workers(shared, (n_reads as usize).div_ceil(shared.slab_reads));
+    if members > 1 {
+        team.extend(lend_helpers(shared, &fingerprint, &opts, members - 1));
+    }
 
     // Peel reply routing off the submissions before the unwind
     // boundary; `routes[i]` is (reply channel, reads) per request.
@@ -391,13 +420,23 @@ fn align_group(
         if let Some(ms) = faultsim::fire(faultsim::SLAB_DELAY_MS) {
             std::thread::sleep(Duration::from_millis(ms));
         }
-        if faultsim::fire(faultsim::SLAB_PANIC).is_some() {
-            panic!("injected slab panic (faultsim)");
-        }
+        // one shot per slab; a spread SE slab panics in its last part,
+        // which a helper usually claims
+        let poisoned = faultsim::fire(faultsim::SLAB_PANIC).is_some();
+        let inject_panic = |hit: bool| {
+            if hit {
+                panic!("injected slab panic (faultsim)");
+            }
+        };
         match work {
             Work::Single(reads) => {
-                let per_read = align_to_records(&ctx, team.lead(), &reads);
-                let mut it = per_read.into_iter();
+                let slab_len = team.slab_len(reads.len(), shared.slab_reads);
+                let slabs = split_slabs(reads, slab_len);
+                let per_slab = team.par_map(slabs.len(), |worker, k| {
+                    inject_panic(poisoned && k + 1 == slabs.len());
+                    align_to_records(&ctx, worker, &take_slab(&slabs, k))
+                });
+                let mut it = per_slab.into_iter().flatten();
                 routes
                     .iter()
                     .map(|(_, n)| it.by_ref().take(*n).flatten().collect())
@@ -405,9 +444,13 @@ fn align_group(
             }
             // windowed like `mem2 mem -p` on the same stream — the
             // request is its own pestat scope
-            Work::Paired(pairs, pes) => vec![align_pairs_windowed(&ctx, &mut team, pairs, pes)],
+            Work::Paired(pairs, pes) => {
+                inject_panic(poisoned);
+                vec![align_pairs_windowed(&ctx, &mut team, pairs, pes)]
+            }
         }
     }));
+    shared.busy.fetch_sub(members, Ordering::AcqRel);
 
     let per_sub = match outcome {
         Ok(per_sub) => per_sub,
@@ -455,9 +498,9 @@ fn align_group(
         .fetch_add(n_subs, Ordering::Relaxed);
     let service_us = t_service.elapsed().as_micros() as u64;
     shared.counters.service_hist.record(service_us);
-    // the lead's times were reset at the previous slab boundary, so the
-    // take is exactly this slab's per-stage breakdown
-    let slab_times = std::mem::take(&mut team.lead().times);
+    // every arena's times were reset at its previous slab boundary, so
+    // the take is exactly this slab's per-stage breakdown
+    let slab_times = team.take_times();
     if shared.slow_us > 0 && service_us >= shared.slow_us {
         log_slow_slab(&fingerprint, n_subs, n_reads, service_us, &slab_times);
     }
@@ -466,7 +509,40 @@ fn align_group(
         .lock()
         .expect("times poisoned")
         .merge(&slab_times);
+    if members > 1 {
+        let lent = team.take_helpers();
+        let mut helpers = shared.helpers.lock().expect("helpers poisoned");
+        helpers.entry(fingerprint.clone()).or_default().extend(lent);
+    }
     teams.insert(fingerprint, team);
+}
+
+/// Claim the calling worker plus up to `wanted − 1` idle ones as
+/// helpers; returns the team size. Never waits: with no idle worker the
+/// group runs on the caller alone.
+fn claim_workers(shared: &Shared, wanted: usize) -> usize {
+    let mut members = 1;
+    let _ = shared
+        .busy
+        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |busy| {
+            let idle = shared.n_workers.saturating_sub(busy + 1);
+            members = 1 + idle.min(wanted.saturating_sub(1));
+            Some(busy + members)
+        });
+    members
+}
+
+/// `n` helper arenas for `fingerprint`: pooled ones first, new ones when
+/// the pool runs short.
+fn lend_helpers(shared: &Shared, fingerprint: &str, opts: &MemOpts, n: usize) -> Vec<Worker> {
+    let mut helpers = shared.helpers.lock().expect("helpers poisoned");
+    let mut arenas = match helpers.get_mut(fingerprint) {
+        Some(idle) => idle.split_off(idle.len().saturating_sub(n)),
+        None => Vec::new(),
+    };
+    drop(helpers);
+    arenas.resize_with(n, || Worker::new(opts));
+    arenas
 }
 
 /// Best-effort extraction of a panic payload's message.

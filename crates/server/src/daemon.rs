@@ -4,7 +4,11 @@
 //! Thread model: one acceptor (polling, so it observes shutdown), one
 //! thread per connection (the protocol is strictly turn-based, so a
 //! connection never needs a reader/writer split), and the [`Batcher`]'s
-//! alignment worker pool shared by everyone. A connection thread does
+//! alignment worker pool shared by everyone: each worker aligns one
+//! coalesced slab at a time on a [`mem2_core::Team`] it leads, and a
+//! request larger than the coalescing budget also claims idle workers
+//! as helpers, spawned for it as `mem2 mem` spawns them per batch. A
+//! connection thread does
 //! **no alignment work** — it parses FASTQ into a [`Submission`],
 //! offers it to the shared queue, and streams the reply frames back; a
 //! daemon with 32 idle connections costs 32 parked threads, not 32
@@ -58,7 +62,8 @@ use crate::swap::IndexSlot;
 pub struct ServeConfig {
     /// Where to listen.
     pub endpoint: Endpoint,
-    /// Alignment worker threads.
+    /// Alignment worker threads. A request of more than `batch_reads`
+    /// reads is also spread over idle ones, one per `batch_reads` reads.
     pub threads: usize,
     /// Admission queue capacity, in requests. Small bounds mean early,
     /// honest backpressure instead of unbounded memory.

@@ -11,7 +11,7 @@
 //!
 //! | point | effect | value |
 //! |---|---|---|
-//! | [`SLAB_PANIC`] | worker panics mid-slab | unused |
+//! | [`SLAB_PANIC`] | worker panics mid-slab (SE: in its last part) | unused |
 //! | [`SLAB_DELAY_MS`] | worker sleeps before aligning | delay (ms) |
 //! | [`WRITE_TEAR`] | SAM frame header written, payload truncated | unused |
 //! | [`ACCEPT_DELAY_MS`] | acceptor sleeps before `accept()` | delay (ms) |
@@ -25,7 +25,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Worker thread panics inside slab execution.
+/// Worker thread panics inside slab execution: one shot per slab, drawn
+/// by the worker that took it. A single-end slab spread over a team
+/// panics in its last part, on whichever member claims that part.
 pub const SLAB_PANIC: &str = "slab_panic";
 /// Worker thread sleeps `value` milliseconds before aligning a slab.
 pub const SLAB_DELAY_MS: &str = "slab_delay_ms";

@@ -12,10 +12,13 @@
 //! requests from many sockets coalesce into the same alignment slabs
 //! the CLI uses, so the seeding/BSW superstages of the paper's design
 //! stay full even when every individual client sends only a handful of
-//! reads. Coalescing is byte-safe because per-read SAM output is a
-//! pure function of `(read, options)` — the determinism invariant the
-//! repo pins everywhere — and only requests with identical canonical
-//! option fingerprints ([`proto::OptsOverride`]) share a slab.
+//! reads. Every slab runs on a [`mem2_core::Team`], the executor `mem2
+//! mem` uses: a request larger than the budget is spread over the idle
+//! workers, while small slabs run side by side, one per worker.
+//! Coalescing is byte-safe because per-read SAM output is a pure
+//! function of `(read, options)` — the determinism invariant the repo
+//! pins everywhere — and only requests with identical canonical option
+//! fingerprints ([`proto::OptsOverride`]) share a slab.
 //!
 //! Key types: [`ServeConfig`]/[`serve`]/[`ServerHandle`] (daemon),
 //! [`Client`]/[`Response`] (client side), [`Endpoint`] (unix/tcp
@@ -34,9 +37,10 @@
 //! `ServeConfig::slow_ms`.
 //!
 //! Fault tolerance (PR 9): worker panics are isolated per-slab
-//! (`catch_unwind`; the poisoned request answers ERR, the daemon
-//! survives), requests and connections carry enforceable deadlines
-//! (`ServeConfig::request_timeout`, `ServeConfig::conn_stall`), RETRY
+//! (`catch_unwind`; the poisoned request answers ERR with the panic's
+//! message, the daemon survives), requests and connections carry
+//! enforceable deadlines (`ServeConfig::request_timeout`,
+//! `ServeConfig::conn_stall`), RETRY
 //! backoff is decorrelated-jittered server-side and capped client-side,
 //! and the serving index can be hot-swapped under load — the RELOAD
 //! verb or SIGHUP loads and CRC-verifies a new bundle off-thread, then

@@ -87,47 +87,119 @@ fn tcp_addr(endpoint: &Endpoint) -> String {
     }
 }
 
-/// A slab panic answers its request with ERR, increments the panic
-/// counter, and leaves the daemon fully serviceable: the next
-/// connection gets offline-identical bytes.
+/// A slab panic answers its request with ERR carrying the panic's
+/// message, increments the panic counter, and leaves the daemon fully
+/// serviceable: the next connection gets offline-identical bytes. The
+/// 600-read request is cut into two parts and the injected panic hits
+/// the last: one worker runs both, while with two the idle worker joins
+/// as a helper and usually claims it.
 #[test]
 fn slab_panic_is_isolated_to_its_request() {
     let _guard = chaos_lock();
     let reference = reference_with_seed(7);
     let offline = Aligner::build(reference.clone(), MemOpts::default());
-    let (handle, endpoint) = start_server(&reference, |c| c.threads = 1);
-
-    let reads = sim_reads(&reference, 30, 41);
+    let reads = sim_reads(&reference, 600, 41);
     let fastq = write_fastq(&reads);
     let expected = records_to_text(&offline.align_reads(&reads));
 
-    // poison exactly one slab
-    faultsim::arm(faultsim::SLAB_PANIC, 1, 0);
-    let mut doomed = Client::connect(&endpoint).expect("connect");
-    let err = doomed
-        .align(fastq.as_bytes())
-        .expect_err("poisoned slab must answer ERR");
-    let msg = err.to_string();
+    for threads in [1, 2] {
+        let (handle, endpoint) = start_server(&reference, |c| c.threads = threads);
+
+        // poison exactly one slab
+        faultsim::arm(faultsim::SLAB_PANIC, 1, 0);
+        let mut doomed = Client::connect(&endpoint).expect("connect");
+        let err = doomed
+            .align(fastq.as_bytes())
+            .expect_err("poisoned slab must answer ERR");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("alignment failed") && msg.contains("injected slab panic"),
+            "ERR should carry the panic message (threads={threads}), got: {msg}"
+        );
+
+        // the daemon survives and the very next request is byte-perfect
+        let mut healthy = Client::connect(&endpoint).expect("daemon must survive a slab panic");
+        let (sam, n_reads, _) = healthy
+            .align_with_retry(fastq.as_bytes(), 50)
+            .expect("align after panic");
+        assert_eq!(n_reads, 600);
+        assert_eq!(sam, expected, "post-panic alignment must be unaffected");
+
+        let stats = healthy.stats().expect("stats");
+        assert!(
+            stats.contains("\"slab_panics\": 1"),
+            "stats must count the panic (threads={threads}): {stats}"
+        );
+
+        healthy.shutdown().expect("shutdown");
+        handle.join();
+    }
+}
+
+/// At two workers a small request never queues behind a large one: the
+/// 600-read request claims both workers and is wedged for 3 s, and a
+/// 32-read request sent meanwhile runs on the other worker (which may
+/// align beside the large request's helper) and is answered first.
+#[test]
+fn small_request_is_not_queued_behind_a_large_one() {
+    let _guard = chaos_lock();
+    let reference = reference_with_seed(7);
+    let offline = Aligner::build(reference.clone(), MemOpts::default());
+    let large = sim_reads(&reference, 600, 61);
+    let small = sim_reads(&reference, 32, 62);
+    let (handle, endpoint) = start_server(&reference, |c| c.threads = 2);
+
+    faultsim::arm(faultsim::SLAB_DELAY_MS, 1, 3_000);
+    let large_done = Arc::new(AtomicBool::new(false));
+    let large_thread = {
+        let (endpoint, fastq, done) = (
+            endpoint.clone(),
+            write_fastq(&large),
+            Arc::clone(&large_done),
+        );
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&endpoint).expect("connect");
+            let (sam, _, _) = client
+                .align_with_retry(fastq.as_bytes(), 50)
+                .expect("large");
+            done.store(true, Ordering::Release);
+            sam
+        })
+    };
+    // wait until a worker has taken the large request off the queue
+    let mut probe = Client::connect(&endpoint).expect("connect");
+    while !probe
+        .stats()
+        .expect("stats")
+        .contains("\"requests_admitted\": 1, ")
+    {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    while !probe
+        .stats()
+        .expect("stats")
+        .contains("\"queue_depth\": 0, ")
+    {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let sent = std::time::Instant::now();
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let (sam, n_reads, _) = client
+        .align_with_retry(write_fastq(&small).as_bytes(), 50)
+        .expect("small");
+    let waited = sent.elapsed();
     assert!(
-        msg.contains("alignment failed") && msg.contains("injected slab panic"),
-        "ERR should carry the panic message, got: {msg}"
+        !large_done.load(Ordering::Acquire),
+        "the small request waited {waited:?}, until the wedged large one finished"
     );
+    eprintln!("small request answered in {waited:?} beside a wedged large one");
+    assert_eq!(n_reads, 32);
+    assert_eq!(sam, records_to_text(&offline.align_reads(&small)));
 
-    // the daemon survives and the very next request is byte-perfect
-    let mut healthy = Client::connect(&endpoint).expect("daemon must survive a slab panic");
-    let (sam, n_reads, _) = healthy
-        .align_with_retry(fastq.as_bytes(), 50)
-        .expect("align after panic");
-    assert_eq!(n_reads, 30);
-    assert_eq!(sam, expected, "post-panic alignment must be unaffected");
-
-    let stats = healthy.stats().expect("stats");
-    assert!(
-        stats.contains("\"slab_panics\": 1"),
-        "stats must count the panic: {stats}"
-    );
-
-    healthy.shutdown().expect("shutdown");
+    let sam = large_thread.join().expect("large client");
+    assert_eq!(sam, records_to_text(&offline.align_reads(&large)));
+    probe.shutdown().expect("shutdown");
     handle.join();
 }
 

@@ -186,10 +186,32 @@ fn concurrent_clients_get_offline_identical_sam() {
     );
 }
 
+/// One single-end request larger than a slab claims the idle workers
+/// (1 100 reads on an idle 3-worker daemon: 3 slabs of at most 367
+/// reads, one per worker) and is answered with exactly the offline bytes.
+#[test]
+fn large_se_request_spread_over_the_team_matches_offline() {
+    let reference = test_reference();
+    let offline = Aligner::build(reference.clone(), MemOpts::default());
+    let reads = sim_reads(&reference, 1_100, 77);
+    let expected = records_to_text(&offline.align_reads(&reads));
+
+    let (handle, endpoint) = start_test_server(|c| c.threads = 3);
+    let mut client = Client::connect(&endpoint).expect("connect");
+    let (sam, n_reads, _) = client
+        .align_with_retry(write_fastq(&reads).as_bytes(), 50)
+        .expect("align");
+    assert_eq!(n_reads, 1_100);
+    assert_eq!(sam, expected, "served SAM differs from offline alignment");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
 /// A paired-end request spanning several insert-size windows, each cut
 /// into several slabs, is served with exactly the bytes the multi-threaded
-/// streaming driver writes for the same pairs: the daemon's one-member
-/// team runs the same window driver as `mem2 mem -t 3`.
+/// streaming driver writes for the same pairs, whatever the daemon's
+/// worker count (at 3 the 144-read request, nine 16-read slabs, claims
+/// all three): it runs the same window driver as `mem2 mem -t 3`.
 #[test]
 fn multi_window_pe_request_matches_the_streaming_driver() {
     let reference = test_reference();
@@ -223,31 +245,34 @@ fn multi_window_pe_request_matches_the_streaming_driver() {
     let mut streamed = Vec::new();
     let windows = pairs.chunks(opts.batch_pairs).map(|w| Ok(w.to_vec()));
     let (summary, _) =
-        align_pairs_stream(&aligner, None, windows, 3, &mut streamed).expect("stream");
+        align_pairs_stream(&aligner, None, windows, 3, &mut streamed, None).expect("stream");
     assert_eq!(summary.batches, 3);
 
-    let handle = serve(
-        aligner,
-        ServeConfig {
-            endpoint: Endpoint::Tcp("127.0.0.1:0".into()),
-            threads: 2,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind test server");
-    let mut client = Client::connect(handle.endpoint()).expect("connect");
-    client.set_opts("mode=pe").expect("set_opts");
-    let (sam, n_reads, _) = client
-        .align_with_retry(interleaved.as_bytes(), 50)
-        .expect("align");
-    assert_eq!(n_reads, 144);
-    assert_eq!(
-        sam,
-        String::from_utf8(streamed).expect("utf8"),
-        "served PE SAM differs from the streaming driver"
-    );
-    client.shutdown().expect("shutdown");
-    handle.join();
+    let streamed = String::from_utf8(streamed).expect("utf8");
+
+    for threads in [1, 3] {
+        let handle = serve(
+            Aligner::build(reference.clone(), opts),
+            ServeConfig {
+                endpoint: Endpoint::Tcp("127.0.0.1:0".into()),
+                threads,
+                ..ServeConfig::default()
+            },
+        )
+        .expect("bind test server");
+        let mut client = Client::connect(handle.endpoint()).expect("connect");
+        client.set_opts("mode=pe").expect("set_opts");
+        let (sam, n_reads, _) = client
+            .align_with_retry(interleaved.as_bytes(), 50)
+            .expect("align");
+        assert_eq!(n_reads, 144);
+        assert_eq!(
+            sam, streamed,
+            "served PE SAM differs from the streaming driver (threads={threads})"
+        );
+        client.shutdown().expect("shutdown");
+        handle.join();
+    }
 }
 
 /// A tiny queue bound under a flood must (a) surface RETRY frames and

@@ -54,7 +54,8 @@
 //! mem2 serve [opts] <ref.idx|ref.fasta>
 //!     --socket PATH     listen on a Unix socket (default /tmp/mem2.sock)
 //!     --tcp ADDR        listen on a TCP address instead
-//!     -t N              alignment worker threads (default: all)
+//!     -t N              alignment worker threads (default: all); a
+//!                       request over 512 reads spreads over idle ones
 //!     --queue N         admission queue bound, requests (default 64)
 //!     --retry-ms N      backoff suggested by RETRY frames (default 50)
 //!     --metrics-addr A  serve Prometheus text at http://A/metrics
@@ -99,9 +100,9 @@ use mem2::core::bundle;
 use mem2::core::checkpoint::{self, Fingerprint, Journal, MarkLog, MarkedBatches};
 use mem2::core::load_reference;
 use mem2::core::robust::{is_broken_pipe, is_no_space, RobustWriter};
-use mem2::core::threads::{align_stream_parallel_flush, FlushHook, StreamError, StreamSummary};
+use mem2::core::threads::{align_stream_parallel, FlushHook, StreamError, StreamSummary};
 use mem2::obs::log as olog;
-use mem2::pairing::{align_pairs_stream_flush, orient_name, PeStats};
+use mem2::pairing::{align_pairs_stream, orient_name, PeStats};
 use mem2::prelude::*;
 use mem2::seqio::{
     gzip_compress_stored, open_reads_at, write_fasta, write_fastq, BatchReader,
@@ -620,7 +621,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
                 Arc::clone(&mark_log),
                 base_reads,
             );
-            Ok(align_pairs_stream_flush(
+            Ok(align_pairs_stream(
                 &aligner,
                 pes_override,
                 batches,
@@ -649,7 +650,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
                     ("bases_per_batch", &aligner.opts.batch_bases),
                 ],
             );
-            Ok(align_stream_parallel_flush(
+            Ok(align_stream_parallel(
                 &aligner, batches, threads, out, hook,
             )?)
         }
@@ -758,7 +759,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
 }
 
 /// A paired-end batch source for `mem`: two files or one interleaved
-/// file, behind one type so one `align_pairs_stream_flush` call streams
+/// file, behind one type so one `align_pairs_stream` call streams
 /// either.
 trait PairBatches: Iterator<Item = Result<Vec<ReadPair>, SeqIoError>> + StreamOffsets + Send {}
 
