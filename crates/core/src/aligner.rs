@@ -67,7 +67,8 @@ impl Aligner {
         olog::info(
             "index",
             &format!(
-                "bundle v{}, {}-bit positions, {} MB, {} load{} (verified) in {:.0} ms",
+                "bundle v{}, {}-bit positions, {} MB, {} load{} (verified, crc {} {:.1} GB/s) \
+                 in {:.0} ms",
                 bundle::BUNDLE_VERSION,
                 report.sa_width,
                 report.bytes / (1 << 20),
@@ -77,6 +78,8 @@ impl Aligner {
                     "buffered"
                 },
                 if report.zero_copy { " (zero-copy)" } else { "" },
+                report.crc.name(),
+                report.verify_gb_per_s(),
                 t_load.elapsed().as_secs_f64() * 1e3
             ),
             &[],

@@ -7,7 +7,7 @@
 //! contents followed by *page-aligned sections*, generalized over the
 //! position width, with integrity checksums. Each TOC entry carries its
 //! section's CRC32 (the same IEEE polynomial gzip uses,
-//! [`mem2_seqio::gzip::crc32`]), and four header bytes carry a CRC32 of
+//! [`mem2_simd::crc32::crc32`]), and four header bytes carry a CRC32 of
 //! the header+TOC itself (computed with that field zeroed). Padding
 //! between sections must be zero and the file must end exactly at the
 //! last section, so a flipped byte *anywhere* in a bundle is rejected at
@@ -47,11 +47,12 @@
 //! Alignments are byte-identical across widths.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mem2_fmindex::{BuildOpts, BwtMeta, FlatSa, FmIndex, OccOpt, OccTable};
-use mem2_seqio::gzip::crc32;
 use mem2_seqio::refseq::{AmbHole, ContigAnn, ContigSet};
 use mem2_seqio::{AlignedBytes, ByteRegion, PackedSeq, Reference, RegionOwner, PAGE_ALIGN};
+use mem2_simd::crc32::{crc32, Kernel};
 use mem2_suffix::{IndexWidth, SaVec};
 
 const MAGIC_PREFIX: &[u8; 7] = b"MEM2IDX";
@@ -609,6 +610,17 @@ pub struct LoadReport {
     pub zero_copy: bool,
     /// Total bundle size in bytes.
     pub bytes: usize,
+    /// The CRC32 kernel that verified the bundle.
+    pub crc: Kernel,
+    /// Time to verify the header, the padding and every section.
+    pub verify: Duration,
+}
+
+impl LoadReport {
+    /// Bundle bytes verified per second, in GB/s.
+    pub fn verify_gb_per_s(&self) -> f64 {
+        self.bytes as f64 / self.verify.as_secs_f64().max(1e-9) / 1e9
+    }
 }
 
 /// Assemble the index from a loaded bundle region, after verifying
@@ -619,6 +631,7 @@ pub fn load_index_region(
     file_mapped: bool,
 ) -> Result<(Reference, FmIndex, LoadReport), BundleError> {
     let bytes = region.as_slice();
+    let t_verify = Instant::now();
     let layout = parse_toc(bytes)?;
     layout.verify_sections(bytes)?;
     let mut report = LoadReport {
@@ -626,6 +639,8 @@ pub fn load_index_region(
         file_mapped,
         zero_copy: false,
         bytes: region.len(),
+        crc: Kernel::selected(),
+        verify: t_verify.elapsed(),
     };
     let pac_region = region.slice(layout.pac.0, layout.pac.1);
     let reference = Reference {

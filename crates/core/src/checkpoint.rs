@@ -35,8 +35,8 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
-use mem2_seqio::gzip::crc32;
 use mem2_seqio::{SeqIoError, StreamOffsets, StreamPos};
+use mem2_simd::crc32::crc32;
 
 use crate::bundle::write_bundle_atomic;
 

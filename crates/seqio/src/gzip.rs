@@ -22,52 +22,14 @@
 
 use std::io::{self, Read};
 
+use mem2_simd::crc32::{crc32, Crc32};
+
 /// DEFLATE window size (RFC 1951 §2): back-references reach at most
 /// 32 KiB behind the cursor.
 const WINDOW_SIZE: usize = 32 * 1024;
 
 /// Gzip magic bytes (RFC 1952 §2.3.1).
 pub const GZIP_MAGIC: [u8; 2] = [0x1f, 0x8b];
-
-// ---------------------------------------------------------------------
-// CRC32 (IEEE, reflected — the gzip checksum)
-// ---------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-const CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC32 of a whole buffer (for the encoder side and tests).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = crc32_step(c, b);
-    }
-    !c
-}
-
-#[inline]
-fn crc32_step(c: u32, b: u8) -> u32 {
-    CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
-}
 
 // ---------------------------------------------------------------------
 // Length / distance symbol tables (RFC 1951 §3.2.5)
@@ -325,7 +287,9 @@ pub struct GzipDecoder<R: Read> {
     codes: Option<Codes>,
     final_block: bool,
     state: State,
-    crc: u32,
+    /// CRC32 of the member's output so far. It and `out_len` are
+    /// summed once per `read` span (see the end of `read`).
+    crc: Crc32,
     out_len: u32,
     members: u32,
 }
@@ -341,7 +305,7 @@ impl<R: Read> GzipDecoder<R> {
             codes: None,
             final_block: false,
             state: State::Header,
-            crc: 0xFFFF_FFFF,
+            crc: Crc32::new(),
             out_len: 0,
             members: 0,
         }
@@ -359,8 +323,8 @@ impl<R: Read> GzipDecoder<R> {
         )
     }
 
-    /// Emit one decompressed byte: to the caller's buffer, the sliding
-    /// window, and the running CRC/length accumulators.
+    /// Emit one decompressed byte: to the caller's buffer and the
+    /// sliding window.
     #[inline]
     fn emit(&mut self, b: u8, out: &mut [u8], n: &mut usize) {
         out[*n] = b;
@@ -370,8 +334,6 @@ impl<R: Read> GzipDecoder<R> {
         if self.wfilled < WINDOW_SIZE {
             self.wfilled += 1;
         }
-        self.crc = crc32_step(self.crc, b);
-        self.out_len = self.out_len.wrapping_add(1);
     }
 
     /// Parse a gzip member header (RFC 1952 §2.3). Returns false at clean
@@ -423,7 +385,7 @@ impl<R: Read> GzipDecoder<R> {
             self.br.byte("FHCRC field")?;
             self.br.byte("FHCRC field")?;
         }
-        self.crc = 0xFFFF_FFFF;
+        self.crc = Crc32::new();
         self.out_len = 0;
         self.final_block = false;
         // each member is an independent deflate stream (RFC 1951): a
@@ -528,7 +490,7 @@ impl<R: Read> GzipDecoder<R> {
                 *w |= (self.br.byte("trailer")? as u32) << shift;
             }
         }
-        let crc = !self.crc;
+        let crc = self.crc.finish();
         if words[0] != crc {
             return Err(self.bad(&format!(
                 "CRC mismatch (stored {:#010x}, computed {crc:#010x})",
@@ -653,6 +615,11 @@ impl<R: Read> Read for GzipDecoder<R> {
                 }
             }
         }
+        // The loop leaves as soon as it emits a byte, and the trailer is
+        // only read with nothing emitted yet in this call — so every byte
+        // of a member is summed here before its trailer is checked.
+        self.crc.update(&out[..n]);
+        self.out_len = self.out_len.wrapping_add(n as u32);
         Ok(n)
     }
 }

@@ -166,3 +166,56 @@ fn decoder_is_insensitive_to_read_granularity() {
         assert_eq!(out2, data);
     }
 }
+
+#[test]
+fn second_member_crc_mismatch_is_caught_at_any_read_granularity() {
+    // The decoder sums its CRC once per `read` span, so a bad trailer
+    // must still be caught however the input arrives and however small
+    // the caller's output buffer is.
+    struct Drip<R: Read>(R, usize);
+    impl<R: Read> Read for Drip<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = buf.len().min(self.1);
+            self.0.read(&mut buf[..n])
+        }
+    }
+    let a: Vec<u8> = (0..3_000u32).map(|i| (i % 7) as u8 + b'a').collect();
+    let b: Vec<u8> = (0..5_000u32).map(|i| (i * 31 % 253) as u8).collect();
+    let mut good = fixtures::gzip_compress_fixed(&a);
+    good.extend(fixtures::gzip_compress_dynamic(&b));
+    let mut bad = good.clone();
+    let crc_pos = bad.len() - 8; // second member's stored CRC32
+    bad[crc_pos] ^= 0x01;
+    let expected: Vec<u8> = a.iter().chain(&b).copied().collect();
+
+    for k in [1usize, 7] {
+        // drip-fed input, whole-buffer output
+        let mut out = Vec::new();
+        GzipDecoder::new(Drip(&good[..], k))
+            .read_to_end(&mut out)
+            .expect("decode");
+        assert_eq!(out, expected, "input drip {k}");
+        let err = GzipDecoder::new(Drip(&bad[..], k))
+            .read_to_end(&mut Vec::new())
+            .expect_err("flipped CRC must fail");
+        assert!(err.to_string().contains("CRC"), "input drip {k}: {err}");
+
+        // whole input, k-byte output reads
+        let mut dec = GzipDecoder::new(&bad[..]);
+        let mut buf = vec![0u8; k];
+        let mut out = Vec::new();
+        let err = loop {
+            match dec.read(&mut buf) {
+                Ok(0) => panic!("output reads of {k}: flipped CRC decoded cleanly"),
+                Ok(n) => out.extend_from_slice(&buf[..n]),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            err.to_string().contains("CRC"),
+            "output reads of {k}: {err}"
+        );
+        assert_eq!(out, expected, "every byte is delivered before the trailer");
+        assert_eq!(dec.members_decoded(), 1);
+    }
+}

@@ -21,7 +21,7 @@
 //!
 //! Key types: the [`SimdU8`]/[`SimdI16`] lane traits, [`dispatch`]
 //! (runtime backend selection), the dispatched byte-count kernels in
-//! [`count`], and [`prefetch_read`]. Introduced in PR 1; real
+//! [`count`], the CRC32 kernels in [`mod@crc32`], and [`prefetch_read`]. Introduced in PR 1; real
 //! `core::arch` backends + dispatch in PR 4, aarch64 prefetch in PR 5.
 
 // The explicit `for i in 0..W { o[i] = f(a[i], b[i]) }` loops this crate is
@@ -34,6 +34,7 @@
 #![allow(clippy::should_implement_trait)]
 
 pub mod count;
+pub mod crc32;
 pub mod dispatch;
 pub mod lanes;
 #[cfg(target_arch = "aarch64")]

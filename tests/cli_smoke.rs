@@ -388,6 +388,16 @@ fn simd_backend_matrix_is_byte_identical() {
                 && stderr.contains("; RESCUE "),
             "stderr reports the requested mode and the DP kernels' backend: {stderr}"
         );
+        // the index load names the CRC kernel that verified it: the
+        // tables under portable, either kernel on a native backend
+        let crc_ok = match mode {
+            "portable" => stderr.contains("crc slice16 "),
+            _ => stderr.contains("crc slice16 ") || stderr.contains("crc pclmul "),
+        };
+        assert!(
+            crc_ok,
+            "--simd {mode}: load log names its CRC kernel: {stderr}"
+        );
     }
 
     // paired-end through the full PE stack (pestat, rescue, pairing);
@@ -529,6 +539,43 @@ fn old_index_bundles_are_rejected_with_version_error() {
             "actionable version error: {stderr}"
         );
     }
+}
+
+#[test]
+fn index_bundle_matches_the_bytewise_crc_oracle() {
+    // `mem2 index` checksums on the dispatched CRC kernel; re-deriving
+    // every checksum with the bytewise oracle must reproduce the file
+    // byte for byte. Layout (bundle.rs module doc): header CRC at bytes
+    // 10..14 over the header + TOC with that field zeroed; u32 section
+    // count at 16; per section at 20 + 24 i: u32 id, u32 crc, u64
+    // offset, u64 len.
+    use mem2::simd::crc32::crc32_bytewise;
+    let dir = TempDir::new("bundle-crc");
+    let prefix = dir.path("c");
+    mem2_ok(&["simulate", "0.05", "1", "50", &prefix]);
+    let idx = dir.path("c.idx");
+    mem2_ok(&["index", &format!("{prefix}.fasta"), &idx]);
+    let written = std::fs::read(&idx).expect("read idx");
+    let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let n_sections = u32_at(&written, 16) as usize;
+    assert_eq!(n_sections, 4);
+    let toc_end = 20 + 24 * n_sections;
+    let mut oracle = written.clone();
+    oracle[10..14].fill(0);
+    for i in 0..n_sections {
+        let entry = 20 + 24 * i;
+        let off = u64_at(&written, entry + 8) as usize;
+        let len = u64_at(&written, entry + 16) as usize;
+        let crc = crc32_bytewise(&written[off..off + len]);
+        oracle[entry + 4..entry + 8].copy_from_slice(&crc.to_le_bytes());
+    }
+    let header = crc32_bytewise(&oracle[..toc_end]);
+    oracle[10..14].copy_from_slice(&header.to_le_bytes());
+    assert!(
+        oracle == written,
+        "bundle bytes differ from the oracle CRCs"
+    );
 }
 
 #[test]
