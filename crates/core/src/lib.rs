@@ -23,6 +23,9 @@
 //! PR 5, bundle v4 zero-copy mmap in PR 6, externally-owned batch entry
 //! points for the daemon in PR 7, all-workers-per-batch slab scheduling
 //! ([`threads`]) in PR 12.
+//!
+//! Every slab runs on one persistent [`Pool`], shared by `mem`, the
+//! paired-end driver and `serve`.
 
 #![deny(missing_docs)]
 
@@ -57,6 +60,6 @@ pub use region::AlnReg;
 pub use robust::{is_broken_pipe, is_no_space, RobustWriter};
 pub use sam::SamRecord;
 pub use threads::{
-    align_reads_parallel, align_stream_parallel, stream_batches_parallel, FlushHook, SchedStats,
-    SlabOut, StreamError, StreamSummary, Team,
+    align_reads_parallel, align_stream_parallel, stream_batches_parallel, FlushHook, Jobs, Pool,
+    SchedStats, Seat, SlabOut, StreamError, StreamSummary,
 };

@@ -11,10 +11,11 @@
 //! One window driver serves every entry point — the streaming CLI path,
 //! the in-memory [`align_pairs`] and the daemon's
 //! [`align_pairs_windowed`] — with the shape of bwa's `mem_process_seqs`:
-//! all of a [`Team`]'s workers single-end align the window's pair-aligned
-//! slabs (phase 1), one thread estimates the insert distribution over the
-//! whole window, then all workers rescue, pair and render per slab
-//! (phase 2). A one-member team runs the same code serially.
+//! the members of the process's [`mem2_core::Pool`] single-end align the
+//! window's pair-aligned slabs (phase 1, one [`Seat::map`]), the calling
+//! thread estimates the insert distribution over the whole window, then
+//! the members rescue, pair and render per slab (phase 2, a second
+//! `map`). A one-member pool runs the same code serially.
 
 use std::io::Write;
 use std::time::{Duration, Instant};
@@ -22,8 +23,8 @@ use std::time::{Duration, Instant};
 use mem2_core::pipeline::{align_prepared, PipelineContext, PreparedRead};
 use mem2_core::sam::{ReadInfo, SamRecord};
 use mem2_core::threads::{
-    split_slabs, stream_batches_parallel, take_slab, FlushHook, SlabOut, StreamError,
-    StreamSummary, Team,
+    split_slabs, stream_batches_parallel, take_slab, FlushHook, Pool, Seat, SlabOut, StreamError,
+    StreamSummary,
 };
 use mem2_core::{profile::Stage, region::mark_primary};
 use mem2_core::{Aligner, AlnReg, StageTimes};
@@ -133,17 +134,17 @@ fn finish_pairs(
     sam
 }
 
-/// One `batch_pairs` window on all of the team's workers — the one
+/// One `batch_pairs` window spread from `seat` over the pool — the one
 /// paired-end driver: phase 1 single-end aligns pair-aligned slabs, a
-/// single estimate over the whole window follows (so the window, and
-/// with it the PE byte stream, is what it was when one worker did it
-/// all), and phase 2 runs [`finish_pairs`] per slab and hands each
-/// slab's records to `render` on the worker that produced them (the
-/// streaming driver renders SAM text there). `on_estimate` sees each
-/// estimated distribution (never a `pes_override`).
+/// single estimate over the whole window follows on the calling thread
+/// (so the window, and with it the PE byte stream, is what it was when
+/// one worker did it all), and phase 2 runs [`finish_pairs`] per slab
+/// and hands each slab's records to `render` on the worker that produced
+/// them (the streaming driver renders SAM text there). `on_estimate`
+/// sees each estimated distribution (never a `pes_override`).
 fn align_pairs_team<R, F>(
     ctx: &PipelineContext<'_>,
-    team: &mut Team,
+    seat: &mut Seat<'_>,
     pairs: Vec<ReadPair>,
     pes_override: Option<PeStats>,
     on_estimate: &(dyn Fn(&PeStats) + Sync),
@@ -153,9 +154,9 @@ where
     R: Send,
     F: Fn(&[PreparedRead], Vec<SamRecord>) -> R + Sync,
 {
-    let slab_pairs = team.slab_len(pairs.len(), ctx.opts.batch_reads / 2);
+    let slab_pairs = seat.slab_len(pairs.len(), ctx.opts.batch_reads / 2);
     let pair_slabs = split_slabs(pairs, slab_pairs);
-    let aligned = team.par_map(pair_slabs.len(), |worker, k| {
+    let aligned = seat.map(ctx.opts, pair_slabs.len(), |worker, k| {
         let prepared = prepare_pairs(take_slab(&pair_slabs, k));
         let regs = align_prepared(ctx, worker, &prepared);
         (prepared, regs)
@@ -170,11 +171,11 @@ where
         on_estimate(&pes);
         pes
     });
-    team.lead().times.add(Stage::Misc, t.elapsed());
+    seat.times().add(Stage::Misc, t.elapsed());
 
     // the same partition as phase 1: slab k's regions go with prepared[k]
     let reg_slabs = split_slabs(regs, 2 * slab_pairs);
-    team.par_map(prepared.len(), |worker, k| {
+    seat.map(ctx.opts, prepared.len(), |worker, k| {
         let t = Instant::now();
         let reads = &prepared[k];
         let mut records = Vec::with_capacity(reads.len());
@@ -199,19 +200,19 @@ where
     })
 }
 
-/// Align an owned pair list on `team`, windowed into `ctx.opts.batch_pairs`
-/// windows exactly as the streaming driver would, and return its SAM
-/// records (read 1 lines then read 2 lines per pair, pairs in input
-/// order) — the resident daemon's entry point: the caller owns the
-/// options (which may be a per-request override) and no [`Aligner`]
-/// needs to exist. The records are a pure function of `(pairs,
-/// ctx.opts, pes_override)` — invariant to the team's size and to
-/// whatever other traffic the server is carrying. `pes_override` pins
+/// Align an owned pair list from `seat`, windowed into
+/// `ctx.opts.batch_pairs` windows exactly as the streaming driver would,
+/// and return its SAM records (read 1 lines then read 2 lines per pair,
+/// pairs in input order) — the resident daemon's entry point: the caller
+/// owns the options (which may be a per-request override) and no
+/// [`Aligner`] needs to exist. The records are a pure function of
+/// `(pairs, ctx.opts, pes_override)` — invariant to the pool's size and
+/// to whatever other traffic the server is carrying. `pes_override` pins
 /// the insert distribution (the CLI's `-I`); otherwise it is estimated
 /// per window from its confident pairs à la `mem_pestat`.
 pub fn align_pairs_windowed(
     ctx: &PipelineContext<'_>,
-    team: &mut Team,
+    seat: &mut Seat<'_>,
     pairs: Vec<ReadPair>,
     pes_override: Option<PeStats>,
 ) -> Vec<SamRecord> {
@@ -223,7 +224,7 @@ pub fn align_pairs_windowed(
         if batch.is_empty() {
             return records;
         }
-        let slabs = align_pairs_team(ctx, team, batch, pes_override, &|_| {}, |_, r| r);
+        let slabs = align_pairs_team(ctx, seat, batch, pes_override, &|_| {}, |_, r| r);
         records.extend(slabs.into_iter().flatten());
     }
 }
@@ -235,8 +236,13 @@ pub fn align_pairs(
     pairs: &[ReadPair],
     pes_override: Option<PeStats>,
 ) -> Vec<SamRecord> {
-    let mut team = Team::new(&aligner.opts, 1);
-    align_pairs_windowed(&aligner.context(), &mut team, pairs.to_vec(), pes_override)
+    let mut pool = Pool::new(1);
+    align_pairs_windowed(
+        &aligner.context(),
+        &mut pool.seat(),
+        pairs.to_vec(),
+        pes_override,
+    )
 }
 
 /// Align a stream of pair batches with `n_threads` workers, writing SAM
@@ -288,16 +294,15 @@ where
     W: Write,
 {
     stream_batches_parallel(
-        &aligner.opts,
         batches,
         n_threads,
         out,
         on_flush,
         |batch: &Vec<ReadPair>| 2 * batch.len(),
-        |team, batch| {
+        |seat, batch| {
             align_pairs_team(
                 &aligner.context(),
-                team,
+                seat,
                 batch,
                 pes_override,
                 on_estimate,

@@ -5,7 +5,7 @@
 //! emulation and the native backend. Its own test binary, because
 //! `dispatch::force` is process-wide.
 
-use mem2_core::{Aligner, MemOpts, RescueStats, Team};
+use mem2_core::{Aligner, MemOpts, Pool, RescueStats};
 use mem2_pairing::align_pairs_windowed;
 use mem2_seqio::{GenomeSpec, PairSim, PairSimSpec, ReadPair};
 use mem2_simd::{dispatch, Backend};
@@ -13,13 +13,14 @@ use mem2_simd::{dispatch, Backend};
 /// The window's SAM text and the rescue counters it took.
 fn align(aligner: &Aligner, pairs: &[ReadPair], backend: Backend) -> (String, RescueStats) {
     dispatch::force(Some(backend));
-    let mut team = Team::new(&aligner.opts, 1);
-    let sam: String = align_pairs_windowed(&aligner.context(), &mut team, pairs.to_vec(), None)
+    let mut pool = Pool::new(1);
+    let mut seat = pool.seat();
+    let sam: String = align_pairs_windowed(&aligner.context(), &mut seat, pairs.to_vec(), None)
         .iter()
         .map(|rec| rec.to_line() + "\n")
         .collect();
     dispatch::force(None);
-    (sam, team.lead().times.rescue)
+    (sam, seat.times().rescue)
 }
 
 #[test]

@@ -1,47 +1,48 @@
 //! The cross-connection micro-batcher.
 //!
 //! Every connection thread turns a parsed request into a
-//! [`Submission`] and offers it to one shared bounded queue. Alignment
-//! worker threads pop the *oldest* submission and then greedily absorb
-//! every other queued single-end submission with the **same options
-//! fingerprint** until the slab's read budget is reached — so under
-//! many-small-client traffic one `align_batch` slab carries reads from
-//! many sockets, and the seeding/BSW superstages run as full as they
-//! would under one fat file. This is safe because per-read SAM output
-//! is a pure function of `(read, opts)` — invariant to slab-mates — the
-//! invariant the whole repo pins (batch size, thread count);
-//! the daemon's integration tests pin it again end to end.
+//! [`Submission`] and offers it to the daemon's [`Pool`] — the `N`
+//! persistent workers `mem2 mem` runs on, whose one FIFO is the
+//! admission queue. A worker pops the *oldest* submission and then
+//! greedily absorbs every other queued single-end submission with the
+//! **same options fingerprint** until the slab's read budget is reached
+//! — so under many-small-client traffic one `align_batch` slab carries
+//! reads from many sockets, and the seeding/BSW superstages run as full
+//! as they would under one fat file. This is safe because per-read SAM
+//! output is a pure function of `(read, opts)` — invariant to slab-mates
+//! — the invariant the whole repo pins (batch size, thread count); the
+//! daemon's integration tests pin it again end to end.
 //!
-//! A worker aligns its slab on a [`Team`] it leads — the executor `mem2
-//! mem` uses. A slab within the budget is one part on the worker alone;
-//! a larger one (a single large request) claims one more member per
-//! further budget's worth of reads from the workers idle right now
-//! (never waiting for one), lends them pooled arenas, and is cut by
-//! [`Team::slab_len`] and spread over them with [`Team::par_map`]. So
-//! one large request on an idle daemon uses every worker, while small
-//! slabs run side by side and never queue behind a large one. A worker
-//! whose core is lent to a large slab still takes the next request, so
-//! at most `2N − 1` threads align at once.
+//! The worker that popped a group aligns it through [`Seat::map`]. A
+//! group of `n` reads is cut by [`mem2_core::threads::slab_len`] over
+//! `min(N, ⌈n ÷ batch_reads⌉)` members, so a group within the budget is
+//! one slab on that worker, and a larger one (a single large request)
+//! becomes a map entry at the back of the FIFO whose slabs idle workers
+//! claim one at a time, round-robin with the requests queued behind it.
+//! So one large request on an idle daemon uses every worker, two large
+//! requests share them, a small request waits behind at most one slab
+//! per busy worker, and never more than `N` threads align.
 //!
 //! Backpressure is explicit: [`Batcher::try_submit`] never blocks —
-//! when the queue is at capacity the caller gets the submission back
-//! and answers its client with a RETRY frame (suggested backoff
-//! attached). Nothing is half-admitted: a request either queues whole
-//! or not at all. Paired-end submissions ride the same queue but are
-//! never coalesced across requests — each PE request is its own
-//! insert-size estimation window sequence, which keeps its bytes
-//! independent of other traffic; its windows run on its own team.
+//! when the queue holds its capacity of requests not yet started, the
+//! caller gets the submission back and answers its client with a RETRY
+//! frame (suggested backoff attached). Nothing is half-admitted: a
+//! request either queues whole or not at all. Paired-end submissions
+//! ride the same queue but are never coalesced across requests — each
+//! PE request is its own insert-size estimation window sequence, which
+//! keeps its bytes independent of other traffic; its windows' two
+//! phases run through `map` from the worker that popped it, with the
+//! estimate between them on that worker.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::SyncSender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mem2_core::pipeline::{align_to_records, PipelineContext, PreparedRead, Worker};
+use mem2_core::pipeline::{align_to_records, PipelineContext, PreparedRead};
 use mem2_core::profile::STAGE_NAMES;
 use mem2_core::threads::{split_slabs, take_slab};
-use mem2_core::{MemOpts, SamRecord, StageTimes, Team};
+use mem2_core::{Jobs, MemOpts, Pool, SamRecord, SchedStats, Seat, StageTimes};
 use mem2_obs::Hist;
 use mem2_pairing::{align_pairs_windowed, PeStats};
 use mem2_seqio::ReadPair;
@@ -129,45 +130,56 @@ pub struct Counters {
     pub service_hist: Hist,
 }
 
-struct Shared {
-    queue: Mutex<VecDeque<Submission>>,
-    /// Signals workers that the queue gained work (or drain started).
-    work: Condvar,
-    capacity: usize,
-    /// Reads per coalesced slab (the `align_batch` feed target), and the
-    /// share of one team member when a larger request is spread.
+/// The daemon's side of its pool: what a worker does with the
+/// submissions it pops.
+struct Daemon {
+    slot: Arc<IndexSlot>,
+    /// Reads per coalesced slab (the `align_batch` feed target), and one
+    /// member's share when a larger request is spread.
     slab_reads: usize,
-    /// Workers in the pool: the most members a team may claim.
-    n_workers: usize,
-    /// Threads aligning right now: every running team's members.
-    busy: AtomicUsize,
-    /// Idle helper arenas per options fingerprint, lent to the team of a
-    /// request larger than `slab_reads`.
-    helpers: Mutex<HashMap<String, Vec<Worker>>>,
-    draining: AtomicBool,
-    pub counters: Counters,
+    counters: Counters,
     /// Per-stage CPU time across all workers (STATS latencies).
     times: Mutex<StageTimes>,
-    /// Slabs whose service time reaches this are logged with their
+    /// Groups whose service time reaches this are logged with their
     /// per-stage breakdown; 0 disables the slow-slab log.
     slow_us: u64,
 }
 
-/// The shared admission queue plus its worker pool.
+impl Jobs for Daemon {
+    type Job = Submission;
+
+    /// Single-end only, same fingerprint, until the slab's read budget
+    /// fills.
+    fn joins(&self, group: &[Submission], next: &Submission) -> bool {
+        let taken: usize = group.iter().map(|s| s.payload.n_reads()).sum();
+        matches!(group[0].payload, Payload::Single(_))
+            && matches!(next.payload, Payload::Single(_))
+            && next.fingerprint == group[0].fingerprint
+            && next.payload.n_reads() <= self.slab_reads.saturating_sub(taken)
+    }
+
+    fn run(&self, seat: &mut Seat<'_>, group: Vec<Submission>) {
+        // Pin one index generation for the whole group: every read in it
+        // (and therefore every request) is answered by exactly one
+        // epoch, even if a RELOAD lands mid-flight.
+        let pinned = self.slot.current();
+        align_group(self, &pinned, seat, group);
+    }
+}
+
+/// The admission queue plus its worker pool.
 pub struct Batcher {
-    shared: Arc<Shared>,
-    slot: Arc<IndexSlot>,
-    /// Emptied by the first [`Batcher::drain`].
-    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    pool: Pool<Daemon>,
+    capacity: usize,
 }
 
 impl Batcher {
     /// Start `n_workers` alignment workers over the hot-swappable index
-    /// `slot` (each slab pins the slot's current epoch before it runs).
+    /// `slot` (each group pins the slot's current epoch before it runs).
     /// `capacity` bounds the admission queue in requests; `slab_reads`
-    /// is the coalescing budget per alignment slab and one team member's
-    /// share of a larger request; slabs serviced in `slow_us` µs or more
-    /// are logged with their per-stage breakdown (0 disables).
+    /// is the coalescing budget per alignment slab and one member's
+    /// share of a larger request; groups serviced in `slow_us` µs or
+    /// more are logged with their per-stage breakdown (0 disables).
     pub fn start(
         slot: Arc<IndexSlot>,
         n_workers: usize,
@@ -175,36 +187,22 @@ impl Batcher {
         slab_reads: usize,
         slow_us: u64,
     ) -> Batcher {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            work: Condvar::new(),
-            capacity: capacity.max(1),
+        let daemon = Daemon {
+            slot,
             slab_reads: slab_reads.max(1),
-            n_workers: n_workers.max(1),
-            busy: AtomicUsize::new(0),
-            helpers: Mutex::new(HashMap::new()),
-            draining: AtomicBool::new(false),
             counters: Counters::default(),
             times: Mutex::new(StageTimes::default()),
             slow_us,
-        });
-        let workers = (0..n_workers.max(1))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let slot = Arc::clone(&slot);
-                std::thread::spawn(move || worker_loop(&shared, &slot))
-            })
-            .collect();
+        };
         Batcher {
-            shared,
-            slot,
-            workers: Mutex::new(workers),
+            pool: Pool::serve(daemon, n_workers),
+            capacity: capacity.max(1),
         }
     }
 
     /// The hot-swappable index slot the workers align against.
     pub fn slot(&self) -> &IndexSlot {
-        &self.slot
+        &self.pool.jobs().slot
     }
 
     /// Offer a submission without blocking. `Err` hands it back: the
@@ -212,155 +210,67 @@ impl Batcher {
     /// be told to retry — the request was not admitted.
     #[allow(clippy::result_large_err)] // Err returns the whole submission on rejection by design
     pub fn try_submit(&self, sub: Submission) -> Result<(), Submission> {
-        if self.shared.draining.load(Ordering::Acquire) {
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(sub);
+        let counters = self.counters();
+        match self.pool.submit(sub, self.capacity) {
+            Ok(()) => {
+                counters.admitted.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            }
+            Err(sub) => {
+                counters.rejected.fetch_add(1, Ordering::Relaxed);
+                Err(sub)
+            }
         }
-        let mut q = self.shared.queue.lock().expect("queue poisoned");
-        if q.len() >= self.shared.capacity {
-            drop(q);
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(sub);
-        }
-        q.push_back(sub);
-        drop(q);
-        self.shared
-            .counters
-            .admitted
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.work.notify_one();
-        Ok(())
     }
 
     /// Current queue depth (requests waiting, not yet taken by a
     /// worker).
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().expect("queue poisoned").len()
-    }
-
-    /// Queue capacity in requests.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
+        self.pool.queued_jobs()
     }
 
     /// Aggregate counters (live; shared with workers).
     pub fn counters(&self) -> &Counters {
-        &self.shared.counters
+        &self.pool.jobs().counters
     }
 
     /// Snapshot of per-stage CPU time accumulated across workers. The
     /// clone aliases the live histograms (Arc), so percentile reads see
     /// ongoing traffic; totals are copied at call time.
     pub fn stage_times(&self) -> StageTimes {
-        self.shared.times.lock().expect("times poisoned").clone()
+        self.pool
+            .jobs()
+            .times
+            .lock()
+            .expect("times poisoned")
+            .clone()
+    }
+
+    /// Each worker's busy time and slab count so far, over `uptime` as
+    /// the wall (so `worker_busy_share` is the share of the daemon's
+    /// life its workers spent aligning).
+    pub fn scheduler(&self, uptime: Duration) -> SchedStats {
+        SchedStats {
+            align_wall: uptime,
+            ..self.pool.sched_stats()
+        }
     }
 
     /// Drain: refuse new submissions, finish everything queued, then
     /// join the worker pool. Idempotent.
     pub fn drain(&self) {
-        self.shared.draining.store(true, Ordering::Release);
-        self.shared.work.notify_all();
-        let workers = std::mem::take(&mut *self.workers.lock().expect("workers poisoned"));
-        for w in workers {
-            let _ = w.join();
-        }
+        self.pool.drain();
     }
 }
 
-impl Drop for Batcher {
-    fn drop(&mut self) {
-        self.drain();
-    }
-}
-
-/// One alignment worker: pop the oldest submission, coalesce compatible
-/// queued single-end submissions into its slab, pin the current index
-/// epoch, align, and ship each request's slice of the records back to
-/// its connection.
-fn worker_loop(shared: &Shared, slot: &IndexSlot) {
-    // One single-member team per options fingerprint: the BSW engines
-    // bake in scoring, so each distinct override set gets (and reuses)
-    // its own worker arena — the "allocate once, reuse across batches"
-    // design survives per-request options. Teams depend only on options,
-    // not on the index, so they also survive hot-swaps.
-    let mut teams: HashMap<String, Team> = HashMap::new();
-    loop {
-        let group = {
-            let mut q = shared.queue.lock().expect("queue poisoned");
-            loop {
-                if let Some(first) = q.pop_front() {
-                    break take_group(&mut q, first, shared.slab_reads);
-                }
-                if shared.draining.load(Ordering::Acquire) {
-                    return;
-                }
-                q = shared.work.wait(q).expect("queue poisoned");
-            }
-        };
-        // Pin one index generation for the whole slab: every read in it
-        // (and therefore every request) is answered by exactly one
-        // epoch, even if a RELOAD lands mid-flight.
-        let pinned = slot.current();
-        align_group(shared, &pinned, &mut teams, group);
-    }
-}
-
-/// Pop every queued submission that may share `first`'s slab: single-end
-/// only, same fingerprint, until the slab's read budget fills. The rest
-/// of the queue keeps its order.
-fn take_group(
-    q: &mut VecDeque<Submission>,
-    first: Submission,
-    slab_reads: usize,
-) -> Vec<Submission> {
-    let mut group = vec![first];
-    if matches!(group[0].payload, Payload::Paired(_)) {
-        return group; // PE requests never coalesce
-    }
-    let mut budget = slab_reads.saturating_sub(group[0].payload.n_reads());
-    let mut i = 0;
-    while i < q.len() && budget > 0 {
-        let compatible = matches!(q[i].payload, Payload::Single(_))
-            && q[i].fingerprint == group[0].fingerprint
-            && q[i].payload.n_reads() <= budget;
-        if compatible {
-            let sub = q.remove(i).expect("index checked");
-            budget -= sub.payload.n_reads();
-            group.push(sub);
-        } else {
-            i += 1;
-        }
-    }
-    group
-}
-
-/// What one slab will compute, split from its reply routing so a panic
-/// mid-alignment still leaves the reply channels reachable.
-enum Work {
-    /// One slab: all requests' reads concatenated in admission order.
-    Single(Vec<PreparedRead>),
-    /// One PE request's pairs plus its pinned insert distribution.
-    Paired(Vec<ReadPair>, Option<PeStats>),
-}
-
-/// Align one coalesced group and distribute replies. Alignment runs
-/// under `catch_unwind`: a panic on any team member answers every
-/// request in the slab with an error reply carrying the panic's message
-/// (relayed as ERR) and drops the fingerprint's team with any lent
-/// arenas — other slabs, connections, and the daemon itself are
+/// Align one coalesced group on the worker that popped it and
+/// distribute replies. Alignment runs under `catch_unwind`: a panic in
+/// any of its slabs answers every request in the group with an error
+/// reply carrying the panic's message (relayed as ERR); the worker that
+/// ran the panicking slab has already dropped its arena for the group's
+/// options. Other groups, connections, and the daemon itself are
 /// unaffected.
-fn align_group(
-    shared: &Shared,
-    pinned: &PinnedIndex,
-    teams: &mut HashMap<String, Team>,
-    group: Vec<Submission>,
-) {
+fn align_group(daemon: &Daemon, pinned: &PinnedIndex, seat: &mut Seat<'_>, group: Vec<Submission>) {
     let t_service = Instant::now();
     let aligner = &*pinned.aligner;
     let epoch = pinned.epoch;
@@ -375,64 +285,50 @@ fn align_group(
     for sub in &group {
         n_reads += sub.payload.n_reads() as u64;
         let waited_us = sub.enqueued.elapsed().as_micros() as u64;
-        shared.counters.queue_wait_hist.record(waited_us);
+        daemon.counters.queue_wait_hist.record(waited_us);
     }
     let fingerprint = group[0].fingerprint.clone();
-    // Take the team *out* of the map: if the slab panics its arenas may
-    // hold torn state, so they must not be reused — they go back only on
-    // the success path.
-    let mut team = teams
-        .remove(&fingerprint)
-        .unwrap_or_else(|| Team::new(&opts, 1));
-    let members = claim_workers(shared, (n_reads as usize).div_ceil(shared.slab_reads));
-    if members > 1 {
-        team.extend(lend_helpers(shared, &fingerprint, &opts, members - 1));
-    }
+    // min(N, ⌈n ÷ batch_reads⌉) members: a group within the budget is
+    // never split
+    seat.spread((n_reads as usize).div_ceil(daemon.slab_reads));
 
     // Peel reply routing off the submissions before the unwind
-    // boundary; `routes[i]` is (reply channel, reads) per request.
+    // boundary; `routes[i]` is (reply channel, reads) per request, and
+    // an SE group's reads are concatenated in admission order.
     let mut routes: Vec<(SyncSender<Reply>, usize)> = Vec::with_capacity(group.len());
-    let work = match group[0].payload {
-        Payload::Single(_) => {
-            let mut reads: Vec<PreparedRead> = Vec::with_capacity(n_reads as usize);
-            for sub in group {
-                let Payload::Single(r) = sub.payload else {
-                    unreachable!("take_group keeps SE groups pure");
-                };
-                routes.push((sub.reply, r.len()));
-                reads.extend(r);
-            }
-            Work::Single(reads)
+    let mut subs = group.into_iter();
+    let first = subs.next().expect("a group is non-empty");
+    let pes_override = first.pes_override;
+    routes.push((first.reply, first.payload.n_reads()));
+    let mut payload = first.payload;
+    for sub in subs {
+        routes.push((sub.reply, sub.payload.n_reads()));
+        match (&mut payload, sub.payload) {
+            (Payload::Single(reads), Payload::Single(more)) => reads.extend(more),
+            _ => unreachable!("only single-end requests coalesce"),
         }
-        Payload::Paired(_) => {
-            let sub = group.into_iter().next().expect("group is non-empty");
-            let Payload::Paired(pairs) = sub.payload else {
-                unreachable!("matched above");
-            };
-            routes.push((sub.reply, 2 * pairs.len()));
-            Work::Paired(pairs, sub.pes_override)
-        }
-    };
+    }
 
-    // AssertUnwindSafe: on panic the team is dropped and the
-    // per-request outputs discarded, so no torn state escapes the slab.
+    // AssertUnwindSafe: on panic the per-request outputs are discarded
+    // and the panicking slab's arena is already dropped, so no torn
+    // state escapes the group.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if let Some(ms) = faultsim::fire(faultsim::SLAB_DELAY_MS) {
             std::thread::sleep(Duration::from_millis(ms));
         }
-        // one shot per slab; a spread SE slab panics in its last part,
-        // which a helper usually claims
+        // one shot per group; a single-end group panics in its last
+        // slab, on whichever worker claims it
         let poisoned = faultsim::fire(faultsim::SLAB_PANIC).is_some();
         let inject_panic = |hit: bool| {
             if hit {
                 panic!("injected slab panic (faultsim)");
             }
         };
-        match work {
-            Work::Single(reads) => {
-                let slab_len = team.slab_len(reads.len(), shared.slab_reads);
+        match payload {
+            Payload::Single(reads) => {
+                let slab_len = seat.slab_len(reads.len(), daemon.slab_reads);
                 let slabs = split_slabs(reads, slab_len);
-                let per_slab = team.par_map(slabs.len(), |worker, k| {
+                let per_slab = seat.map(&opts, slabs.len(), |worker, k| {
                     inject_panic(poisoned && k + 1 == slabs.len());
                     align_to_records(&ctx, worker, &take_slab(&slabs, k))
                 });
@@ -444,22 +340,24 @@ fn align_group(
             }
             // windowed like `mem2 mem -p` on the same stream — the
             // request is its own pestat scope
-            Work::Paired(pairs, pes) => {
+            Payload::Paired(pairs) => {
                 inject_panic(poisoned);
-                vec![align_pairs_windowed(&ctx, &mut team, pairs, pes)]
+                vec![align_pairs_windowed(&ctx, seat, pairs, pes_override)]
             }
         }
     }));
-    shared.busy.fetch_sub(members, Ordering::AcqRel);
+    // this worker runs one group at a time, so the take is exactly this
+    // group's per-stage breakdown, wherever its slabs ran
+    let group_times = seat.take_times();
 
     let per_sub = match outcome {
         Ok(per_sub) => per_sub,
         Err(payload) => {
             let msg = panic_message(payload.as_ref());
-            shared.counters.slab_panics.fetch_add(1, Ordering::Relaxed);
+            daemon.counters.slab_panics.fetch_add(1, Ordering::Relaxed);
             mem2_obs::log::error(
                 "serve",
-                "alignment slab panicked; requests answered with ERR, worker team dropped",
+                "alignment slab panicked; requests answered with ERR, worker arena dropped",
                 &[("panic", &msg), ("requests", &n_subs), ("reads", &n_reads)],
             );
             for (reply, n) in routes {
@@ -470,12 +368,12 @@ fn align_group(
                     error: Some(msg.clone()),
                 });
             }
-            return; // team dropped here — never reinserted
+            return;
         }
     };
 
     for ((reply, n), records) in routes.into_iter().zip(per_sub) {
-        shared
+        daemon
             .counters
             .records
             .fetch_add(records.len() as u64, Ordering::Relaxed);
@@ -490,59 +388,22 @@ fn align_group(
         });
     }
 
-    shared.counters.reads.fetch_add(n_reads, Ordering::Relaxed);
-    shared.counters.slabs.fetch_add(1, Ordering::Relaxed);
-    shared
+    daemon.counters.reads.fetch_add(n_reads, Ordering::Relaxed);
+    daemon.counters.slabs.fetch_add(1, Ordering::Relaxed);
+    daemon
         .counters
         .slab_submissions
         .fetch_add(n_subs, Ordering::Relaxed);
     let service_us = t_service.elapsed().as_micros() as u64;
-    shared.counters.service_hist.record(service_us);
-    // every arena's times were reset at its previous slab boundary, so
-    // the take is exactly this slab's per-stage breakdown
-    let slab_times = team.take_times();
-    if shared.slow_us > 0 && service_us >= shared.slow_us {
-        log_slow_slab(&fingerprint, n_subs, n_reads, service_us, &slab_times);
+    daemon.counters.service_hist.record(service_us);
+    if daemon.slow_us > 0 && service_us >= daemon.slow_us {
+        log_slow_slab(&fingerprint, n_subs, n_reads, service_us, &group_times);
     }
-    shared
+    daemon
         .times
         .lock()
         .expect("times poisoned")
-        .merge(&slab_times);
-    if members > 1 {
-        let lent = team.take_helpers();
-        let mut helpers = shared.helpers.lock().expect("helpers poisoned");
-        helpers.entry(fingerprint.clone()).or_default().extend(lent);
-    }
-    teams.insert(fingerprint, team);
-}
-
-/// Claim the calling worker plus up to `wanted − 1` idle ones as
-/// helpers; returns the team size. Never waits: with no idle worker the
-/// group runs on the caller alone.
-fn claim_workers(shared: &Shared, wanted: usize) -> usize {
-    let mut members = 1;
-    let _ = shared
-        .busy
-        .fetch_update(Ordering::AcqRel, Ordering::Acquire, |busy| {
-            let idle = shared.n_workers.saturating_sub(busy + 1);
-            members = 1 + idle.min(wanted.saturating_sub(1));
-            Some(busy + members)
-        });
-    members
-}
-
-/// `n` helper arenas for `fingerprint`: pooled ones first, new ones when
-/// the pool runs short.
-fn lend_helpers(shared: &Shared, fingerprint: &str, opts: &MemOpts, n: usize) -> Vec<Worker> {
-    let mut helpers = shared.helpers.lock().expect("helpers poisoned");
-    let mut arenas = match helpers.get_mut(fingerprint) {
-        Some(idle) => idle.split_off(idle.len().saturating_sub(n)),
-        None => Vec::new(),
-    };
-    drop(helpers);
-    arenas.resize_with(n, || Worker::new(opts));
-    arenas
+        .merge(&group_times);
 }
 
 /// Best-effort extraction of a panic payload's message.

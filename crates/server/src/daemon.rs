@@ -4,15 +4,14 @@
 //! Thread model: one acceptor (polling, so it observes shutdown), one
 //! thread per connection (the protocol is strictly turn-based, so a
 //! connection never needs a reader/writer split), and the [`Batcher`]'s
-//! alignment worker pool shared by everyone: each worker aligns one
-//! coalesced slab at a time on a [`mem2_core::Team`] it leads, and a
-//! request larger than the coalescing budget also claims idle workers
-//! as helpers, spawned for it as `mem2 mem` spawns them per batch. A
-//! connection thread does
-//! **no alignment work** — it parses FASTQ into a [`Submission`],
-//! offers it to the shared queue, and streams the reply frames back; a
-//! daemon with 32 idle connections costs 32 parked threads, not 32
-//! worker arenas.
+//! [`mem2_core::Pool`] of `-t N` persistent alignment workers shared by
+//! everyone: a worker pops one coalesced group at a time and spreads a
+//! group larger than the coalescing budget over the pool, slab by slab,
+//! beside the other workers' requests — never more than `N` threads
+//! align. A connection thread does **no alignment work** — it parses
+//! FASTQ into a [`Submission`], offers it to the pool's queue, and
+//! renders the reply's SAM frames itself; a daemon with 32 idle
+//! connections costs 32 parked threads, not 32 worker arenas.
 //!
 //! Drain (SIGTERM, ctrl-C, or a SHUTDOWN frame): stop accepting, let
 //! every connection finish its in-flight turn (idle connections are
@@ -62,8 +61,11 @@ use crate::swap::IndexSlot;
 pub struct ServeConfig {
     /// Where to listen.
     pub endpoint: Endpoint,
-    /// Alignment worker threads. A request of more than `batch_reads`
-    /// reads is also spread over idle ones, one per `batch_reads` reads.
+    /// Alignment worker threads: the pool every request runs on. A
+    /// request of `n` reads is cut into slabs for `min(threads, ⌈n ÷
+    /// batch_reads⌉)` of them, so one within `batch_reads` is one slab on
+    /// one worker, and a larger one is shared by every worker free to
+    /// claim its slabs.
     pub threads: usize,
     /// Admission queue capacity, in requests. Small bounds mean early,
     /// honest backpressure instead of unbounded memory.
@@ -642,18 +644,19 @@ fn finish_request(
         ));
     }
 
-    // stream the records out in bounded frames
-    let mut chunk = String::with_capacity(SAM_CHUNK + 1024);
+    // stream the records out in bounded frames, rendered here on the
+    // connection thread by the SAM writer `mem2 mem` uses
+    let mut chunk = Vec::with_capacity(SAM_CHUNK + 1024);
     for rec in &reply.records {
-        chunk.push_str(&rec.to_line());
-        chunk.push('\n');
+        rec.write_line(&mut chunk);
+        chunk.push(b'\n');
         if chunk.len() >= SAM_CHUNK {
-            writer.write_frame(proto::SAM, chunk.as_bytes())?;
+            writer.write_frame(proto::SAM, &chunk)?;
             chunk.clear();
         }
     }
     if !chunk.is_empty() {
-        writer.write_frame(proto::SAM, chunk.as_bytes())?;
+        writer.write_frame(proto::SAM, &chunk)?;
     }
     let done = format!(
         "reads={}\trecords={}\tepoch={}",
@@ -672,7 +675,9 @@ fn finish_request(
 ///
 /// Schema v2: `queue_wait`, `service`, and `stages` carry mean plus
 /// p50/p90/p99/max summaries whose fields are `null` when nothing has
-/// been observed — distinct from a true measured 0.
+/// been observed — distinct from a true measured 0. `scheduler` is the
+/// object `mem2 mem --profile=json` prints, per pool worker, over the
+/// daemon's uptime.
 fn render_stats(ctx: &ConnCtx) -> String {
     let b = &ctx.batcher;
     let c = b.counters();
@@ -698,7 +703,7 @@ fn render_stats(ctx: &ConnCtx) -> String {
             "\"requests_rejected\": {}, \"reads\": {}, \"records\": {}, ",
             "\"slabs\": {}, \"slab_panics\": {}, \"deadlines_expired\": {}, ",
             "\"epoch\": {}, \"swaps\": {}, \"swap_failures\": {}, ",
-            "\"queue_wait\": {}, \"service\": {}, \"stages\": {{{}}}}}"
+            "\"scheduler\": {}, \"queue_wait\": {}, \"service\": {}, \"stages\": {{{}}}}}"
         ),
         ctx.started.elapsed().as_millis(),
         b.queue_depth(),
@@ -714,6 +719,7 @@ fn render_stats(ctx: &ConnCtx) -> String {
         b.slot().epoch(),
         b.slot().swaps(),
         b.slot().swap_failures(),
+        b.scheduler(ctx.started.elapsed()).render_json(),
         latency_summary(&c.queue_wait_hist.snapshot()),
         latency_summary(&c.service_hist.snapshot()),
         stages.join(", "),

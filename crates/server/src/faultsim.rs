@@ -11,8 +11,8 @@
 //!
 //! | point | effect | value |
 //! |---|---|---|
-//! | [`SLAB_PANIC`] | worker panics mid-slab (SE: in its last part) | unused |
-//! | [`SLAB_DELAY_MS`] | worker sleeps before aligning | delay (ms) |
+//! | [`SLAB_PANIC`] | a slab panics (SE: the group's last slab) | unused |
+//! | [`SLAB_DELAY_MS`] | worker sleeps before aligning a group | delay (ms) |
 //! | [`WRITE_TEAR`] | SAM frame header written, payload truncated | unused |
 //! | [`ACCEPT_DELAY_MS`] | acceptor sleeps before `accept()` | delay (ms) |
 //! | [`SHORT_READ`] | connection reads capped to N bytes each | byte cap |
@@ -25,11 +25,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Worker thread panics inside slab execution: one shot per slab, drawn
-/// by the worker that took it. A single-end slab spread over a team
-/// panics in its last part, on whichever member claims that part.
+/// A slab panics: one shot per coalesced group, drawn by the worker that
+/// popped it. A single-end group panics in its last slab, on whichever
+/// pool worker claims it; that worker drops its own arena for the
+/// group's options and carries on.
 pub const SLAB_PANIC: &str = "slab_panic";
-/// Worker thread sleeps `value` milliseconds before aligning a slab.
+/// The worker that popped a group sleeps `value` milliseconds before
+/// aligning it.
 pub const SLAB_DELAY_MS: &str = "slab_delay_ms";
 /// A SAM frame header is written but its payload cut short, tearing the
 /// stream mid-frame.

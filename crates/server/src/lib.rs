@@ -12,9 +12,10 @@
 //! requests from many sockets coalesce into the same alignment slabs
 //! the CLI uses, so the seeding/BSW superstages of the paper's design
 //! stay full even when every individual client sends only a handful of
-//! reads. Every slab runs on a [`mem2_core::Team`], the executor `mem2
-//! mem` uses: a request larger than the budget is spread over the idle
-//! workers, while small slabs run side by side, one per worker.
+//! reads. Every slab runs on a [`mem2_core::Pool`], the persistent
+//! workers `mem2 mem` uses, whose one FIFO is the admission queue: a
+//! request larger than the budget is shared slab by slab by every free
+//! worker, while small groups run side by side, one per worker.
 //! Coalescing is byte-safe because per-read SAM output is a pure
 //! function of `(read, options)` — the determinism invariant the repo
 //! pins everywhere — and only requests with identical canonical option
@@ -37,8 +38,9 @@
 //! `ServeConfig::slow_ms`.
 //!
 //! Fault tolerance (PR 9): worker panics are isolated per-slab
-//! (`catch_unwind`; the poisoned request answers ERR with the panic's
-//! message, the daemon survives), requests and connections carry
+//! (`catch_unwind` on the worker that ran the slab, which drops its own
+//! arena; the group's requests answer ERR with the panic's message, the
+//! daemon survives), requests and connections carry
 //! enforceable deadlines (`ServeConfig::request_timeout`,
 //! `ServeConfig::conn_stall`), RETRY
 //! backoff is decorrelated-jittered server-side and capped client-side,

@@ -118,6 +118,24 @@ pub fn render_daemon_metrics(
     );
     render::sample_f64(out, "mem2_uptime_seconds", &no_labels, uptime.as_secs_f64());
 
+    // one series per pool worker: its share of the uptime is the
+    // STATS `scheduler` object's worker_busy_share, per worker
+    render::family_header(
+        out,
+        "mem2_worker_busy_seconds_total",
+        "Seconds each pool worker spent running slabs.",
+        "counter",
+    );
+    for (worker, busy) in batcher.scheduler(uptime).worker_busy.iter().enumerate() {
+        let labels = vec![("worker".to_string(), worker.to_string())];
+        render::sample_f64(
+            out,
+            "mem2_worker_busy_seconds_total",
+            &labels,
+            busy.as_secs_f64(),
+        );
+    }
+
     render::family_header(
         out,
         "mem2_queue_wait_seconds",
@@ -239,6 +257,7 @@ mod tests {
             "mem2_queue_depth",
             "mem2_queue_capacity",
             "mem2_uptime_seconds",
+            "mem2_worker_busy_seconds_total",
             "mem2_queue_wait_seconds",
             "mem2_slab_service_seconds",
             "mem2_stage_duration_seconds",
@@ -262,5 +281,9 @@ mod tests {
             );
         }
         assert!(out.contains("mem2_uptime_seconds 2"), "{out}");
+        assert!(
+            out.contains("mem2_worker_busy_seconds_total{worker=\"0\"} 0"),
+            "{out}"
+        );
     }
 }

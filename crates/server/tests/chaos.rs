@@ -90,9 +90,9 @@ fn tcp_addr(endpoint: &Endpoint) -> String {
 /// A slab panic answers its request with ERR carrying the panic's
 /// message, increments the panic counter, and leaves the daemon fully
 /// serviceable: the next connection gets offline-identical bytes. The
-/// 600-read request is cut into two parts and the injected panic hits
-/// the last: one worker runs both, while with two the idle worker joins
-/// as a helper and usually claims it.
+/// 600-read request is cut into two slabs and the injected panic hits
+/// the last: one worker runs both, while with two the idle worker
+/// usually claims it, drops its own arena and carries on.
 #[test]
 fn slab_panic_is_isolated_to_its_request() {
     let _guard = chaos_lock();
@@ -137,9 +137,10 @@ fn slab_panic_is_isolated_to_its_request() {
 }
 
 /// At two workers a small request never queues behind a large one: the
-/// 600-read request claims both workers and is wedged for 3 s, and a
-/// 32-read request sent meanwhile runs on the other worker (which may
-/// align beside the large request's helper) and is answered first.
+/// 600-read request is wedged for 3 s on the worker that popped it, and
+/// a 32-read request sent meanwhile runs on the other worker and is
+/// answered first. Two threads align here, the pool's two workers: no
+/// thread beyond `-t` exists to take the small request.
 #[test]
 fn small_request_is_not_queued_behind_a_large_one() {
     let _guard = chaos_lock();

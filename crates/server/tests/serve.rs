@@ -186,9 +186,10 @@ fn concurrent_clients_get_offline_identical_sam() {
     );
 }
 
-/// One single-end request larger than a slab claims the idle workers
+/// One single-end request larger than a slab is spread over the pool
 /// (1 100 reads on an idle 3-worker daemon: 3 slabs of at most 367
-/// reads, one per worker) and is answered with exactly the offline bytes.
+/// reads, claimed by the free workers) and is answered with exactly the
+/// offline bytes.
 #[test]
 fn large_se_request_spread_over_the_team_matches_offline() {
     let reference = test_reference();
@@ -207,11 +208,46 @@ fn large_se_request_spread_over_the_team_matches_offline() {
     handle.join();
 }
 
+/// Two large requests at once share the pool: on a 2-worker daemon two
+/// clients each send 1 100 reads together, each request's slabs are
+/// claimed by whichever worker is free, and both answers are exactly the
+/// offline bytes.
+#[test]
+fn two_large_requests_at_once_match_offline() {
+    let reference = test_reference();
+    let offline = Aligner::build(reference.clone(), MemOpts::default());
+    let (handle, endpoint) = start_test_server(|c| c.threads = 2);
+    let start = Arc::new(std::sync::Barrier::new(2));
+    let clients: Vec<_> = [78u64, 79]
+        .into_iter()
+        .map(|seed| {
+            let reads = sim_reads(&reference, 1_100, seed);
+            let expected = records_to_text(&offline.align_reads(&reads));
+            let (endpoint, start) = (endpoint.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&endpoint).expect("connect");
+                start.wait();
+                let (sam, n_reads, _) = client
+                    .align_with_retry(write_fastq(&reads).as_bytes(), 50)
+                    .expect("align");
+                assert_eq!(n_reads, 1_100);
+                assert_eq!(sam, expected, "served SAM differs (seed {seed})");
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().expect("client thread");
+    }
+    let mut client = Client::connect(&endpoint).expect("connect");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
 /// A paired-end request spanning several insert-size windows, each cut
 /// into several slabs, is served with exactly the bytes the multi-threaded
 /// streaming driver writes for the same pairs, whatever the daemon's
-/// worker count (at 3 the 144-read request, nine 16-read slabs, claims
-/// all three): it runs the same window driver as `mem2 mem -t 3`.
+/// worker count (at 3 the 144-read request, nine 16-read slabs, spreads
+/// over all three): it runs the same window driver as `mem2 mem -t 3`.
 #[test]
 fn multi_window_pe_request_matches_the_streaming_driver() {
     let reference = test_reference();
@@ -432,6 +468,18 @@ fn metrics_endpoint_reflects_traffic() {
         "queue wait histogram must count the submission: {body}"
     );
     assert!(body.contains("mem2_slab_service_seconds_count 1"), "{body}");
+    // one series per pool worker; the one slab ran on one of them
+    let busy: Vec<f64> = (0..2)
+        .map(|w| {
+            let series = format!("mem2_worker_busy_seconds_total{{worker=\"{w}\"}} ");
+            let line = body
+                .lines()
+                .find(|l| l.starts_with(&series))
+                .unwrap_or_else(|| panic!("missing {series}: {body}"));
+            line[series.len()..].parse().expect("seconds")
+        })
+        .collect();
+    assert!(busy.iter().sum::<f64>() > 0.0, "{busy:?}");
     // process gauges come from /proc on Linux
     if cfg!(target_os = "linux") {
         assert!(
@@ -459,6 +507,15 @@ fn metrics_endpoint_reflects_traffic() {
         stats.contains("\"stages\": {\"SMEM\": {\"total_ms\": "),
         "{stats}"
     );
+    // the scheduler object `mem --profile=json` prints, per pool worker
+    assert!(stats.contains("\"scheduler\": {\"threads\":2,"), "{stats}");
+    let slabs = stats
+        .split_once("\"slabs_per_worker\":[")
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .expect("slabs_per_worker")
+        .0;
+    let slabs: usize = slabs.split(',').map(|n| n.parse::<usize>().unwrap()).sum();
+    assert_eq!(slabs, 1, "{stats}");
     for v1 in [
         "avg_requests_per_slab",
         "avg_reads_per_slab",

@@ -55,7 +55,7 @@
 //!     --socket PATH     listen on a Unix socket (default /tmp/mem2.sock)
 //!     --tcp ADDR        listen on a TCP address instead
 //!     -t N              alignment worker threads (default: all); a
-//!                       request over 512 reads spreads over idle ones
+//!                       request over 512 reads is shared by all of them
 //!     --queue N         admission queue bound, requests (default 64)
 //!     --retry-ms N      backoff suggested by RETRY frames (default 50)
 //!     --metrics-addr A  serve Prometheus text at http://A/metrics
