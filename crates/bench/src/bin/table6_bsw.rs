@@ -11,7 +11,7 @@ use mem2_bsw::{BswEngine, EngineKind, ExtendJob, ScoreParams};
 fn eligible_8bit(params: &ScoreParams, j: &ExtendJob) -> bool {
     !j.query.is_empty()
         && !j.target.is_empty()
-        && j.h0 + j.query.len() as i32 * params.max_score() <= mem2_bsw::simd8::MAX_SCORE_8
+        && j.h0 + j.query.len() as i32 * params.max_score() <= mem2_bsw::MAX_SCORE_8
 }
 
 fn time_engine(engine: &BswEngine, jobs: &[ExtendJob], reps: usize) -> f64 {

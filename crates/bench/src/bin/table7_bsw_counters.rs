@@ -9,7 +9,7 @@
 use std::time::Instant;
 
 use mem2_bench::{intercept_bsw_jobs, BenchEnv, EnvConfig, Table};
-use mem2_bsw::{extend_scalar_profiled, BswEngine, CellStats, ExtendJob};
+use mem2_bsw::{extend_scalar_profiled, BswEngine, CellStats, ExtendJob, JobRef};
 
 /// Instruction cost model: the bwa scalar inner loop is ~28 instructions
 /// per cell plus ~15 per row of bookkeeping; the vector kernel issues
@@ -45,7 +45,7 @@ fn main() {
         .filter(|j| {
             !j.query.is_empty()
                 && !j.target.is_empty()
-                && j.h0 + j.query.len() as i32 <= mem2_bsw::simd8::MAX_SCORE_8
+                && j.h0 + j.query.len() as i32 <= mem2_bsw::MAX_SCORE_8
         })
         .collect();
     println!(
@@ -77,8 +77,9 @@ fn main() {
     std::hint::black_box(engine.extend_all(&jobs));
     let vec_secs = t.elapsed().as_secs_f64();
     let mut vec_stats = CellStats::default();
+    let refs: Vec<JobRef<'_>> = jobs.iter().map(JobRef::from).collect();
     let mut out = vec![Default::default(); jobs.len()];
-    engine.extend_into(&jobs, &mut out, &mut vec_stats);
+    engine.extend_jobs(&refs, &mut out, &mut vec_stats);
     let vec_instr =
         (vec_stats.cells / LANES) * VEC_STEP_OPS + vec_stats.lane_rows * VEC_LANE_ROW_OPS;
 

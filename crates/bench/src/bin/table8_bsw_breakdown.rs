@@ -14,7 +14,7 @@ fn main() {
         .filter(|j| {
             !j.query.is_empty()
                 && !j.target.is_empty()
-                && j.h0 + j.query.len() as i32 <= mem2_bsw::simd8::MAX_SCORE_8
+                && j.h0 + j.query.len() as i32 <= mem2_bsw::MAX_SCORE_8
         })
         .collect();
     println!(

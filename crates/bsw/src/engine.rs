@@ -7,9 +7,9 @@ use std::time::{Duration, Instant};
 
 use mem2_simd::{dispatch, Backend};
 
+use crate::extend::{fits, Chunks, MAX_SCORE_16, MAX_SCORE_8};
+use crate::lanes::{bwa_shape, fits_u8_scores, run_at, Precision, I16, U8};
 use crate::scalar::extend_scalar_job;
-use crate::simd16::{extend_chunk_i16, extend_chunk_i16_v, MAX_SCORE_16};
-use crate::simd8::{extend_chunk_u8, extend_chunk_u8_v, MAX_SCORE_8};
 use crate::sort::sort_jobs_by_length;
 use crate::types::{ExtendJob, ExtendResult, JobRef, ScoreParams};
 
@@ -262,18 +262,6 @@ impl BswEngine {
         out
     }
 
-    /// As [`BswEngine::extend_jobs`] over owned jobs (compatibility
-    /// shim; batching layers should prefer [`JobRef`]s).
-    pub fn extend_into<PH: PhaseSink>(
-        &self,
-        jobs: &[ExtendJob],
-        out: &mut [ExtendResult],
-        ph: &mut PH,
-    ) {
-        let refs: Vec<JobRef<'_>> = jobs.iter().map(JobRef::from).collect();
-        self.extend_jobs(&refs, out, ph);
-    }
-
     /// Core dispatch over borrowed jobs — no sequence buffer is ever
     /// cloned on this path.
     pub fn extend_jobs<PH: PhaseSink>(
@@ -307,19 +295,20 @@ impl BswEngine {
         width: usize,
         ph: &mut PH,
     ) {
-        let msc = self.params.max_score();
+        let params = &self.params;
+        let (scores8, scores16) = (fits_u8_scores(params), bwa_shape(params));
         ph.begin(Phase::Preproc);
-        // classify into precision groups; degenerate jobs go scalar
+        // classify into precision tiers: a job runs at the narrowest
+        // whose scores and penalties it fits; degenerate jobs go scalar
         let mut idx8: Vec<u32> = Vec::new();
         let mut idx16: Vec<u32> = Vec::new();
         let mut idx_scalar: Vec<u32> = Vec::new();
         for (k, job) in jobs.iter().enumerate() {
-            let ql = job.query.len() as i32;
             if job.query.is_empty() || job.target.is_empty() {
                 idx_scalar.push(k as u32);
-            } else if !self.force_16bit && job.h0 + ql * msc <= MAX_SCORE_8 {
+            } else if !self.force_16bit && scores8 && fits(params, job, MAX_SCORE_8) {
                 idx8.push(k as u32);
-            } else if job.h0 + ql * msc <= MAX_SCORE_16 {
+            } else if scores16 && fits(params, job, MAX_SCORE_16) {
                 idx16.push(k as u32);
             } else {
                 idx_scalar.push(k as u32);
@@ -332,28 +321,28 @@ impl BswEngine {
         // which tracks the vector kernels only (Tables 7/8)
         let mut buf = Vec::new();
         for &k in &idx_scalar {
-            out[k as usize] =
-                extend_scalar_job(&self.params, jobs[k as usize], &mut buf, &mut NoPhase);
+            out[k as usize] = extend_scalar_job(params, jobs[k as usize], &mut buf, &mut NoPhase);
         }
 
-        self.run_group(jobs, out, &idx8, width, true, ph);
-        self.run_group(jobs, out, &idx16, width / 2, false, ph);
+        self.run_group::<U8, PH>(jobs, out, &idx8, width, ph);
+        self.run_group::<I16, PH>(jobs, out, &idx16, width, ph);
     }
 
-    fn run_group<PH: PhaseSink>(
+    /// Extend one precision tier's jobs, length-sorted if configured, on
+    /// this engine's backend at `width` byte lanes ([`run_at`]).
+    fn run_group<P: Precision, PH: PhaseSink>(
         &self,
         jobs: &[JobRef<'_>],
         out: &mut [ExtendResult],
         group: &[u32],
-        lanes: usize,
-        eight_bit: bool,
+        width: usize,
         ph: &mut PH,
     ) {
         if group.is_empty() {
             return;
         }
         ph.begin(Phase::Preproc);
-        let ordered: Vec<u32> = if self.sort_by_length {
+        let order: Vec<u32> = if self.sort_by_length {
             let sub: Vec<JobRef<'_>> = group.iter().map(|&k| jobs[k as usize]).collect();
             sort_jobs_by_length(&sub)
                 .into_iter()
@@ -363,89 +352,14 @@ impl BswEngine {
             group.to_vec()
         };
         ph.end(Phase::Preproc);
-
-        let mut chunk_jobs: Vec<JobRef<'_>> = Vec::with_capacity(lanes);
-        let mut chunk_out = vec![ExtendResult::default(); lanes];
-        for chunk in ordered.chunks(lanes) {
-            chunk_jobs.clear();
-            chunk_jobs.extend(chunk.iter().map(|&k| jobs[k as usize]));
-            let co = &mut chunk_out[..chunk.len()];
-            if eight_bit {
-                self.run_chunk_u8(lanes, &chunk_jobs, co, ph);
-            } else {
-                self.run_chunk_i16(lanes, &chunk_jobs, co, ph);
-            }
-            for (&k, res) in chunk.iter().zip(co.iter()) {
-                out[k as usize] = *res;
-            }
-        }
-    }
-
-    /// One ≤`lanes`-job chunk through the 8-bit kernel: a native
-    /// backend when this engine's backend matches the width, the
-    /// portable emulation otherwise.
-    fn run_chunk_u8<PH: PhaseSink>(
-        &self,
-        lanes: usize,
-        chunk: &[JobRef<'_>],
-        co: &mut [ExtendResult],
-        ph: &mut PH,
-    ) {
-        match (self.backend, lanes) {
-            #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-            (Backend::Avx2, 32) => {
-                extend_chunk_u8_v::<mem2_simd::x86::U8x32Avx, _>(&self.params, chunk, co, ph)
-            }
-            #[cfg(all(target_arch = "x86_64", target_feature = "sse4.1"))]
-            (Backend::Sse41, 16) => {
-                extend_chunk_u8_v::<mem2_simd::x86::U8x16Sse41, _>(&self.params, chunk, co, ph)
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Backend::Sse2, 16) => {
-                extend_chunk_u8_v::<mem2_simd::x86::U8x16Sse2, _>(&self.params, chunk, co, ph)
-            }
-            #[cfg(target_arch = "aarch64")]
-            (Backend::Neon, 16) => {
-                extend_chunk_u8_v::<mem2_simd::neon::U8x16Neon, _>(&self.params, chunk, co, ph)
-            }
-            (_, 16) => extend_chunk_u8::<16, _>(&self.params, chunk, co, ph),
-            (_, 32) => extend_chunk_u8::<32, _>(&self.params, chunk, co, ph),
-            (_, 64) => extend_chunk_u8::<64, _>(&self.params, chunk, co, ph),
-            _ => unreachable!("validated widths"),
-        }
-    }
-
-    /// One ≤`lanes`-job chunk through the 16-bit kernel (half the 8-bit
-    /// lane count).
-    fn run_chunk_i16<PH: PhaseSink>(
-        &self,
-        lanes: usize,
-        chunk: &[JobRef<'_>],
-        co: &mut [ExtendResult],
-        ph: &mut PH,
-    ) {
-        match (self.backend, lanes) {
-            #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-            (Backend::Avx2, 16) => {
-                extend_chunk_i16_v::<mem2_simd::x86::I16x16Avx, _>(&self.params, chunk, co, ph)
-            }
-            #[cfg(all(target_arch = "x86_64", target_feature = "sse4.1"))]
-            (Backend::Sse41, 8) => {
-                extend_chunk_i16_v::<mem2_simd::x86::I16x8Sse41, _>(&self.params, chunk, co, ph)
-            }
-            #[cfg(target_arch = "x86_64")]
-            (Backend::Sse2, 8) => {
-                extend_chunk_i16_v::<mem2_simd::x86::I16x8Sse2, _>(&self.params, chunk, co, ph)
-            }
-            #[cfg(target_arch = "aarch64")]
-            (Backend::Neon, 8) => {
-                extend_chunk_i16_v::<mem2_simd::neon::I16x8Neon, _>(&self.params, chunk, co, ph)
-            }
-            (_, 8) => extend_chunk_i16::<8, _>(&self.params, chunk, co, ph),
-            (_, 16) => extend_chunk_i16::<16, _>(&self.params, chunk, co, ph),
-            (_, 32) => extend_chunk_i16::<32, _>(&self.params, chunk, co, ph),
-            _ => unreachable!("validated widths"),
-        }
+        let chunks = Chunks {
+            params: &self.params,
+            jobs,
+            order: &order,
+            out,
+            ph,
+        };
+        run_at::<P, _>(self.backend, width, chunks);
     }
 }
 
@@ -609,6 +523,39 @@ mod tests {
         let mut got = vec![ExtendResult::default(); refs.len()];
         eng.extend_jobs(&refs, &mut got, &mut NoPhase);
         assert_eq!(got, want);
+    }
+
+    /// The vector kernels' row and cell counts (Table 7, the benchmark's
+    /// `bsw.*` cells) for one seeded batch per width, as the two
+    /// per-precision kernels this engine replaced reported them.
+    #[test]
+    fn cell_stats_are_pinned_per_width() {
+        let jobs = mixed_jobs(300, 2024);
+        let refs: Vec<JobRef<'_>> = jobs.iter().map(JobRef::from).collect();
+        let mut out = vec![ExtendResult::default(); jobs.len()];
+        for (width, rows, cells) in [
+            (16, 3073, 2_209_946),
+            (32, 1825, 2_403_050),
+            (64, 1272, 2_473_862),
+        ] {
+            // the native backend at its own width counts the same cells
+            for backend in [Backend::Portable, Backend::native()] {
+                let eng = BswEngine {
+                    params: ScoreParams::default(),
+                    kind: EngineKind::Vector { width },
+                    backend,
+                    sort_by_length: true,
+                    force_16bit: false,
+                };
+                let mut stats = CellStats::default();
+                eng.extend_jobs(&refs, &mut out, &mut stats);
+                assert_eq!(
+                    (stats.rows, stats.lane_rows, stats.cells),
+                    (rows, 20_590, cells),
+                    "width {width} backend {backend:?}"
+                );
+            }
+        }
     }
 
     #[test]

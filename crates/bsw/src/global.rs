@@ -20,11 +20,12 @@
 //! [`dispatch::selected`] picks, when every finite H/E/F and every
 //! sentinel-derived value fits without wrapping (`i16_sentinel`);
 //! otherwise the same recurrence runs on one `i32` lane (the lane layer
-//! in the private `lanes` module, shared with the mate-rescue kernel). Finite values
-//! are exact in both tiers and sentinel-derived ones stay below every
-//! finite value, so every comparison — hence every direction byte the
-//! traceback reads — comes out the same, and `(score, cigar)` does not
-//! depend on the tier or the backend.
+//! in the private `lanes` module, shared with the mate-rescue and
+//! extension kernels). Finite values are exact in both tiers and
+//! sentinel-derived ones stay below every finite value, so every
+//! comparison — hence every direction byte the traceback reads — comes
+//! out the same, and `(score, cigar)` does not depend on the tier or the
+//! backend.
 
 use mem2_simd::{dispatch, Backend, MAX_LANES};
 
@@ -203,8 +204,8 @@ fn fill<L: Lanes>(p: &Problem<'_>, neg: i32, dp: &mut Vec<L::Elem>, trace: &mut 
             let at = i as usize;
             let up = L::load(&h1[at - 1..]);
             let left = L::load(&h1[at..]);
-            let sub = L::score(&k, &target[at - 1..], &query[(band.n - d + i) as usize..]);
-            let diag = L::load(&h2[at - 1..]).add(sub);
+            let (t, q) = (&target[at - 1..], &query[(band.n - d + i) as usize..]);
+            let diag = L::load(&h2[at - 1..]).add_score(&k, L::bases(t), L::bases(q));
             let (e_open, e_ext) = (up.sub(k.oe_del), L::load(&e1[at - 1..]).sub(k.e_del));
             let (f_open, f_ext) = (left.sub(k.oe_ins), L::load(&f1[at..]).sub(k.e_ins));
             let e = e_ext.max(e_open);

@@ -4,15 +4,13 @@
 //!   Z-drop-aborting, adaptive-band extension kernel whose exact semantics
 //!   (including tie-breaking and the H/M separation that forbids adjacent
 //!   insertions/deletions) define BWA-MEM's output.
-//! * [`simd8`] / [`simd16`] are the paper's inter-task vectorized engines:
-//!   the sequence pairs occupy the vector lanes, cells are computed
-//!   for the union of the active bands, and per-lane masks maintain each
-//!   pair's own band, abort state and best-score bookkeeping. 8-bit
-//!   precision doubles the lane count when `h0 + qlen·match` fits. Both
-//!   kernels are generic over the `mem2_simd` lane traits, so one source
-//!   serves the portable emulation (any width) and every compiled
-//!   `core::arch` backend (SSE2/SSE4.1/AVX2/NEON); the engine picks the
-//!   backend at runtime via `mem2_simd::dispatch`.
+//! * The inter-task vectorized engine (the private `extend` module) is
+//!   the paper's §5.3–5.4: the sequence pairs occupy the vector lanes,
+//!   cells are computed for the union of the active bands, and per-lane
+//!   masks maintain each pair's own band, abort state and best-score
+//!   bookkeeping. One fill serves both precisions: unsigned saturating
+//!   bytes, twice the lanes, when a job's scores and penalties fit
+//!   [`MAX_SCORE_8`], signed 16-bit lanes when they fit [`MAX_SCORE_16`].
 //! * [`sort`] implements the length-sorting of §5.3.1 (radix sort) so that
 //!   lanes processed together have similar lengths.
 //! * [`engine`] dispatches jobs to precision classes and engines and
@@ -24,7 +22,13 @@
 //! * [`local`] is the full local Smith-Waterman behind mate rescue (bwa's
 //!   `ksw_align`): the same anti-diagonal fill, unbanded, with row maxima
 //!   tracked lanewise and an early-stopping start pass, identical to the
-//!   row-major scan it replaced. Both kernels share one lane layer.
+//!   row-major scan it replaced.
+//!
+//! All three vector kernels share one lane layer (the private `lanes`
+//! module): each writes one fill generic over its lanes, and one match on
+//! the backend and width instantiates it on the portable emulation (any
+//! width) or a compiled `core::arch` backend (SSE2/SSE4.1/AVX2/NEON), the
+//! one `mem2_simd::dispatch` picks at runtime.
 //!
 //! The crate-level invariant, enforced by property tests: **every engine
 //! returns bit-identical [`ExtendResult`]s to the scalar kernel.**
@@ -36,12 +40,11 @@
 //! register backends + clone-free job descriptors in PR 4.
 
 pub mod engine;
+mod extend;
 pub mod global;
 mod lanes;
 pub mod local;
 pub mod scalar;
-pub mod simd16;
-pub mod simd8;
 pub mod soa;
 pub mod sort;
 pub mod types;
@@ -49,6 +52,7 @@ pub mod types;
 pub use engine::{
     BswEngine, CellStats, EngineKind, NoPhase, Phase, PhaseBreakdown, PhaseSink, SimdChoice,
 };
+pub use extend::{MAX_SCORE_16, MAX_SCORE_8};
 pub use global::{cigar_string, global_align, CigarOp};
 pub use lanes::dp_lanes;
 pub use local::{local_align, local_align_counted, LocalCells, LocalHit};

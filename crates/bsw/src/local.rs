@@ -171,8 +171,8 @@ fn fill<L: Lanes>(p: &Pass<'_>, dp: &mut Vec<L::Elem>) -> Found {
         let mut i = lo;
         while i <= hi {
             let at = i as usize;
-            let sub = L::score(&k, &p.target[at - 1..], &p.query[(n - d + i) as usize..]);
-            let diag = L::load(&h2[at - 1..]).add(sub);
+            let (t, q) = (&p.target[at - 1..], &p.query[(n - d + i) as usize..]);
+            let diag = L::load(&h2[at - 1..]).add_score(&k, L::bases(t), L::bases(q));
             // E and F are not clamped at zero: H is, and a negative E or
             // F never wins its max, so H is the clamped scan's; H ≥ 0
             // keeps them ≥ −(open + ext)

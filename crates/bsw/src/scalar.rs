@@ -10,22 +10,12 @@ use crate::types::{ExtendJob, ExtendResult, JobRef, ScoreParams};
 
 /// Extend `job.query` against `job.target` starting from score `job.h0`.
 pub fn extend_scalar(params: &ScoreParams, job: &ExtendJob) -> ExtendResult {
-    extend_scalar_into(params, job, &mut Vec::new())
+    extend_scalar_profiled(params, job, &mut Vec::new(), &mut NoPhase)
 }
 
-/// As [`extend_scalar`], reusing a scratch buffer across calls (the
-/// paper's contiguous-allocation discipline; the classic pipeline passes
-/// a fresh Vec to model the original's per-call allocation).
-pub fn extend_scalar_into(
-    params: &ScoreParams,
-    job: &ExtendJob,
-    eh_buf: &mut Vec<(i32, i32)>,
-) -> ExtendResult {
-    extend_scalar_profiled(params, job, eh_buf, &mut NoPhase)
-}
-
-/// As [`extend_scalar_into`], reporting per-row cell counts to a
-/// [`PhaseSink`] (the Table 7 instruction-count proxy).
+/// As [`extend_scalar`], reusing a scratch buffer across calls and
+/// reporting per-row cell counts to a [`PhaseSink`] (the Table 7
+/// instruction-count proxy).
 pub fn extend_scalar_profiled<PH: PhaseSink>(
     params: &ScoreParams,
     job: &ExtendJob,
@@ -297,8 +287,8 @@ mod tests {
         let q = [0u8, 1, 2, 3, 2, 1, 0, 3, 1];
         let t = [0u8, 1, 2, 0, 2, 1, 0, 3, 1, 2];
         let mut buf = Vec::new();
-        let a = extend_scalar_into(&params(), &job(&q, &t, 12, 10), &mut buf);
-        let b = extend_scalar_into(&params(), &job(&q, &t, 12, 10), &mut buf);
+        let a = extend_scalar_profiled(&params(), &job(&q, &t, 12, 10), &mut buf, &mut NoPhase);
+        let b = extend_scalar_profiled(&params(), &job(&q, &t, 12, 10), &mut buf, &mut NoPhase);
         let c = extend_scalar(&params(), &job(&q, &t, 12, 10));
         assert_eq!(a, b);
         assert_eq!(a, c);

@@ -1,18 +1,19 @@
 //! Backend byte-identity property suite: random job batches through the
 //! scalar kernel, the portable lane emulation (every width), and every
-//! `core::arch` backend compiled into this binary must produce identical
-//! [`ExtendResult`]s — including batches engineered to straddle the
-//! 8-bit overflow boundary, where jobs split between the simd8 and
-//! simd16 kernels.
+//! `core::arch` backend compiled into this binary, at both vector
+//! precisions, must produce identical [`ExtendResult`]s. Batches straddle
+//! the 8-bit → 16-bit boundary of the one extension kernel, and scoring
+//! parameters straddle the largest penalties each precision can hold, so
+//! jobs split between the 8-bit tier, the 16-bit tier and the scalar
+//! kernel.
 
 use proptest::prelude::*;
 
-use mem2_bsw::simd16::extend_chunk_i16_v;
-use mem2_bsw::simd8::{extend_chunk_u8_v, MAX_SCORE_8};
 use mem2_bsw::{
-    extend_scalar, BswEngine, ExtendJob, ExtendResult, JobRef, NoPhase, ScoreParams, SimdChoice,
+    extend_scalar, BswEngine, EngineKind, ExtendJob, ExtendResult, JobRef, NoPhase, ScoreParams,
+    SimdChoice, MAX_SCORE_8,
 };
-use mem2_simd::{Backend, SimdI16, SimdU8};
+use mem2_simd::Backend;
 
 /// Jobs whose `h0 + qlen·match` lands on both sides of [`MAX_SCORE_8`],
 /// so every batch exercises the 8-bit group, the 16-bit group, and the
@@ -26,6 +27,12 @@ fn arb_boundary_job() -> impl Strategy<Value = ExtendJob> {
         1i32..60,
     )
         .prop_map(|(q, t, h0, w)| ExtendJob::new(q, t, h0, w))
+}
+
+/// A gap penalty near 0, near the 8-bit tier's 255 or near the 16-bit
+/// tier's 32 767.
+fn arb_penalty() -> impl Strategy<Value = i32> {
+    prop_oneof![0i32..8, 240i32..270, 32_750i32..32_790]
 }
 
 /// Every backend compiled into this binary (the portable emulation is
@@ -43,20 +50,16 @@ fn compiled_backends() -> Vec<Backend> {
     backends
 }
 
-fn run_u8_chunks<V: SimdU8>(params: &ScoreParams, refs: &[JobRef<'_>]) -> Vec<ExtendResult> {
-    let mut out = vec![ExtendResult::default(); refs.len()];
-    for (chunk, o) in refs.chunks(V::LANES).zip(out.chunks_mut(V::LANES)) {
-        extend_chunk_u8_v::<V, _>(params, chunk, o, &mut NoPhase);
+/// The engine on `backend` at `width` byte lanes, unsorted, at 8 bits
+/// where jobs fit or forced to 16.
+fn engine(params: ScoreParams, backend: Backend, width: usize, force_16bit: bool) -> BswEngine {
+    BswEngine {
+        params,
+        kind: EngineKind::Vector { width },
+        backend,
+        sort_by_length: false,
+        force_16bit,
     }
-    out
-}
-
-fn run_i16_chunks<V: SimdI16>(params: &ScoreParams, refs: &[JobRef<'_>]) -> Vec<ExtendResult> {
-    let mut out = vec![ExtendResult::default(); refs.len()];
-    for (chunk, o) in refs.chunks(V::LANES).zip(out.chunks_mut(V::LANES)) {
-        extend_chunk_i16_v::<V, _>(params, chunk, o, &mut NoPhase);
-    }
-    out
 }
 
 proptest! {
@@ -89,63 +92,86 @@ proptest! {
         }
     }
 
-    /// Kernel level, 8-bit: each compiled native chunk kernel vs the
-    /// portable one on 8-bit-safe jobs.
+    /// 8-bit tier: on jobs it accepts, each compiled native backend at
+    /// its own width, and the portable emulation at 16, 32 and 64 byte
+    /// lanes, match the scalar kernel.
     #[test]
     fn simd8_chunks_native_vs_portable(
         jobs in prop::collection::vec(arb_boundary_job(), 1..50),
     ) {
         let params = ScoreParams::default();
-        // keep only jobs the 8-bit kernel accepts
         let safe: Vec<ExtendJob> = jobs
             .into_iter()
             .filter(|j| j.h0 + j.query.len() as i32 * params.max_score() <= MAX_SCORE_8)
             .collect();
-        let refs: Vec<JobRef<'_>> = safe.iter().map(JobRef::from).collect();
-        let want = run_u8_chunks::<mem2_simd::VecU8<16>>(&params, &refs);
-        #[cfg(target_arch = "x86_64")]
-        prop_assert_eq!(
-            run_u8_chunks::<mem2_simd::x86::U8x16Sse2>(&params, &refs), want.clone(), "sse2");
-        #[cfg(all(target_arch = "x86_64", target_feature = "sse4.1"))]
-        prop_assert_eq!(
-            run_u8_chunks::<mem2_simd::x86::U8x16Sse41>(&params, &refs), want.clone(), "sse4.1");
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-        prop_assert_eq!(
-            run_u8_chunks::<mem2_simd::x86::U8x32Avx>(&params, &refs),
-            run_u8_chunks::<mem2_simd::VecU8<32>>(&params, &refs),
-            "avx2"
-        );
-        #[cfg(target_arch = "aarch64")]
-        prop_assert_eq!(
-            run_u8_chunks::<mem2_simd::neon::U8x16Neon>(&params, &refs), want.clone(), "neon");
-        let _ = want;
+        let want: Vec<_> = safe.iter().map(|j| extend_scalar(&params, j)).collect();
+        for width in [16, 32, 64] {
+            prop_assert_eq!(
+                engine(params, Backend::Portable, width, false).extend_all(&safe),
+                want.clone(),
+                "portable W={}", width
+            );
+        }
+        for backend in compiled_backends() {
+            let width = backend.u8_lanes();
+            prop_assert_eq!(
+                engine(params, backend, width, false).extend_all(&safe),
+                want.clone(),
+                "{:?}", backend
+            );
+        }
     }
 
-    /// Kernel level, 16-bit: each compiled native chunk kernel vs the
-    /// portable one (any job is 16-bit-safe at these sizes).
+    /// 16-bit tier: every job forced to 16 bits, on each compiled native
+    /// backend at its own width and the portable emulation at 16, 32 and
+    /// 64 byte lanes (8, 16 and 32 16-bit lanes).
     #[test]
     fn simd16_chunks_native_vs_portable(
         jobs in prop::collection::vec(arb_boundary_job(), 1..50),
     ) {
         let params = ScoreParams::default();
-        let refs: Vec<JobRef<'_>> = jobs.iter().map(JobRef::from).collect();
-        let want = run_i16_chunks::<mem2_simd::VecI16<8>>(&params, &refs);
-        #[cfg(target_arch = "x86_64")]
-        prop_assert_eq!(
-            run_i16_chunks::<mem2_simd::x86::I16x8Sse2>(&params, &refs), want.clone(), "sse2");
-        #[cfg(all(target_arch = "x86_64", target_feature = "sse4.1"))]
-        prop_assert_eq!(
-            run_i16_chunks::<mem2_simd::x86::I16x8Sse41>(&params, &refs), want.clone(), "sse4.1");
-        #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
-        prop_assert_eq!(
-            run_i16_chunks::<mem2_simd::x86::I16x16Avx>(&params, &refs),
-            run_i16_chunks::<mem2_simd::VecI16<16>>(&params, &refs),
-            "avx2"
-        );
-        #[cfg(target_arch = "aarch64")]
-        prop_assert_eq!(
-            run_i16_chunks::<mem2_simd::neon::I16x8Neon>(&params, &refs), want.clone(), "neon");
-        let _ = want;
+        let want: Vec<_> = jobs.iter().map(|j| extend_scalar(&params, j)).collect();
+        for width in [16, 32, 64] {
+            prop_assert_eq!(
+                engine(params, Backend::Portable, width, true).extend_all(&jobs),
+                want.clone(),
+                "portable W={}", width
+            );
+        }
+        for backend in compiled_backends() {
+            let width = backend.u8_lanes();
+            prop_assert_eq!(
+                engine(params, backend, width, true).extend_all(&jobs),
+                want.clone(),
+                "{:?}", backend
+            );
+        }
+    }
+
+    /// Gap penalties past what a tier's lanes hold send jobs to the next
+    /// tier, never wrap: with open and extend penalties around 255 and
+    /// 32 767, every backend and width at either precision still equals
+    /// the scalar kernel.
+    #[test]
+    fn penalties_past_a_tier_match_scalar(
+        jobs in prop::collection::vec(arb_boundary_job(), 1..40),
+        (a, b) in (1i32..4, 1i32..10),
+        (o_del, e_del, o_ins, e_ins) in (arb_penalty(), arb_penalty(), arb_penalty(), arb_penalty()),
+        zdrop in 0i32..200,
+    ) {
+        let params = ScoreParams::new(a, b, o_del, e_del.max(1), o_ins, e_ins.max(1), zdrop, 5);
+        let want: Vec<_> = jobs.iter().map(|j| extend_scalar(&params, j)).collect();
+        for backend in compiled_backends() {
+            for width in [16, 32, 64] {
+                for force_16bit in [false, true] {
+                    prop_assert_eq!(
+                        engine(params, backend, width, force_16bit).extend_all(&jobs),
+                        want.clone(),
+                        "{:?} W={} force16={} {:?}", backend, width, force_16bit, params
+                    );
+                }
+            }
+        }
     }
 
     /// The no-clone band-doubling descriptor is equivalent to cloning

@@ -91,6 +91,18 @@ impl StageTimes {
         self.rescue.merge(&other.rescue);
     }
 
+    /// Zero every total, histogram and counter in place, keeping the
+    /// histograms' buckets: no allocation.
+    pub fn reset(&mut self) {
+        self.totals = Default::default();
+        for h in &self.hists {
+            h.clear();
+        }
+        self.seed = SeedStats::default();
+        self.cigar = CigarStats::default();
+        self.rescue = RescueStats::default();
+    }
+
     /// Total across stages.
     pub fn total(&self) -> Duration {
         self.totals.iter().sum()

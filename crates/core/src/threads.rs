@@ -207,6 +207,7 @@ struct MapTask {
 #[derive(Default)]
 struct Done {
     slabs: usize,
+    /// Stage times of the slabs other members ran.
     times: Option<StageTimes>,
     /// The first slab panic, re-raised by the caller.
     panic: Option<Box<dyn Any + Send>>,
@@ -228,21 +229,17 @@ impl MapTask {
     /// Run claimed slab `k` on `member`'s arena for the task's options.
     /// A panic is caught here: that arena, possibly torn, is dropped,
     /// the unclaimed slabs are cancelled and the payload is kept for the
-    /// caller. The slab's stage times go to the caller, not the arena.
-    fn run(&self, member: &mut Member, k: usize, stats: &SlotStats) {
+    /// caller. The slab's stage times go to the caller, not the arena:
+    /// merged straight into `member`'s when it is the `caller`, through
+    /// [`Done`] otherwise, and the arena's accumulator is then reset in
+    /// place.
+    fn run(&self, member: &mut Member, k: usize, stats: &SlotStats, caller: bool) {
         let t = Instant::now();
-        let worker = (member.arenas)
+        let Member { arenas, times, .. } = member;
+        let worker = arenas
             .entry(self.key.clone())
             .or_insert_with(|| Worker::new(&self.opts));
         let outcome = catch_unwind(AssertUnwindSafe(|| (self.body)(worker, k)));
-        let outcome = match outcome {
-            Ok(()) => Ok(std::mem::take(&mut worker.times)),
-            Err(payload) => {
-                member.arenas.remove(&self.key);
-                self.cancel();
-                Err(payload)
-            }
-        };
         stats
             .busy_ns
             .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -250,11 +247,18 @@ impl MapTask {
         let mut done = self.done.lock().unwrap_or_else(PoisonError::into_inner);
         done.slabs += 1;
         match outcome {
-            Ok(times) => match &mut done.times {
-                Some(all) => all.merge(&times),
-                None => done.times = Some(times),
-            },
+            Ok(()) => {
+                let into = if caller {
+                    times
+                } else {
+                    done.times.get_or_insert_with(StageTimes::default)
+                };
+                into.merge(&worker.times);
+                worker.times.reset();
+            }
             Err(payload) => {
+                arenas.remove(&self.key);
+                self.cancel();
                 done.panic.get_or_insert(payload);
             }
         }
@@ -432,7 +436,7 @@ impl<J: Jobs> Shared<J> {
             match popped {
                 Popped::Slab(task, k) => {
                     let stats = &self.stats[member.slot];
-                    task.run(&mut member, k, stats);
+                    task.run(&mut member, k, stats, false);
                 }
                 Popped::Group(group) => {
                     let members = self.threads();
@@ -660,7 +664,7 @@ impl Seat<'_> {
             }
             let stats = self.pool.stats(self.member.slot);
             while let Some(k) = task.claim() {
-                task.run(self.member, k, stats);
+                task.run(self.member, k, stats, true);
             }
         }
         let done = std::mem::take(&mut *task.done.lock().unwrap_or_else(PoisonError::into_inner));

@@ -200,13 +200,13 @@ fn apply_one(
                 other => return Err(format!("mode must be se|pe, got {other:?}")),
             };
         }
-        "match" => opts.score.a = positive(key, int(key, value)?)?,
-        "mismatch" => opts.score.b = positive(key, int(key, value)?)?,
-        "o_del" => opts.score.o_del = positive(key, int(key, value)?)?,
-        "e_del" => opts.score.e_del = positive(key, int(key, value)?)?,
-        "o_ins" => opts.score.o_ins = positive(key, int(key, value)?)?,
-        "e_ins" => opts.score.e_ins = positive(key, int(key, value)?)?,
-        "zdrop" => opts.score.zdrop = positive(key, int(key, value)?)?,
+        "match" => opts.score.a = bounded(key, int(key, value)?, MAX_SCORE)?,
+        "mismatch" => opts.score.b = bounded(key, int(key, value)?, MAX_SCORE)?,
+        "o_del" => opts.score.o_del = bounded(key, int(key, value)?, MAX_PENALTY)?,
+        "e_del" => opts.score.e_del = bounded(key, int(key, value)?, MAX_PENALTY)?,
+        "o_ins" => opts.score.o_ins = bounded(key, int(key, value)?, MAX_PENALTY)?,
+        "e_ins" => opts.score.e_ins = bounded(key, int(key, value)?, MAX_PENALTY)?,
+        "zdrop" => opts.score.zdrop = bounded(key, int(key, value)?, MAX_PENALTY)?,
         "pen_clip5" => opts.pen_clip5 = int(key, value)?,
         "pen_clip3" => opts.pen_clip3 = int(key, value)?,
         "min_score" => opts.t_min_score = int(key, value)?,
@@ -246,6 +246,22 @@ fn positive(key: &str, v: i32) -> Result<i32, String> {
     Ok(v)
 }
 
+/// Largest match score and mismatch penalty: the scoring matrix holds
+/// them as `i8`.
+const MAX_SCORE: i32 = i8::MAX as i32;
+
+/// Largest gap penalty and Z-drop. The DP kernels compute `o + e·len`
+/// and `max − e·len` in `i32`; 1 000 keeps those exact for sequences up
+/// to 2 Mbp, and Z-drop is compared with such differences.
+const MAX_PENALTY: i32 = 1_000;
+
+fn bounded(key: &str, v: i32, max: i32) -> Result<i32, String> {
+    if !(1..=max).contains(&v) {
+        return Err(format!("option {key} must be in 1..={max}, got {v}"));
+    }
+    Ok(v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,5 +296,39 @@ mod tests {
         assert!(OptsOverride::parse("match=0").is_err()); // must be >= 1
         assert!(OptsOverride::parse("mode=circular").is_err());
         assert!(OptsOverride::parse("batch_pairs=0").is_err());
+    }
+
+    #[test]
+    fn scores_and_penalties_are_bounded_by_what_the_kernels_hold() {
+        // the matrix holds match and mismatch as i8
+        for ok in ["match=127", "mismatch=127", "match=1"] {
+            assert!(OptsOverride::parse(ok).is_ok(), "{ok}");
+        }
+        for (line, key) in [("match=200", "match"), ("mismatch=128", "mismatch")] {
+            let err = OptsOverride::parse(line).unwrap_err();
+            assert!(err.contains(key) && err.contains("1..=127"), "{err}");
+        }
+        // gap penalties past the 8-bit tier are fine; past the i32 bound not
+        for ok in [
+            "o_del=262",
+            "e_del=257",
+            "o_ins=1000",
+            "e_ins=3",
+            "zdrop=1000",
+        ] {
+            assert!(OptsOverride::parse(ok).is_ok(), "{ok}");
+        }
+        for key in ["o_del", "e_del", "o_ins", "e_ins", "zdrop"] {
+            let err = OptsOverride::parse(&format!("{key}=1001")).unwrap_err();
+            assert!(err.contains(key) && err.contains("1..=1000"), "{err}");
+            assert!(OptsOverride::parse(&format!("{key}=0")).is_err());
+            assert!(OptsOverride::parse(&format!("{key}=32767")).is_err());
+        }
+        // an accepted override builds the matrix without wrapping
+        let applied = OptsOverride::parse("match=127\nmismatch=127")
+            .unwrap()
+            .apply(&MemOpts::default());
+        assert_eq!(applied.score.mat[0], 127);
+        assert_eq!(applied.score.mat[1], -127);
     }
 }
