@@ -31,8 +31,8 @@ pub struct MemOpts {
     /// the resident batch, and the batch the stage-batched workflow runs
     /// each stage over. SAM bytes are invariant to this value.
     pub batch_reads: usize,
-    /// Reads whose seeding state machines one worker interleaves
-    /// (`--seed-batch`, default 16): each pending occurrence query's
+    /// Reads one worker seeds in lockstep lanes (`--seed-batch`,
+    /// default 16): each pending occurrence query's
     /// software prefetch is issued one full rotation — `seed_batch − 1`
     /// other reads' queries — before its demand load, and the slab's
     /// suffix-array lookups drain through a sliding prefetch window.

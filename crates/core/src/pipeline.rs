@@ -2,9 +2,9 @@
 //!
 //! Reads are processed in slabs; each stage
 //! runs over the entire slab before the next begins. The SMEM/SAL stages
-//! hide memory latency: seeding interleaves `seed_batch` reads' resumable
-//! state machines round-robin (each occ prefetch is issued a full
-//! rotation before its demand load — see [`mem2_fmindex::smem_batch`]),
+//! hide memory latency: seeding advances `seed_batch` reads in lockstep
+//! lanes (each occ prefetch is issued a full rotation before its demand
+//! load — see [`mem2_fmindex::smem_batch`]),
 //! and the slab's suffix-array lookups drain through a sliding prefetch
 //! window. The BSW stage runs in *dependency rounds*: every read keeps a
 //! resumable accept/skip walk over its chains ([`SeedWalk`]), each round
@@ -190,9 +190,10 @@ pub fn align_batch(
         worker.states.push(ReadState::default());
     }
 
-    // ---- stage: SMEM over the whole batch — the interleaved seeding
-    // scheduler advances `seed_batch` reads' state machines round-robin,
-    // so each occ prefetch gets a full rotation of latency cover ----
+    // ---- stage: SMEM over the whole batch — the lockstep seeding
+    // scheduler advances `seed_batch` reads' lanes one query per
+    // rotation, so each occ prefetch gets a full rotation of latency
+    // cover ----
     let t = Instant::now();
     let width = opts.seed_batch.max(1);
     {

@@ -57,6 +57,48 @@ pub fn forward_ext4<O: OccTable, P: PerfSink>(
     out
 }
 
+/// One-base backward extension: the bi-interval of `cX` for the single
+/// base `c` — `backward_ext4(occ, ik, sink)[c]`, without building the
+/// other three. The hot seeding loops extend by one known base per
+/// step, so they only need this one (and inline it).
+#[inline(always)]
+pub fn backward_ext1<O: OccTable, P: PerfSink>(
+    occ: &O,
+    ik: &BiInterval,
+    c: u8,
+    sink: &mut P,
+) -> BiInterval {
+    debug_assert!(c < 4);
+    let meta = occ.meta();
+    let (tk, tl) = occ.occ2x4(ik.k - 1, ik.k + ik.s - 1, sink);
+    sink.ops(24); // interval arithmetic proxy, as backward_ext4
+    let c = c as usize;
+    let sentinel_in = (ik.k <= meta.sentinel_row && meta.sentinel_row < ik.k + ik.s) as i64;
+    let s: [i64; 4] = std::array::from_fn(|b| tl[b] - tk[b]);
+    // `l` skips the sentinel and every base ordered after `c`
+    let after = [s[1] + s[2] + s[3], s[2] + s[3], s[3], 0];
+    BiInterval {
+        k: meta.c_before[c] + tk[c],
+        l: ik.l + sentinel_in + after[c],
+        s: s[c],
+        info: ik.info,
+    }
+}
+
+/// One-base forward extension: the bi-interval of `Xb` —
+/// `forward_ext4(occ, ik, sink)[b]` — via the complement's backward
+/// extension on the swapped strands.
+#[inline(always)]
+pub fn forward_ext1<O: OccTable, P: PerfSink>(
+    occ: &O,
+    ik: &BiInterval,
+    b: u8,
+    sink: &mut P,
+) -> BiInterval {
+    debug_assert!(b < 4);
+    backward_ext1(occ, &ik.swapped(), 3 - b, sink).swapped()
+}
+
 /// The two occurrence rows a backward extension of `ik` will query
 /// (`occ2x4(k−1, k+s−1)` in [`backward_ext4`]) — the rows a prefetch
 /// issued ahead of that extension should touch.

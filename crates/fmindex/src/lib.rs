@@ -26,9 +26,8 @@
 //! removed.
 //!
 //! Key types: [`FmIndex`], [`BiInterval`] (bidirectional SA interval),
-//! [`SmemOpts`], the [`smem_batch`] resumable seeding state machines,
-//! and the [`sal`] lookup structures. Introduced in PR 1; latency-hiding
-//! batched seeding in PR 5, width/mmap-generic storage in PR 6.
+//! [`SmemOpts`], the [`smem_batch`] lockstep seeding lanes, and the
+//! [`sal`] lookup structures.
 
 #![deny(missing_docs)]
 
@@ -42,7 +41,9 @@ pub mod sal;
 pub mod smem;
 pub mod smem_batch;
 
-pub use ext::{backward_ext4, backward_ext_rows, forward_ext4, forward_ext_rows};
+pub use ext::{
+    backward_ext1, backward_ext4, backward_ext_rows, forward_ext1, forward_ext4, forward_ext_rows,
+};
 pub use index::{BuildOpts, FmIndex};
 pub use interval::BiInterval;
 pub use occ::{BwtMeta, OccTable};
@@ -50,4 +51,4 @@ pub use occ_opt::{CpBlock, OccOpt};
 pub use occ_orig::OccOrig;
 pub use sal::{FlatSa, SampledSa, SAL_PREFETCH_DIST};
 pub use smem::{collect_intv, seed_strategy1, smem1a, SmemAux, SmemOpts};
-pub use smem_batch::{SeedStats, SeedTask, SmemScheduler, DEFAULT_SEED_BATCH};
+pub use smem_batch::{SeedStats, SmemScheduler, DEFAULT_SEED_BATCH};

@@ -227,11 +227,12 @@ impl OccTable for OccOpt {
         let m2 = self.meta.stored_prefix(r2) as usize;
         sink.ops(2 * (1 + 4 * 3));
         let b1 = self.block(m1, sink);
-        let b2 = if m1 / ROWS == m2 / ROWS {
-            b1
-        } else {
-            self.block(m2, sink)
-        };
+        // no branch on the (data-dependent) shared bucket: a shared
+        // line is read twice from L1 but reported as one load
+        let b2 = &self.blocks()[m2 / ROWS];
+        if m1 / ROWS != m2 / ROWS {
+            sink.load(b2 as *const CpBlock as usize, 64);
+        }
         (b1.counts_before(m1 % ROWS), b2.counts_before(m2 % ROWS))
     }
 

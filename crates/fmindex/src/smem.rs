@@ -7,12 +7,12 @@
 //! produced that will be used for a future occurrence query, the bucket(s)
 //! it will touch are software-prefetched. Within a single read those
 //! prefetches sit on the query's own dependency chain and hide little —
-//! the batched pipeline instead drives this algorithm through the
-//! interleaved scheduler in [`crate::smem_batch`], which rotates many
-//! reads' state machines so each prefetch gets a full rotation of
-//! independent work before its demand load. This module remains the
-//! reference implementation the scheduler is pinned against (and the
-//! classic workflow's path).
+//! the batched pipeline instead runs this algorithm in the lockstep
+//! lanes of [`crate::smem_batch`], which advance many reads one query
+//! per rotation so each prefetch gets a full rotation of independent
+//! work before its demand load. This module remains the reference
+//! implementation the lanes are pinned against (and the classic
+//! oracle's path).
 
 use mem2_memsim::PerfSink;
 

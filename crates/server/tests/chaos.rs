@@ -211,16 +211,20 @@ fn small_request_is_not_queued_behind_a_large_one() {
 fn request_deadline_frees_the_connection() {
     let _guard = chaos_lock();
     let reference = reference_with_seed(7);
+    // the healthy request below must align inside the deadline: its 20
+    // reads take ≈ 100 ms in a debug build
+    let deadline = Duration::from_millis(if cfg!(debug_assertions) { 1_000 } else { 150 });
     let (handle, endpoint) = start_server(&reference, |c| {
         c.threads = 1;
-        c.request_timeout = Some(Duration::from_millis(150));
+        c.request_timeout = Some(deadline);
     });
 
     let reads = sim_reads(&reference, 20, 55);
     let fastq = write_fastq(&reads);
 
     // wedge the only worker for far longer than the deadline
-    faultsim::arm(faultsim::SLAB_DELAY_MS, 1, 2_000);
+    let wedge = deadline * 10 + Duration::from_millis(500);
+    faultsim::arm(faultsim::SLAB_DELAY_MS, 1, wedge.as_millis() as u64);
     let mut stuck = Client::connect(&endpoint).expect("connect");
     let err = stuck
         .align(fastq.as_bytes())
@@ -231,9 +235,9 @@ fn request_deadline_frees_the_connection() {
     );
 
     // once the wedged slab clears, service resumes (the wedge holds
-    // the only worker for 2 s; a request sent before that would expire
+    // the only worker; a request sent before it clears would expire
     // behind it too, which is exactly the deadline's contract)
-    std::thread::sleep(Duration::from_millis(2_200));
+    std::thread::sleep(wedge + Duration::from_millis(200));
     let mut healthy = Client::connect(&endpoint).expect("daemon must survive");
     let (_, n_reads, _) = healthy
         .align_with_retry(fastq.as_bytes(), 50)

@@ -732,6 +732,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
         "{}",
         times.render("[mem] stage time (wall clock, summed over workers)")
     );
+    let smem = times.totals[Stage::Smem as usize];
     match profile {
         Some(ProfileFormat::Text) => {
             eprint!(
@@ -739,7 +740,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
                 times.render_percentiles("[mem] stage latency profile")
             );
             eprintln!("[mem] scheduler: {}", sched.render());
-            eprintln!("[mem] seeding: {}", times.seed.render());
+            eprintln!("[mem] seeding: {}", times.seed.render(smem));
             eprintln!("[mem] extension: {}", ext.render());
             eprintln!("[mem] cigar: {}", cigar.render());
             eprintln!("[mem] rescue: {}", rescue.render());
@@ -748,7 +749,7 @@ fn cmd_mem(args: &[String]) -> Result<(), AnyError> {
             "{{{},\"scheduler\":{},\"seeding\":{},\"extension\":{},\"cigar\":{},\"rescue\":{}}}",
             times.render_json_fields(),
             sched.render_json(),
-            times.seed.render_json(),
+            times.seed.render_json(smem),
             ext.render_json(),
             cigar.render_json(),
             rescue.render_json()

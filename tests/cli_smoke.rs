@@ -185,6 +185,15 @@ fn one_batch_is_shared_by_all_threads_and_reported() {
     );
     assert!(report.contains("\"worker_busy_share\":"), "{report}");
     assert!(report.contains("\"batches_resident_max\":1"), "{report}");
+    // the seeding object carries the mechanism metric: SMEM time per
+    // occurrence query
+    let ns_per_query: f64 = report
+        .split_once("\"ns_per_query\":")
+        .and_then(|(_, tail)| tail.split([',', '}']).next())
+        .unwrap_or_else(|| panic!("seeding ns_per_query in {report}"))
+        .parse()
+        .expect("numeric ns_per_query");
+    assert!(ns_per_query > 0.0, "{report}");
     // the header no longer calls summed per-worker wall clock CPU time
     assert!(
         stderr.contains("stage time (wall clock, summed over workers)"),
@@ -197,6 +206,12 @@ fn one_batch_is_shared_by_all_threads_and_reported() {
     let stderr = String::from_utf8_lossy(&text.stderr);
     assert!(stderr.contains("[mem] scheduler: threads 2"), "{stderr}");
     assert!(stderr.contains("slabs_per_worker ["), "{stderr}");
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("[mem] seeding: ") && l.contains(" ns/query ")),
+        "{stderr}"
+    );
 }
 
 #[test]
